@@ -17,7 +17,6 @@ from .bricks import (
     LinearBrick,
     TensorBrick,
     activate,
-    apply_brick,
     gaussian_kernel,
     kernel_matrix,
     train_dsn_brick,
@@ -73,9 +72,7 @@ from .stack import (
     InputSchema,
     ParameterCounts,
     StackedModel,
-    assemble_brick_input,
     count_free_parameters,
-    predict_one_step,
     train_stack,
 )
 

@@ -14,18 +14,26 @@ pseudo-inverse.
 * kernel-tensor - dual-form product of two Gaussian kernels (the kernel
                   analogue of the tensor brick)
 
-Trained bricks are immutable; training is deterministic given the seed.
+The brick protocol: every kind is a frozen dataclass whose array fields
+are stored as read-only float copies.  A kind defines ``input_dim``,
+``output_dim`` and ``apply_columns``, which maps a column-sample matrix
+(one input vector per column) to one output column per sample; ``apply``
+also takes a single vector.  The ``kind`` field names the kind, and each
+dataclass field is one entry of the model file.  The kernel and
+kernel-tensor kinds are the one- and two-kernel cases of one dual-form
+brick.  Training is deterministic given the seed.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .linalg import EXACT_SVD, InverseConfig, pseudo_inverse
+from .linalg import EXACT_SVD, InverseConfig, pseudo_inverse, readonly
 
 __all__ = [
     "Activation",
@@ -38,7 +46,6 @@ __all__ = [
     "TensorBrick",
     "activate",
     "activation_derivative",
-    "apply_brick",
     "gaussian_kernel",
     "kernel_matrix",
     "train_dsn_brick",
@@ -165,32 +172,40 @@ def kernel_matrix(spec: KernelSpec, a, b) -> np.ndarray:
     return np.exp(-d2)
 
 
-def _freeze(a) -> np.ndarray:
-    # C order normalizes the memory layout so BLAS rounding cannot depend on
-    # whether an array arrived as a transposed view or a reloaded copy
-    a = np.array(a, dtype=float, order="C")
-    a.setflags(write=False)
-    return a
+@dataclass(frozen=True)
+class _Brick:
+    """The brick protocol: fields annotated ``np.ndarray`` are stored as
+    read-only copies, and ``apply`` also takes a single input vector."""
 
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            if f.type == "np.ndarray":
+                object.__setattr__(self, f.name, readonly(getattr(self, f.name)))
 
-def _check_vector_or_columns(x, dim: int, what: str) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    cols = x[:, None] if single else x
-    if cols.ndim != 2 or cols.shape[0] != dim:
-        raise ValueError(f"{what}: expected input dimension {dim}, got shape {x.shape}")
-    return cols, single
+    def _columns(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        cols = x[:, None] if x.ndim == 1 else x
+        if cols.ndim != 2 or cols.shape[0] != self.input_dim:
+            raise ValueError(
+                f"{self.kind} brick: expected input dimension {self.input_dim}, got shape {x.shape}"
+            )
+        return cols
+
+    def apply(self, x) -> np.ndarray:
+        """Apply the brick to one input vector or to a column-sample matrix."""
+        out = self.apply_columns(x)
+        return out[:, 0] if np.ndim(x) == 1 else out
 
 
 @dataclass(frozen=True)
-class LinearBrick:
+class LinearBrick(_Brick):
     """One-step predictor ``y = matrix @ x``."""
 
     matrix: np.ndarray
     kind: str = field(default="linear", init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "matrix", _freeze(self.matrix))
+        super().__post_init__()
         if self.matrix.ndim != 2:
             raise ValueError("matrix must be 2-d")
 
@@ -203,17 +218,11 @@ class LinearBrick:
         return self.matrix.shape[0]
 
     def apply_columns(self, x) -> np.ndarray:
-        cols, _ = _check_vector_or_columns(x, self.input_dim, "linear brick")
-        return self.matrix @ cols
-
-    def apply(self, x) -> np.ndarray:
-        cols, single = _check_vector_or_columns(x, self.input_dim, "linear brick")
-        out = self.matrix @ cols
-        return out[:, 0] if single else out
+        return self.matrix @ self._columns(x)
 
 
 @dataclass(frozen=True)
-class DSNBrick:
+class DSNBrick(_Brick):
     """Random-hidden-layer brick ``y = output_weights @ act(hidden_weights @ x)``."""
 
     hidden_weights: np.ndarray
@@ -224,8 +233,7 @@ class DSNBrick:
     kind: str = field(default="dsn", init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "hidden_weights", _freeze(self.hidden_weights))
-        object.__setattr__(self, "output_weights", _freeze(self.output_weights))
+        super().__post_init__()
         if self.hidden_weights.ndim != 2 or self.output_weights.ndim != 2:
             raise ValueError("weights must be 2-d")
         if self.output_weights.shape[1] != self.hidden_weights.shape[0]:
@@ -239,38 +247,33 @@ class DSNBrick:
     def output_dim(self) -> int:
         return self.output_weights.shape[0]
 
-    def apply(self, x) -> np.ndarray:
-        cols, single = _check_vector_or_columns(x, self.input_dim, "dsn brick")
-        out = self.output_weights @ activate(self.activation, self.hidden_weights @ cols)
-        return out[:, 0] if single else out
-
     def apply_columns(self, x) -> np.ndarray:
-        cols, _ = _check_vector_or_columns(x, self.input_dim, "dsn brick")
-        return self.output_weights @ activate(self.activation, self.hidden_weights @ cols)
+        return self.output_weights @ activate(self.activation, self.hidden_weights @ self._columns(x))
+
+
+def _product_kernel(specs, a, b) -> np.ndarray:
+    """Elementwise product of the Gaussian kernels of ``specs`` between columns."""
+    return functools.reduce(np.multiply, (kernel_matrix(spec, a, b) for spec in specs))
 
 
 @dataclass(frozen=True)
-class KernelBrick:
-    """Dual-form Gaussian-kernel ridge brick.
+class _DualBrick(_Brick):
+    """Dual-form ridge over the product of the Gaussian kernels in ``specs``.
 
     Retains exactly the training inputs seen at fit time; prediction is
-    ``dual_coefficients @ k(training_inputs, x)``.
+    ``dual_coefficients @ prod_s k_s(training_inputs, x)``.
     """
 
     training_inputs: np.ndarray
     dual_coefficients: np.ndarray
-    spec: KernelSpec
-    ridge: float
-    kind: str = field(default="kernel", init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "training_inputs", _freeze(self.training_inputs))
-        object.__setattr__(self, "dual_coefficients", _freeze(self.dual_coefficients))
+        super().__post_init__()
         if self.training_inputs.ndim != 2 or self.dual_coefficients.ndim != 2:
             raise ValueError("training inputs and dual coefficients must be 2-d")
         if self.dual_coefficients.shape[1] != self.training_inputs.shape[1]:
             raise ValueError("one dual coefficient column per retained training input required")
-        if self.training_inputs.shape[0] != self.spec.dim:
+        if any(spec.dim != self.training_inputs.shape[0] for spec in self.specs):
             raise ValueError("kernel spec does not match the training input dimension")
         if not self.ridge >= 0.0:
             raise ValueError("ridge must be >= 0")
@@ -283,18 +286,38 @@ class KernelBrick:
     def output_dim(self) -> int:
         return self.dual_coefficients.shape[0]
 
-    def apply(self, x) -> np.ndarray:
-        cols, single = _check_vector_or_columns(x, self.input_dim, "kernel brick")
-        out = self.dual_coefficients @ kernel_matrix(self.spec, self.training_inputs, cols)
-        return out[:, 0] if single else out
-
-    def apply_columns(self, x) -> np.ndarray:
-        cols, _ = _check_vector_or_columns(x, self.input_dim, "kernel brick")
-        return self.dual_coefficients @ kernel_matrix(self.spec, self.training_inputs, cols)
+    # each kind still defines apply_columns in its own body: the benchmark
+    # tracer (perfbench/tracer.py) patches it per class
+    def _apply_dual(self, x) -> np.ndarray:
+        cols = self._columns(x)
+        return self.dual_coefficients @ _product_kernel(self.specs, self.training_inputs, cols)
 
 
 @dataclass(frozen=True)
-class TensorBrick:
+class KernelBrick(_DualBrick):
+    """Dual-form Gaussian-kernel ridge brick (the one-kernel dual brick)."""
+
+    spec: KernelSpec
+    ridge: float
+    kind: str = field(default="kernel", init=False)
+
+    @property
+    def specs(self) -> tuple[KernelSpec, ...]:
+        return (self.spec,)
+
+    def apply_columns(self, x) -> np.ndarray:
+        return self._apply_dual(x)
+
+
+def _tensor_features(wa: np.ndarray, wb: np.ndarray, a: Activation, cols: np.ndarray) -> np.ndarray:
+    """Per-sample ``act(wa @ x) (outer) act(wb @ x)`` flattened row-major."""
+    ha = activate(a, wa @ cols)
+    hb = activate(a, wb @ cols)
+    return (ha[:, None, :] * hb[None, :, :]).reshape(ha.shape[0] * hb.shape[0], cols.shape[1])
+
+
+@dataclass(frozen=True)
+class TensorBrick(_Brick):
     """Split-hidden-layer brick over flattened outer-product features.
 
     Per sample the feature vector is ``act(w_a @ x) (outer) act(w_b @ x)``
@@ -308,9 +331,7 @@ class TensorBrick:
     kind: str = field(default="tensor", init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "hidden_weights_a", _freeze(self.hidden_weights_a))
-        object.__setattr__(self, "hidden_weights_b", _freeze(self.hidden_weights_b))
-        object.__setattr__(self, "output_weights", _freeze(self.output_weights))
+        super().__post_init__()
         ha, hb = self.hidden_weights_a.shape[0], self.hidden_weights_b.shape[0]
         if self.hidden_weights_a.shape[1] != self.hidden_weights_b.shape[1]:
             raise ValueError("both hidden layers must share the input dimension")
@@ -325,24 +346,14 @@ class TensorBrick:
     def output_dim(self) -> int:
         return self.output_weights.shape[0]
 
-    def _features(self, cols: np.ndarray) -> np.ndarray:
-        ha = activate(self.activation, self.hidden_weights_a @ cols)
-        hb = activate(self.activation, self.hidden_weights_b @ cols)
-        n = cols.shape[1]
-        return (ha[:, None, :] * hb[None, :, :]).reshape(ha.shape[0] * hb.shape[0], n)
-
-    def apply(self, x) -> np.ndarray:
-        cols, single = _check_vector_or_columns(x, self.input_dim, "tensor brick")
-        out = self.output_weights @ self._features(cols)
-        return out[:, 0] if single else out
-
     def apply_columns(self, x) -> np.ndarray:
-        cols, _ = _check_vector_or_columns(x, self.input_dim, "tensor brick")
-        return self.output_weights @ self._features(cols)
+        cols = self._columns(x)
+        feats = _tensor_features(self.hidden_weights_a, self.hidden_weights_b, self.activation, cols)
+        return self.output_weights @ feats
 
 
 @dataclass(frozen=True)
-class KernelTensorBrick:
+class KernelTensorBrick(_DualBrick):
     """Dual-form brick over the product of two Gaussian kernels.
 
     The tensor product of two feature maps induces the elementwise product
@@ -350,54 +361,20 @@ class KernelTensorBrick:
     ``dual_coefficients @ (k_a(U, x) * k_b(U, x))``.
     """
 
-    training_inputs: np.ndarray
-    dual_coefficients: np.ndarray
     spec_a: KernelSpec
     spec_b: KernelSpec
     ridge: float
     kind: str = field(default="kernel-tensor", init=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "training_inputs", _freeze(self.training_inputs))
-        object.__setattr__(self, "dual_coefficients", _freeze(self.dual_coefficients))
-        if self.training_inputs.ndim != 2 or self.dual_coefficients.ndim != 2:
-            raise ValueError("training inputs and dual coefficients must be 2-d")
-        if self.dual_coefficients.shape[1] != self.training_inputs.shape[1]:
-            raise ValueError("one dual coefficient column per retained training input required")
-        if self.spec_a.dim != self.training_inputs.shape[0] or self.spec_b.dim != self.spec_a.dim:
-            raise ValueError("kernel specs do not match the training input dimension")
-        if not self.ridge >= 0.0:
-            raise ValueError("ridge must be >= 0")
-
     @property
-    def input_dim(self) -> int:
-        return self.training_inputs.shape[0]
-
-    @property
-    def output_dim(self) -> int:
-        return self.dual_coefficients.shape[0]
-
-    def _cross(self, cols: np.ndarray) -> np.ndarray:
-        return kernel_matrix(self.spec_a, self.training_inputs, cols) * kernel_matrix(
-            self.spec_b, self.training_inputs, cols
-        )
-
-    def apply(self, x) -> np.ndarray:
-        cols, single = _check_vector_or_columns(x, self.input_dim, "kernel-tensor brick")
-        out = self.dual_coefficients @ self._cross(cols)
-        return out[:, 0] if single else out
+    def specs(self) -> tuple[KernelSpec, ...]:
+        return (self.spec_a, self.spec_b)
 
     def apply_columns(self, x) -> np.ndarray:
-        cols, _ = _check_vector_or_columns(x, self.input_dim, "kernel-tensor brick")
-        return self.dual_coefficients @ self._cross(cols)
+        return self._apply_dual(x)
 
 
 Brick = LinearBrick | DSNBrick | KernelBrick | TensorBrick | KernelTensorBrick
-
-
-def apply_brick(brick: Brick, x) -> np.ndarray:
-    """Apply any brick to a vector (or column matrix) of inputs."""
-    return brick.apply(x)
 
 
 def _as_pairs(inputs, targets) -> tuple[np.ndarray, np.ndarray]:
@@ -424,10 +401,16 @@ def train_linear_brick(inputs, targets, cfg: InverseConfig = EXACT_SVD) -> Linea
     return LinearBrick(matrix=v @ pseudo_inverse(u, cfg))
 
 
-def _init_weights(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    # scaled uniform in [-1/sqrt(fan_in), 1/sqrt(fan_in)]
-    bound = 1.0 / math.sqrt(cols)
-    return rng.uniform(-bound, bound, size=(rows, cols))
+def _hidden_layer(rng: np.random.Generator, rows: int, cols: int, given=None) -> np.ndarray:
+    """Seeded hidden weights, or ``given`` after a shape check."""
+    if given is None:
+        # scaled uniform in [-1/sqrt(fan_in), 1/sqrt(fan_in)]
+        bound = 1.0 / math.sqrt(cols)
+        return rng.uniform(-bound, bound, size=(rows, cols))
+    w = np.array(given, dtype=float)
+    if w.shape != (rows, cols):
+        raise ValueError("hidden weights must have shape (hidden_size, input_dim)")
+    return w
 
 
 def _output_solve_loss(
@@ -516,12 +499,7 @@ def train_dsn_brick(
         raise ValueError("hidden_size must be >= 1")
     if mode not in ("fixed-random", "gradient-refined"):
         raise ValueError(f"unknown dsn training mode {mode!r}")
-    if hidden_weights is None:
-        w = _init_weights(np.random.default_rng(seed), hidden_size, u.shape[0])
-    else:
-        w = np.array(hidden_weights, dtype=float)
-        if w.shape != (hidden_size, u.shape[0]):
-            raise ValueError("hidden_weights must have shape (hidden_size, input_dim)")
+    w = _hidden_layer(np.random.default_rng(seed), hidden_size, u.shape[0], hidden_weights)
     refine_trace: tuple[float, ...] | None = None
     refine_converged: bool | None = None
     if mode == "gradient-refined":
@@ -561,43 +539,36 @@ def dsn_objective(weights, inputs, targets, activation: Activation, cfg: Inverse
     return _output_solve_loss(w, u, v, activation, cfg)[2]
 
 
-def _solve_dual(gram: np.ndarray, targets: np.ndarray, lam: float) -> np.ndarray:
+def _train_dual(inputs, targets, specs, lam: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Dual-form ridge on the product kernel of ``specs``: returns the retained
+    inputs, the coefficients ``targets @ (K + lam I)^-1`` and the ridge."""
+    u, v = _as_pairs(inputs, targets)
+    if any(spec.dim != u.shape[0] for spec in specs):
+        raise ValueError("kernel spec does not match the input dimension")
+    if not lam >= 0.0:
+        raise ValueError("lam must be >= 0")
+    lam = float(lam)
+    gram = _product_kernel(specs, u, u)
     if lam > 0.0:
-        return np.linalg.solve(gram + lam * np.eye(gram.shape[0]), targets.T).T
+        return u, np.linalg.solve(gram + lam * np.eye(gram.shape[0]), v.T).T, lam
     # ridge-free fit: exact interpolation when the Gram matrix allows it,
     # minimum-norm pseudo-inverse solution otherwise
-    return targets @ pseudo_inverse(gram, EXACT_SVD)
+    return u, v @ pseudo_inverse(gram, EXACT_SVD), lam
 
 
 def train_kernel_brick(inputs, targets, spec: KernelSpec, lam: float) -> KernelBrick:
     """Kernel ridge in dual form: coefficients ``targets @ (K + lam I)^-1``."""
-    u, v = _as_pairs(inputs, targets)
-    if spec.dim != u.shape[0]:
-        raise ValueError("kernel spec does not match the input dimension")
-    if not lam >= 0.0:
-        raise ValueError("lam must be >= 0")
-    gram = kernel_matrix(spec, u, u)
-    dual = _solve_dual(gram, v, float(lam))
-    return KernelBrick(training_inputs=u, dual_coefficients=dual, spec=spec, ridge=float(lam))
+    u, dual, lam = _train_dual(inputs, targets, (spec,), lam)
+    return KernelBrick(training_inputs=u, dual_coefficients=dual, spec=spec, ridge=lam)
 
 
 def train_kt_brick(
     inputs, targets, spec_a: KernelSpec, spec_b: KernelSpec, lam: float
 ) -> KernelTensorBrick:
     """Kernel-tensor brick: dual-form ridge on the product kernel ``K_a * K_b``."""
-    u, v = _as_pairs(inputs, targets)
-    if spec_a.dim != u.shape[0] or spec_b.dim != u.shape[0]:
-        raise ValueError("kernel specs do not match the input dimension")
-    if not lam >= 0.0:
-        raise ValueError("lam must be >= 0")
-    gram = kernel_matrix(spec_a, u, u) * kernel_matrix(spec_b, u, u)
-    dual = _solve_dual(gram, v, float(lam))
+    u, dual, lam = _train_dual(inputs, targets, (spec_a, spec_b), lam)
     return KernelTensorBrick(
-        training_inputs=u,
-        dual_coefficients=dual,
-        spec_a=spec_a,
-        spec_b=spec_b,
-        ridge=float(lam),
+        training_inputs=u, dual_coefficients=dual, spec_a=spec_a, spec_b=spec_b, ridge=lam
     )
 
 
@@ -621,14 +592,9 @@ def train_tensor_brick(
     if hidden_size_a < 1 or hidden_size_b < 1:
         raise ValueError("hidden sizes must be >= 1")
     rng = np.random.default_rng(seed)
-    wa = _init_weights(rng, hidden_size_a, u.shape[0]) if hidden_weights_a is None else np.array(hidden_weights_a, dtype=float)
-    wb = _init_weights(rng, hidden_size_b, u.shape[0]) if hidden_weights_b is None else np.array(hidden_weights_b, dtype=float)
-    if wa.shape != (hidden_size_a, u.shape[0]) or wb.shape != (hidden_size_b, u.shape[0]):
-        raise ValueError("hidden weights must have shape (hidden_size, input_dim)")
-    ha = activate(activation, wa @ u)
-    hb = activate(activation, wb @ u)
-    feats = (ha[:, None, :] * hb[None, :, :]).reshape(hidden_size_a * hidden_size_b, u.shape[1])
-    out = v @ pseudo_inverse(feats, cfg)
+    wa = _hidden_layer(rng, hidden_size_a, u.shape[0], hidden_weights_a)
+    wb = _hidden_layer(rng, hidden_size_b, u.shape[0], hidden_weights_b)
+    out = v @ pseudo_inverse(_tensor_features(wa, wb, activation, u), cfg)
     return TensorBrick(
         hidden_weights_a=wa, hidden_weights_b=wb, output_weights=out, activation=activation
     )

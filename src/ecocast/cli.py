@@ -26,6 +26,7 @@ from .datasets import (
     TimeSeriesSet,
     build_training_pairs,
     default_scaling,
+    flatten_context,
     optimize_scaling,
     usle_soil_loss,
 )
@@ -37,7 +38,7 @@ from .io import (
     write_ascii_grid,
     write_timeseries_csv,
 )
-from .linalg import EXACT_SVD, InverseConfig
+from .linalg import EXACT_SVD, InverseConfig, tikhonov, truncated
 from .lotka import LVParams, PopulationTrajectory, first_integral, fit_lv, simulate_lv
 from .stack import BrickConfig, InputSchema, count_free_parameters, train_stack
 from .stability import estimate_horizon, rollout, split_train_validate
@@ -140,14 +141,12 @@ def _inverse_config(cfg: RunConfig) -> InverseConfig:
         return EXACT_SVD
     if cfg.inverse_mode == "truncated-svd":
         if cfg.truncation_rank is not None:
-            return InverseConfig(mode="truncated-svd", rank_or_threshold=int(cfg.truncation_rank))
+            return truncated(int(cfg.truncation_rank))
         if cfg.truncation_threshold is not None:
-            return InverseConfig(
-                mode="truncated-svd", rank_or_threshold=float(cfg.truncation_threshold)
-            )
+            return truncated(float(cfg.truncation_threshold))
         raise ValueError("truncated-svd needs --truncation-rank or --truncation-threshold")
     if cfg.inverse_mode == "tikhonov":
-        return InverseConfig(mode="tikhonov", lam=float(cfg.tikhonov_lam))
+        return tikhonov(cfg.tikhonov_lam)
     raise ValueError(f"unknown inverse mode {cfg.inverse_mode!r}")
 
 
@@ -169,9 +168,7 @@ def _context_for(model, maps) -> np.ndarray:
         raise ValueError(
             f"context grids {sizes} do not match the model schema {model.schema.context_sizes}"
         )
-    if not maps:
-        return np.empty(0)
-    return np.concatenate([m.values.ravel() for m in maps])
+    return flatten_context(maps)[0]
 
 
 def _brick_configs(cfg: RunConfig) -> list[BrickConfig]:
@@ -304,16 +301,21 @@ def _cmd_train(cfg: RunConfig) -> dict:
     return outputs
 
 
-def _cmd_predict(cfg: RunConfig) -> dict:
-    _require(cfg, series=cfg.series, model_in=cfg.model_in, output=cfg.output)
+def _model_inputs(cfg: RunConfig):
+    """The model, the series set and the context vector of a model command;
+    the series must carry the model's names in the model's order."""
     model = load_model(cfg.model_in)
     ts = read_timeseries_csv(cfg.series, interpolate=cfg.interpolate)
     if tuple(ts.names) != model.schema.series_names:
         raise ValueError(
             f"series names {ts.names} do not match the model schema {model.schema.series_names}"
         )
-    maps = _read_maps(cfg)
-    context = _context_for(model, maps)
+    return model, ts, _context_for(model, _read_maps(cfg))
+
+
+def _cmd_predict(cfg: RunConfig) -> dict:
+    _require(cfg, series=cfg.series, model_in=cfg.model_in, output=cfg.output)
+    model, ts, context = _model_inputs(cfg)
     predictions = model.predict_columns(ts.values, context)
     out = TimeSeriesSet(
         names=model.schema.series_names,
@@ -327,10 +329,7 @@ def _cmd_predict(cfg: RunConfig) -> dict:
 
 def _cmd_rollout(cfg: RunConfig) -> dict:
     _require(cfg, series=cfg.series, model_in=cfg.model_in, output=cfg.output)
-    model = load_model(cfg.model_in)
-    ts = read_timeseries_csv(cfg.series, interpolate=cfg.interpolate)
-    maps = _read_maps(cfg)
-    context = _context_for(model, maps)
+    model, ts, context = _model_inputs(cfg)
     reference = None
     if cfg.reference:
         ref_ts = read_timeseries_csv(cfg.reference, interpolate=cfg.interpolate)
@@ -368,10 +367,7 @@ def _cmd_horizon(cfg: RunConfig) -> dict:
     _require(cfg, series=cfg.series, model_in=cfg.model_in)
     if not 0.0 < cfg.split_fraction < 1.0:
         raise ValueError("horizon needs --split-fraction in (0, 1)")
-    model = load_model(cfg.model_in)
-    ts = read_timeseries_csv(cfg.series, interpolate=cfg.interpolate)
-    maps = _read_maps(cfg)
-    context = _context_for(model, maps)
+    model, ts, context = _model_inputs(cfg)
     train_ts, val_ts = split_train_validate(ts, cfg.split_fraction)
     report = estimate_horizon(
         model,
@@ -458,6 +454,14 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--report", help="write the JSON report here instead of stdout")
 
+    def add_model_inputs(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--series", required=True)
+        p.add_argument("--model-in", required=True)
+        p.add_argument("--grid", dest="grids", action="append", default=[],
+                       help="context map (repeatable)")
+        p.add_argument("--interpolate", action="store_true")
+        p.add_argument("--nodata-fill", help="'mean' or a constant for NODATA cells")
+
     p = sub.add_parser("simulate", help="integrate the predator-prey model to CSV")
     add_common(p)
     p.add_argument("--alpha", type=float, default=1.1)
@@ -508,35 +512,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="one-step predictions for every input state")
     add_common(p)
-    p.add_argument("--series", required=True)
-    p.add_argument("--model-in", required=True)
-    p.add_argument("--grid", dest="grids", action="append", default=[])
-    p.add_argument("--interpolate", action="store_true")
-    p.add_argument("--nodata-fill")
+    add_model_inputs(p)
     p.add_argument("--output", required=True)
 
     p = sub.add_parser("rollout", help="iterate the predictor from the last input state")
     add_common(p)
-    p.add_argument("--series", required=True)
-    p.add_argument("--model-in", required=True)
-    p.add_argument("--grid", dest="grids", action="append", default=[])
+    add_model_inputs(p)
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--reference", help="CSV with ground-truth series for the error curve")
     p.add_argument("--bound", type=float, help="divergence bound override")
-    p.add_argument("--interpolate", action="store_true")
-    p.add_argument("--nodata-fill")
     p.add_argument("--output", required=True, help="predicted trajectory CSV")
     p.add_argument("--errors-output", help="per-step error curve CSV")
 
     p = sub.add_parser("horizon", help="reliability horizon against a held-out suffix")
     add_common(p)
-    p.add_argument("--series", required=True)
-    p.add_argument("--model-in", required=True)
-    p.add_argument("--grid", dest="grids", action="append", default=[])
+    add_model_inputs(p)
     p.add_argument("--split-fraction", type=float, default=0.8)
     p.add_argument("--epsilon", type=float, default=0.2)
-    p.add_argument("--interpolate", action="store_true")
-    p.add_argument("--nodata-fill")
     p.add_argument("--errors-output", help="normalized error curve CSV")
 
     p = sub.add_parser("count-params", help="free-parameter and data-point arithmetic")
@@ -572,24 +564,10 @@ def _apply_output_dir(cfg: RunConfig) -> RunConfig:
     return dataclasses.replace(cfg, **updates) if updates else cfg
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    values = vars(args).copy()
-    if "grids" in values and values["grids"] is not None:
-        values["grids"] = tuple(values["grids"])
-    if "map_pixels" in values and values["map_pixels"] is not None:
-        values["map_pixels"] = tuple(values["map_pixels"])
-    if values.get("rho_grid") is not None:
-        values["rho_grid"] = tuple(values["rho_grid"])
-    if values.get("ridges") is not None:
-        values["ridges"] = tuple(values["ridges"])
-    known = {f.name for f in dataclasses.fields(RunConfig)}
-    return RunConfig(**{k: v for k, v in values.items() if k in known and v is not None})
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    cfg = _apply_output_dir(_config_from_args(args))
+    args = _build_parser().parse_args(argv)
+    values = {k: v for k, v in vars(args).items() if v is not None}
+    cfg = _apply_output_dir(config_from_dict(values))
     try:
         run(cfg)
     except Exception as exc:  # CLI boundary: every module error becomes error JSON

@@ -10,8 +10,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .linalg import readonly
 from .scaling import ScalingSet, adimensionalize, undo_adimensionalize
-from .stack import BrickConfig, InputSchema, train_stack
+from .stack import InputSchema, brick_config_list, train_stack
 
 __all__ = [
     "ContextMap",
@@ -28,13 +29,17 @@ __all__ = [
     "usle_soil_loss",
 ]
 
+# Relative spacing jitter tolerated on a time axis.
 _UNIFORM_RTOL = 1e-9
 
 
-def _readonly(a, dtype=float) -> np.ndarray:
-    a = np.array(a, dtype=dtype, order="C")
-    a.setflags(write=False)
-    return a
+def check_uniform_cadence(times: np.ndarray) -> None:
+    """Reject a time axis that is not strictly increasing with one step."""
+    if times.size >= 2:
+        steps = np.diff(times)
+        dt = steps[0]
+        if dt <= 0.0 or np.any(np.abs(steps - dt) > _UNIFORM_RTOL * abs(dt)):
+            raise ValueError("times must be strictly increasing with uniform cadence")
 
 
 @dataclass(frozen=True)
@@ -55,8 +60,8 @@ class TimeSeriesSet:
     def __post_init__(self) -> None:
         names = tuple(str(n) for n in self.names)
         object.__setattr__(self, "names", names)
-        times = _readonly(self.times)
-        values = _readonly(self.values)
+        times = readonly(self.times)
+        values = readonly(self.values)
         if not names:
             raise ValueError("at least one series is required")
         if len(set(names)) != len(names):
@@ -74,11 +79,7 @@ class TimeSeriesSet:
             )
         if not np.all(np.isfinite(values)):
             raise ValueError("series values must be finite (resolve missing values at ingestion)")
-        if times.size >= 2:
-            steps = np.diff(times)
-            dt = steps[0]
-            if dt <= 0.0 or np.any(np.abs(steps - dt) > _UNIFORM_RTOL * abs(dt)):
-                raise ValueError("times must be strictly increasing with uniform cadence")
+        check_uniform_cadence(times)
         units = tuple(self.units) if self.units else ("",) * len(names)
         if len(units) != len(names):
             raise ValueError("one unit string per series is required")
@@ -135,7 +136,7 @@ class ContextMap:
     nodata_value: float | None = None
 
     def __post_init__(self) -> None:
-        values = _readonly(self.values)
+        values = readonly(self.values)
         if values.ndim != 2 or values.size == 0:
             raise ValueError("map values must be a nonempty 2-d array")
         if not np.all(np.isfinite(values)):
@@ -210,36 +211,33 @@ def build_training_pairs(
     return inputs, targets, schema
 
 
-def default_scaling(ts: TimeSeriesSet, maps=()) -> ScalingSet:
-    """Unit-variance initialization: offset = mean and scale = standard
-    deviation per dataset, with scale 1 for constant datasets."""
+def _unit_variance(segments) -> ScalingSet:
+    """Offset = mean and scale = standard deviation per dataset segment,
+    with scale 1 for constant segments."""
     offsets = []
     scales = []
-    for row in ts.values:
-        offsets.append(float(np.mean(row)))
-        sd = float(np.std(row))
+    for seg in segments:
+        offsets.append(float(np.mean(seg)))
+        sd = float(np.std(seg))
         scales.append(sd if sd > 0.0 else 1.0)
+    return ScalingSet(offsets=np.array(offsets), scales=np.array(scales))
+
+
+def default_scaling(ts: TimeSeriesSet, maps=()) -> ScalingSet:
+    """Unit-variance initialization measured per series and per map."""
+    segments = list(ts.values)
     for m in maps:
         if m.has_nodata():
             raise ValueError(f"map {m.name!r} has unresolved nodata cells")
-        offsets.append(float(np.mean(m.values)))
-        sd = float(np.std(m.values))
-        scales.append(sd if sd > 0.0 else 1.0)
-    return ScalingSet(offsets=np.array(offsets), scales=np.array(scales))
+        segments.append(m.values)
+    return _unit_variance(segments)
 
 
 def scaling_from_columns(inputs, schema: InputSchema) -> ScalingSet:
     """Unit-variance initialization measured on first-brick input columns."""
     u = np.asarray(inputs, dtype=float)
-    slices, owners = schema.dataset_slices(1)
-    offsets = np.zeros(schema.n_datasets)
-    scales = np.ones(schema.n_datasets)
-    for (a, b), d in zip(slices, owners):
-        seg = u[a:b]
-        offsets[d] = float(np.mean(seg))
-        sd = float(np.std(seg))
-        scales[d] = sd if sd > 0.0 else 1.0
-    return ScalingSet(offsets=offsets, scales=scales)
+    slices, _ = schema.dataset_slices(1)
+    return _unit_variance([u[a:b] for a, b in slices])
 
 
 def usle_soil_loss(
@@ -326,13 +324,7 @@ def optimize_scaling(
     u_train, u_val = u[:, :n_train], u[:, n_train:]
     v_train, v_val = v[:, :n_train], v[:, n_train:]
 
-    if isinstance(configs, BrickConfig):
-        if n_bricks is None:
-            raise ValueError("n_bricks is required when a single config is given")
-        config_list = [configs] * n_bricks
-    else:
-        config_list = list(configs)
-        n_bricks = len(config_list)
+    config_list = brick_config_list(configs, n_bricks)
 
     scaling = initial if initial is not None else scaling_from_columns(u_train, schema)
     ridges = [c.ridge for c in config_list]
@@ -348,9 +340,7 @@ def optimize_scaling(
         nonlocal evaluations
         evaluations += 1
         cfgs = [replace(c, ridge=r) for c, r in zip(config_list, cand_ridges)]
-        model = train_stack(
-            u_train, v_train, schema, cfgs, n_bricks=n_bricks, seed=seed, scaling=cand_scaling
-        )
+        model = train_stack(u_train, v_train, schema, cfgs, seed=seed, scaling=cand_scaling)
         pred = model.predict_columns(u_val[:ns], context)
         err = (pred - v_val) / norm[:, None]
         return float(np.sqrt(np.mean(err * err)))
@@ -371,7 +361,7 @@ def optimize_scaling(
                     best, scaling = loss, cand_scaling
                     trace.append(best)
                     improved = True
-        for k in range(n_bricks):
+        for k in range(len(config_list)):
             current = ridges[k]
             for g in grid:
                 cand = current * g

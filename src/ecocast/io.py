@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import fields
 from datetime import datetime
 
 import numpy as np
@@ -21,7 +22,7 @@ from .bricks import (
     LinearBrick,
     TensorBrick,
 )
-from .datasets import ContextMap, TimeSeriesSet
+from .datasets import _UNIFORM_RTOL, ContextMap, TimeSeriesSet
 from .scaling import ScalingSet
 from .stack import InputSchema, StackedModel
 
@@ -36,8 +37,6 @@ __all__ = [
 
 MODEL_FORMAT = "ecocast-stacked-model"
 MODEL_VERSION = 1
-
-_UNIFORM_RTOL = 1e-9
 
 
 def _fmt(x: float) -> str:
@@ -272,92 +271,52 @@ def _stem(path) -> str:
 # model file: versioned JSON, kernel bricks keep their training inputs
 
 
-def _mat(a: np.ndarray) -> list:
-    return np.asarray(a, dtype=float).tolist()
-
-
 def _spec_dict(spec: KernelSpec) -> dict:
     return {"scales": list(spec.scales), "slices": [list(s) for s in spec.slices]}
 
 
 def _spec_from(d: dict) -> KernelSpec:
-    return KernelSpec(
-        scales=tuple(float(s) for s in d["scales"]),
-        slices=tuple((int(a), int(b)) for a, b in d["slices"]),
-    )
+    return KernelSpec(scales=d["scales"], slices=d["slices"])
+
+
+_BRICK_CLASSES = {
+    cls.kind: cls for cls in (LinearBrick, DSNBrick, KernelBrick, TensorBrick, KernelTensorBrick)
+}
+
+# model-file key of a brick field, where it differs from the field name
+_KEYS = {"spec": "kernel", "spec_a": "kernel_a", "spec_b": "kernel_b"}
+
+# (to JSON, from JSON) per annotated field type; other fields are stored as is
+_PLAIN = (lambda v: v, lambda v: v)
+_CODECS = {
+    "np.ndarray": (lambda a: a.tolist(), lambda v: np.array(v, dtype=float)),
+    "KernelSpec": (_spec_dict, _spec_from),
+    "Activation": (lambda a: a.value, Activation),
+    "float": (float, float),
+    "tuple[float, ...] | None": (list, tuple),
+}
 
 
 def _brick_dict(brick) -> dict:
-    if isinstance(brick, LinearBrick):
-        return {"kind": "linear", "matrix": _mat(brick.matrix)}
-    if isinstance(brick, DSNBrick):
-        return {
-            "kind": "dsn",
-            "hidden_weights": _mat(brick.hidden_weights),
-            "output_weights": _mat(brick.output_weights),
-            "activation": brick.activation.value,
-        }
-    if isinstance(brick, KernelBrick):
-        return {
-            "kind": "kernel",
-            "training_inputs": _mat(brick.training_inputs),
-            "dual_coefficients": _mat(brick.dual_coefficients),
-            "kernel": _spec_dict(brick.spec),
-            "ridge": float(brick.ridge),
-        }
-    if isinstance(brick, TensorBrick):
-        return {
-            "kind": "tensor",
-            "hidden_weights_a": _mat(brick.hidden_weights_a),
-            "hidden_weights_b": _mat(brick.hidden_weights_b),
-            "output_weights": _mat(brick.output_weights),
-            "activation": brick.activation.value,
-        }
-    if isinstance(brick, KernelTensorBrick):
-        return {
-            "kind": "kernel-tensor",
-            "training_inputs": _mat(brick.training_inputs),
-            "dual_coefficients": _mat(brick.dual_coefficients),
-            "kernel_a": _spec_dict(brick.spec_a),
-            "kernel_b": _spec_dict(brick.spec_b),
-            "ridge": float(brick.ridge),
-        }
-    raise TypeError(f"cannot serialize brick of type {type(brick).__name__}")
+    """One entry per brick field; fields holding None are left out."""
+    d = {}
+    for f in fields(brick):
+        value = getattr(brick, f.name)
+        if value is not None:
+            d[_KEYS.get(f.name, f.name)] = _CODECS.get(f.type, _PLAIN)[0](value)
+    return d
 
 
 def _brick_from(d: dict):
-    kind = d["kind"]
-    if kind == "linear":
-        return LinearBrick(matrix=np.array(d["matrix"], dtype=float))
-    if kind == "dsn":
-        return DSNBrick(
-            hidden_weights=np.array(d["hidden_weights"], dtype=float),
-            output_weights=np.array(d["output_weights"], dtype=float),
-            activation=Activation(d["activation"]),
-        )
-    if kind == "kernel":
-        return KernelBrick(
-            training_inputs=np.array(d["training_inputs"], dtype=float),
-            dual_coefficients=np.array(d["dual_coefficients"], dtype=float),
-            spec=_spec_from(d["kernel"]),
-            ridge=float(d["ridge"]),
-        )
-    if kind == "tensor":
-        return TensorBrick(
-            hidden_weights_a=np.array(d["hidden_weights_a"], dtype=float),
-            hidden_weights_b=np.array(d["hidden_weights_b"], dtype=float),
-            output_weights=np.array(d["output_weights"], dtype=float),
-            activation=Activation(d["activation"]),
-        )
-    if kind == "kernel-tensor":
-        return KernelTensorBrick(
-            training_inputs=np.array(d["training_inputs"], dtype=float),
-            dual_coefficients=np.array(d["dual_coefficients"], dtype=float),
-            spec_a=_spec_from(d["kernel_a"]),
-            spec_b=_spec_from(d["kernel_b"]),
-            ridge=float(d["ridge"]),
-        )
-    raise ValueError(f"unknown brick kind {kind!r} in model file")
+    cls = _BRICK_CLASSES.get(d["kind"])
+    if cls is None:
+        raise ValueError(f"unknown brick kind {d['kind']!r} in model file")
+    kwargs = {}
+    for f in fields(cls):
+        key = _KEYS.get(f.name, f.name)
+        if f.init and key in d:
+            kwargs[f.name] = _CODECS.get(f.type, _PLAIN)[1](d[key])
+    return cls(**kwargs)
 
 
 def model_to_json(model: StackedModel) -> str:

@@ -63,6 +63,17 @@ class InverseConfig:
 EXACT_SVD = InverseConfig()
 
 
+def readonly(a) -> np.ndarray:
+    """Write-protected float copy of ``a``, so the caller's array stays writable.
+
+    C order normalizes the memory layout, so BLAS rounding cannot depend on
+    whether an array arrived as a transposed view or a reloaded copy.
+    """
+    a = np.array(a, dtype=float, order="C")
+    a.setflags(write=False)
+    return a
+
+
 def tikhonov(lam: float) -> InverseConfig:
     """Ridge pseudo-inverse configuration with parameter ``lam``."""
     return InverseConfig(mode="tikhonov", lam=float(lam))

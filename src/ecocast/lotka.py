@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import EXACT_SVD, InverseConfig, finite_difference, pseudo_inverse
+from .datasets import check_uniform_cadence
+from .linalg import EXACT_SVD, InverseConfig, finite_difference, pseudo_inverse, readonly
 
 __all__ = [
     "DegenerateFitError",
@@ -28,9 +29,6 @@ __all__ = [
     "predict_lv",
     "simulate_lv",
 ]
-
-# Relative spacing jitter tolerated on the time axis.
-_UNIFORM_RTOL = 1e-9
 
 # Relative singular-value floor below which the stacked fit is degenerate.
 _DEGENERATE_RTOL = 1e-10
@@ -76,12 +74,6 @@ class LVParams:
 REFERENCE_PARAMS = LVParams(alpha=1.1, beta=0.4, gamma=0.4, delta=0.1)
 
 
-def _readonly(a) -> np.ndarray:
-    a = np.array(a, dtype=float, order="C")  # copy, so the caller's array is not frozen
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True)
 class PopulationTrajectory:
     """Uniformly sampled prey/predator populations on a shared time axis."""
@@ -91,24 +83,15 @@ class PopulationTrajectory:
     predators: np.ndarray
 
     def __post_init__(self) -> None:
-        times = _readonly(self.times)
-        prey = _readonly(self.prey)
-        predators = _readonly(self.predators)
-        if times.ndim != 1 or times.size == 0:
-            raise ValueError("times must be a nonempty 1-d array")
-        if prey.shape != times.shape or predators.shape != times.shape:
-            raise ValueError("times, prey, and predators must have equal lengths")
-        for name, arr in (("times", times), ("prey", prey), ("predators", predators)):
-            if not np.all(np.isfinite(arr)):
+        for name in ("times", "prey", "predators"):
+            object.__setattr__(self, name, readonly(getattr(self, name)))
+            if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} contains non-finite values")
-        if times.size >= 2:
-            steps = np.diff(times)
-            dt = steps[0]
-            if dt <= 0.0 or np.any(np.abs(steps - dt) > _UNIFORM_RTOL * abs(dt)):
-                raise ValueError("times must be strictly increasing with uniform spacing")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "prey", prey)
-        object.__setattr__(self, "predators", predators)
+        if self.times.ndim != 1 or self.times.size == 0:
+            raise ValueError("times must be a nonempty 1-d array")
+        if self.prey.shape != self.times.shape or self.predators.shape != self.times.shape:
+            raise ValueError("times, prey, and predators must have equal lengths")
+        check_uniform_cadence(self.times)
 
     def __len__(self) -> int:
         return self.times.size

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import readonly
+
 __all__ = ["ScalingSet", "adimensionalize", "undo_adimensionalize"]
 
 
@@ -24,10 +26,8 @@ class ScalingSet:
     scales: np.ndarray
 
     def __post_init__(self) -> None:
-        offsets = np.array(self.offsets, dtype=float, order="C")
-        scales = np.array(self.scales, dtype=float, order="C")
-        offsets.setflags(write=False)
-        scales.setflags(write=False)
+        offsets = readonly(self.offsets)
+        scales = readonly(self.scales)
         if offsets.ndim != 1 or scales.shape != offsets.shape:
             raise ValueError("offsets and scales must be 1-d arrays of equal length")
         if not np.all(np.isfinite(offsets)):

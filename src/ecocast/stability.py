@@ -15,7 +15,7 @@ import numpy as np
 
 from .bricks import LinearBrick
 from .datasets import TimeSeriesSet
-from .linalg import SpectralEstimate, spectral_radius
+from .linalg import SpectralEstimate, readonly, spectral_radius
 
 __all__ = [
     "RolloutResult",
@@ -128,9 +128,7 @@ class StabilityReport:
     spectral_radius: float | None = None
 
     def __post_init__(self) -> None:
-        curve = np.array(self.error_curve, dtype=float)
-        curve.setflags(write=False)
-        object.__setattr__(self, "error_curve", curve)
+        object.__setattr__(self, "error_curve", readonly(self.error_curve))
 
 
 def linear_stability(model, tol: float = 1e-9, max_iter: int = 1000) -> SpectralEstimate | None:

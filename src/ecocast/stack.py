@@ -22,7 +22,7 @@ from .bricks import (
     train_linear_brick,
     train_tensor_brick,
 )
-from .linalg import EXACT_SVD, InverseConfig, tikhonov
+from .linalg import EXACT_SVD, InverseConfig, readonly, tikhonov
 from .scaling import ScalingSet, adimensionalize
 
 __all__ = [
@@ -31,9 +31,7 @@ __all__ = [
     "InputSchema",
     "ParameterCounts",
     "StackedModel",
-    "assemble_brick_input",
     "count_free_parameters",
-    "predict_one_step",
     "train_stack",
 ]
 
@@ -140,36 +138,6 @@ class InputSchema:
         )
 
 
-def assemble_brick_input(
-    brick_index: int, series_values, context_values=(), previous_output=None
-) -> np.ndarray:
-    """Concatenate ``(series, context, previous output)`` in schema order.
-
-    The previous output must be absent exactly for the first brick, and must
-    have one entry per series otherwise.
-    """
-    if brick_index < 1:
-        raise ValueError("brick indices are 1-based")
-    series = np.asarray(series_values, dtype=float)
-    context = np.asarray(context_values, dtype=float)
-    if context.size == 0:
-        context = np.empty(0)
-    if series.ndim != 1 or series.size == 0:
-        raise ValueError("series values must form a nonempty 1-d vector")
-    if context.ndim != 1:
-        raise ValueError("context values must form a 1-d vector")
-    if brick_index == 1:
-        if previous_output is not None:
-            raise ValueError("the first brick takes no previous output")
-        return np.concatenate([series, context])
-    if previous_output is None:
-        raise ValueError("bricks after the first require the previous brick's output")
-    prev = np.asarray(previous_output, dtype=float)
-    if prev.shape != series.shape:
-        raise ValueError("previous output must have one entry per series")
-    return np.concatenate([series, context, prev])
-
-
 @dataclass(frozen=True)
 class BrickConfig:
     """Hyperparameters for one brick.
@@ -237,8 +205,7 @@ class StackedModel:
         if self.scaling is not None and self.scaling.n_datasets != self.schema.n_datasets:
             raise ValueError("scaling set does not match the schema's dataset count")
         if self.last_training_state is not None:
-            state = np.array(self.last_training_state, dtype=float, order="C")
-            state.setflags(write=False)
+            state = readonly(self.last_training_state)
             if state.shape != (ns,):
                 raise ValueError("last_training_state must have one entry per series")
             object.__setattr__(self, "last_training_state", state)
@@ -279,10 +246,20 @@ class StackedModel:
         return self.predict_columns(series[:, None], context_values)[:, 0]
 
 
-def predict_one_step(model, series_values, context_values=()) -> np.ndarray:
-    """Forward pass through all bricks; the last brick's output is the
-    prediction of the next series vector."""
-    return model.predict_one_step(series_values, context_values)
+def brick_config_list(configs, n_bricks: int | None) -> list[BrickConfig]:
+    """One config per brick from a single config (``n_bricks`` required) or
+    from a sequence (``n_bricks``, when given, must match its length)."""
+    if isinstance(configs, BrickConfig):
+        if n_bricks is None:
+            raise ValueError("n_bricks is required when a single config is given")
+        config_list = [configs] * n_bricks
+    else:
+        config_list = list(configs)
+        if n_bricks is not None and len(config_list) != n_bricks:
+            raise ValueError(f"expected {n_bricks} brick configs, got {len(config_list)}")
+    if not config_list:
+        raise ValueError("n_bricks must be >= 1")
+    return config_list
 
 
 def _train_one(
@@ -351,18 +328,7 @@ def train_stack(
         raise ValueError(f"inputs have {u.shape[0]} rows, schema expects {schema.input_dim(1)}")
     if v.shape[0] != schema.n_series:
         raise ValueError(f"targets have {v.shape[0]} rows, schema expects {schema.n_series}")
-    if isinstance(configs, BrickConfig):
-        if n_bricks is None:
-            raise ValueError("n_bricks is required when a single config is given")
-        config_list = [configs] * n_bricks
-    else:
-        config_list = list(configs)
-        if n_bricks is None:
-            n_bricks = len(config_list)
-        if len(config_list) != n_bricks:
-            raise ValueError(f"expected {n_bricks} brick configs, got {len(config_list)}")
-    if n_bricks < 1:
-        raise ValueError("n_bricks must be >= 1")
+    config_list = brick_config_list(configs, n_bricks)
 
     if scaling is not None:
         us = adimensionalize(u, scaling, schema)
@@ -373,13 +339,13 @@ def train_stack(
 
     bricks: list[Brick] = []
     x = us
-    for k in range(1, n_bricks + 1):
+    for k, cfg in enumerate(config_list, start=1):
         try:
-            brick = _train_one(config_list[k - 1], x, vs, schema, k, seed + k)
+            brick = _train_one(cfg, x, vs, schema, k, seed + k)
         except Exception as exc:
             raise BrickTrainingError(k, str(exc)) from exc
         bricks.append(brick)
-        if k < n_bricks:
+        if k < len(config_list):
             x = np.vstack([us, brick.apply_columns(x)])
     return StackedModel(
         bricks=tuple(bricks),

@@ -5,7 +5,6 @@ from ecocast.bricks import (
     Activation,
     KernelSpec,
     activate,
-    apply_brick,
     dsn_objective,
     dsn_objective_gradient,
     gaussian_kernel,
@@ -68,9 +67,9 @@ class TestLinearBrick:
 
     def test_apply_identity_and_zero(self):
         x = np.array([1.0, -2.0, 3.0])
-        assert np.array_equal(apply_brick(train_linear_brick(np.eye(3), np.eye(3)), x), x)
+        assert np.array_equal(train_linear_brick(np.eye(3), np.eye(3)).apply(x), x)
         zero = train_linear_brick(np.eye(3), np.zeros((3, 3)))
-        assert np.array_equal(apply_brick(zero, x), np.zeros(3))
+        assert np.array_equal(zero.apply(x), np.zeros(3))
 
     def test_training_column_reproduced(self):
         rng = np.random.default_rng(2)
@@ -443,3 +442,23 @@ class TestKernelTensorBrick:
         a = train_kt_brick(u, v, spec, spec, lam=0.1)
         b = train_kt_brick(u, v, spec, spec, lam=0.1)
         assert a.dual_coefficients.tobytes() == b.dual_coefficients.tobytes()
+
+
+class TestBrickProtocol:
+    @pytest.mark.parametrize("train", [
+        lambda u, v: train_linear_brick(u, v),
+        lambda u, v: train_dsn_brick(u, v, hidden_size=4),
+        lambda u, v: train_kernel_brick(u, v, uniform_kernel_spec(3), 1e-3),
+        lambda u, v: train_tensor_brick(u, v, 2, 3),
+        lambda u, v: train_kt_brick(u, v, uniform_kernel_spec(3), uniform_kernel_spec(3, 2.0), 1e-3),
+    ], ids=["linear", "dsn", "kernel", "tensor", "kernel-tensor"])
+    def test_array_fields_are_read_only_copies(self, train):
+        rng = np.random.default_rng(0)
+        u, v = rng.standard_normal((3, 12)), rng.standard_normal((2, 12))
+        brick = train(u, v)
+        arrays = [getattr(brick, f) for f in vars(brick) if isinstance(getattr(brick, f), np.ndarray)]
+        assert arrays and not any(a.flags.writeable for a in arrays)
+        assert u.flags.writeable and v.flags.writeable
+        x = rng.standard_normal((3, 5))
+        # one vector and a batch differ only by BLAS rounding
+        assert np.allclose(brick.apply(x[:, 1]), brick.apply_columns(x)[:, 1], rtol=1e-12, atol=1e-12)

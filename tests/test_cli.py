@@ -185,6 +185,21 @@ class TestPredictRolloutHorizon:
         assert out["spectral_radius"] is None  # kernel stack: not applicable
         assert len(out["error_curve"]) >= 1
 
+    @pytest.mark.parametrize("command, flags", [
+        ("predict", ["--output", "p.csv"]),
+        ("rollout", ["--steps", "5", "--output", "r.csv"]),
+        ("horizon", ["--split-fraction", "0.8"]),
+    ])
+    def test_swapped_series_columns_rejected(self, tmp_path, small_series, trained, capsys,
+                                             monkeypatch, command, flags):
+        monkeypatch.chdir(tmp_path)
+        rows = [line.split(",") for line in small_series.read_text().splitlines()]
+        (tmp_path / "swapped.csv").write_text("".join(f"{t},{b},{a}\n" for t, a, b in rows))
+        code = main([command, "--series", "swapped.csv", "--model-in", str(trained), *flags])
+        assert code == 1
+        assert "series names" in json.loads(capsys.readouterr().err)["error"]["message"]
+        assert not (tmp_path / "r.csv").exists()
+
 
 class TestUSLE:
     def test_five_factor_product(self, tmp_path):

@@ -272,6 +272,12 @@ class TestOptimizeScaling:
         )
         assert result.loss_trace[-1] < result.loss_trace[0]
 
+    def test_config_list_must_match_n_bricks(self):
+        u, v, schema = self.pairs()
+        with pytest.raises(ValueError, match="expected 3 brick configs"):
+            optimize_scaling(u, v, schema, [BrickConfig(kind="kernel")] * 2, grid=(0.5, 2.0),
+                             split_fraction=0.75, n_bricks=3)
+
     def test_empty_grid_rejected(self):
         u, v, schema = self.pairs()
         with pytest.raises(ValueError):

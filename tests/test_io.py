@@ -1,8 +1,16 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ecocast.datasets import ContextMap, TimeSeriesSet, build_training_pairs, flatten_context
+from ecocast.datasets import (
+    ContextMap,
+    TimeSeriesSet,
+    build_training_pairs,
+    default_scaling,
+    flatten_context,
+)
 from ecocast.io import (
     load_model,
     model_to_json,
@@ -247,9 +255,58 @@ class TestModelFile:
         with pytest.raises(ValueError, match="version"):
             load_model(path)
 
+    def test_dsn_refinement_diagnostics_round_trip(self, tmp_path):
+        model = pinned_model("dsn-refined")
+        save_model(model, tmp_path / "m.json")
+        back = load_model(tmp_path / "m.json")
+        for brick, loaded in zip(model.bricks, back.bricks):
+            assert loaded.refine_converged is brick.refine_converged is not None
+            assert loaded.refine_trace == brick.refine_trace and len(brick.refine_trace) > 1
+
     def test_kernel_model_keeps_training_inputs(self, tmp_path):
         model, u, _ = small_model("kernel")
         path = tmp_path / "m.json"
         save_model(model, path)
         back = load_model(path)
         assert np.array_equal(back.bricks[0].training_inputs, model.bricks[0].training_inputs)
+
+
+# Model files written by the per-kind model writer that the field-driven one
+# replaced.  They pin the on-disk format: never regenerate them.
+PINNED_DIR = Path(__file__).parent / "data"
+PINNED = {
+    "linear": dict(kind="linear"),
+    "dsn": dict(kind="dsn"),
+    "dsn-refined": dict(kind="dsn", mode="gradient-refined"),
+    "kernel": dict(kind="kernel"),
+    "tensor": dict(kind="tensor"),
+    "kernel-tensor": dict(kind="kernel-tensor"),
+}
+
+
+def pinned_inputs():
+    t = np.linspace(0.0, 2.2, 12)
+    ts = TimeSeriesSet(names=("prey", "predators"), times=t,
+                       values=np.vstack([np.sin(t) + 2.0, np.cos(t) + 3.0]))
+    return ts, ContextMap(name="dtm", values=np.array([[0.25, 0.75]]))
+
+
+def pinned_model(name):
+    ts, cmap = pinned_inputs()
+    u, v, schema = build_training_pairs(ts, [cmap])
+    cfg = BrickConfig(ridge=1e-3, hidden_size=4, hidden_size_a=2, hidden_size_b=2, **PINNED[name])
+    return train_stack(u, v, schema, cfg, n_bricks=2, seed=7, scaling=default_scaling(ts, [cmap]))
+
+
+class TestPinnedModelFiles:
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_loads_resaves_and_predicts_like_fresh_training(self, tmp_path, name):
+        pinned = PINNED_DIR / f"model_{name}.json"
+        back = load_model(pinned)
+        save_model(back, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == pinned.read_bytes()
+        ts, cmap = pinned_inputs()
+        fresh = pinned_model(name)
+        context = cmap.values.ravel()
+        assert np.array_equal(back.predict_columns(ts.values, context),
+                              fresh.predict_columns(ts.values, context))

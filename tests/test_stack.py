@@ -9,9 +9,7 @@ from ecocast.stack import (
     BrickTrainingError,
     InputSchema,
     StackedModel,
-    assemble_brick_input,
     count_free_parameters,
-    predict_one_step,
     train_stack,
 )
 
@@ -22,60 +20,32 @@ SCHEMA_40_DTM = InputSchema(
 )
 
 
-class TestAssemble:
+class TestSchema:
     def test_forty_series_one_dtm_higher_brick(self):
-        series = np.zeros(40)
-        context = np.zeros(10_000)
-        x = assemble_brick_input(2, series, context, previous_output=np.zeros(40))
-        assert x.size == 10_080
         assert SCHEMA_40_DTM.input_dim(2) == 10_080
 
     def test_forty_series_one_dtm_first_brick(self):
-        x = assemble_brick_input(1, np.zeros(40), np.zeros(10_000))
-        assert x.size == 10_040
         assert SCHEMA_40_DTM.input_dim(1) == 10_040
 
     def test_no_context_three_series(self):
-        x = assemble_brick_input(2, np.ones(3), (), previous_output=np.ones(3))
-        assert x.size == 6
-
-    def test_previous_output_rules(self):
-        with pytest.raises(ValueError):
-            assemble_brick_input(1, np.ones(3), (), previous_output=np.ones(3))
-        with pytest.raises(ValueError):
-            assemble_brick_input(2, np.ones(3), ())
-        with pytest.raises(ValueError):
-            assemble_brick_input(2, np.ones(3), (), previous_output=np.ones(2))
-
-    def test_previous_output_is_trailing_segment(self):
-        rng = np.random.default_rng(0)
-        series, context, prev = rng.standard_normal(4), rng.standard_normal(7), rng.standard_normal(4)
-        x = assemble_brick_input(3, series, context, previous_output=prev)
-        assert np.array_equal(x[-4:], prev)
-        assert np.array_equal(x[:4], series)
-        assert np.array_equal(x[4:11], context)
+        assert InputSchema(series_names=("a", "b", "c")).input_dim(2) == 6
 
     @given(
         n_series=st.integers(1, 6),
         sizes=st.lists(st.integers(1, 30), max_size=3),
         brick_index=st.integers(1, 4),
-        seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=80, deadline=None)
-    def test_schema_arithmetic(self, n_series, sizes, brick_index, seed):
+    def test_schema_arithmetic(self, n_series, sizes, brick_index):
         schema = InputSchema(
             series_names=tuple(f"s{i}" for i in range(n_series)),
             context_names=tuple(f"m{i}" for i in range(len(sizes))),
             context_sizes=tuple(sizes),
         )
-        rng = np.random.default_rng(seed)
-        series = rng.standard_normal(n_series)
-        context = rng.standard_normal(sum(sizes))
-        prev = rng.standard_normal(n_series) if brick_index >= 2 else None
-        x = assemble_brick_input(brick_index, series, context, previous_output=prev)
-        assert x.size == schema.input_dim(brick_index)
+        size = n_series + sum(sizes) + (n_series if brick_index >= 2 else 0)
+        assert schema.input_dim(brick_index) == size
         slices, owners = schema.dataset_slices(brick_index)
-        assert slices[-1][1] == x.size
+        assert slices[-1][1] == size
         assert len(slices) == len(owners)
 
 
@@ -195,7 +165,17 @@ class TestPredict:
         matrix = np.hstack([np.eye(2), np.zeros((2, 3))])
         model = StackedModel(bricks=(LinearBrick(matrix),), schema=schema)
         state = np.array([4.0, -1.0])
-        assert np.array_equal(predict_one_step(model, state, np.ones(3)), state)
+        assert np.array_equal(model.predict_one_step(state, np.ones(3)), state)
+
+    def test_previous_output_is_trailing_segment(self):
+        schema = InputSchema(series_names=("a", "b"), context_names=("m",), context_sizes=(3,))
+        rng = np.random.default_rng(0)
+        first = LinearBrick(rng.standard_normal((2, 5)))
+        take_previous = LinearBrick(np.hstack([np.zeros((2, 5)), np.eye(2)]))
+        model = StackedModel(bricks=(first, take_previous), schema=schema)
+        series, context = rng.standard_normal((2, 4)), rng.standard_normal(3)
+        x = np.vstack([series, np.repeat(context[:, None], 4, axis=1)])
+        assert np.array_equal(model.predict_columns(series, context), first.apply(x))
 
     def test_prediction_is_deterministic(self):
         u, v, schema, context = lv_like_pairs(n_pairs=25, context_size=2, seed=7)
