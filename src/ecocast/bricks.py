@@ -157,19 +157,43 @@ def gaussian_kernel(x, z, spec: KernelSpec) -> float:
     return float(np.exp(-np.dot(dx, dx)))
 
 
+def _scaled(specs, x: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per spec: the column samples ``x`` scaled, and their squared norms."""
+    out = []
+    for spec in specs:
+        s = spec.scale(x)
+        out.append((s, np.sum(s * s, axis=0)))
+    return out
+
+
+def _gaussian(sa: np.ndarray, na: np.ndarray, sb: np.ndarray, nb: np.ndarray) -> np.ndarray:
+    """``exp(-max(na_i + nb_j - 2 sa_i . sb_j, 0))`` from scaled column samples
+    and their squared norms.  The steps run in place on two buffers, because
+    the allocator maps and faults in every fresh large temporary anew; the
+    rounding is that of ``np.exp(-np.maximum(na + nb - 2.0 * (sa.T @ sb), 0))``."""
+    d2 = na[:, None] + nb[None, :]
+    cross = sa.T @ sb
+    cross *= 2.0
+    d2 -= cross
+    np.maximum(d2, 0.0, out=d2)
+    np.negative(d2, out=d2)
+    return np.exp(d2, out=d2)
+
+
+def _product_gaussian(left, right) -> np.ndarray:
+    """Elementwise product over specs of the Gaussian kernels between scaled
+    column samples, each side given as ``_scaled`` returns it."""
+    kernels = (_gaussian(*a, *b) for a, b in zip(left, right))
+    return functools.reduce(lambda k, k_next: np.multiply(k, k_next, out=k), kernels)
+
+
 def kernel_matrix(spec: KernelSpec, a, b) -> np.ndarray:
     """Gram/cross matrix ``K[i, j] = k(a[:, i], b[:, j])`` for column samples."""
-    sa = spec.scale(np.asarray(a, dtype=float))
-    sb = spec.scale(np.asarray(b, dtype=float))
-    if sa.ndim != 2 or sb.ndim != 2:
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim != 2 or b.ndim != 2:
         raise ValueError("kernel_matrix expects 2-d column-sample matrices")
-    d2 = (
-        np.sum(sa * sa, axis=0)[:, None]
-        + np.sum(sb * sb, axis=0)[None, :]
-        - 2.0 * (sa.T @ sb)
-    )
-    np.maximum(d2, 0.0, out=d2)
-    return np.exp(-d2)
+    return _product_gaussian(_scaled((spec,), a), _scaled((spec,), b))
 
 
 @dataclass(frozen=True)
@@ -251,17 +275,15 @@ class DSNBrick(_Brick):
         return self.output_weights @ activate(self.activation, self.hidden_weights @ self._columns(x))
 
 
-def _product_kernel(specs, a, b) -> np.ndarray:
-    """Elementwise product of the Gaussian kernels of ``specs`` between columns."""
-    return functools.reduce(np.multiply, (kernel_matrix(spec, a, b) for spec in specs))
-
-
 @dataclass(frozen=True)
 class _DualBrick(_Brick):
     """Dual-form ridge over the product of the Gaussian kernels in ``specs``.
 
     Retains exactly the training inputs seen at fit time; prediction is
-    ``dual_coefficients @ prod_s k_s(training_inputs, x)``.
+    ``dual_coefficients @ prod_s k_s(training_inputs, x)``.  The scaled
+    training inputs and their squared column norms are computed once per
+    brick, on first use, so each apply scales only its new columns; the
+    arithmetic is that of ``kernel_matrix``, bit for bit.
     """
 
     training_inputs: np.ndarray
@@ -289,8 +311,12 @@ class _DualBrick(_Brick):
     # each kind still defines apply_columns in its own body: the benchmark
     # tracer (perfbench/tracer.py) patches it per class
     def _apply_dual(self, x) -> np.ndarray:
-        cols = self._columns(x)
-        return self.dual_coefficients @ _product_kernel(self.specs, self.training_inputs, cols)
+        cols = _scaled(self.specs, self._columns(x))
+        return self.dual_coefficients @ _product_gaussian(self._scaled_training_inputs, cols)
+
+    @functools.cached_property
+    def _scaled_training_inputs(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        return _scaled(self.specs, self.training_inputs)
 
 
 @dataclass(frozen=True)
@@ -548,9 +574,16 @@ def _train_dual(inputs, targets, specs, lam: float) -> tuple[np.ndarray, np.ndar
     if not lam >= 0.0:
         raise ValueError("lam must be >= 0")
     lam = float(lam)
-    gram = _product_kernel(specs, u, u)
+    scaled = _scaled(specs, u)
+    # a separate right-hand copy keeps numpy's general matrix product: for
+    # ``s.T @ s`` on one buffer it switches to a symmetric product that
+    # rounds differently
+    gram = _product_gaussian(scaled, [(s.copy(), n) for s, n in scaled])
     if lam > 0.0:
-        return u, np.linalg.solve(gram + lam * np.eye(gram.shape[0]), v.T).T, lam
+        # gram + lam I in place: the off-diagonal entries are >= 0, so the
+        # zeros that sum would add leave them unchanged
+        gram.flat[:: gram.shape[0] + 1] += lam
+        return u, np.linalg.solve(gram, v.T).T, lam
     # ridge-free fit: exact interpolation when the Gram matrix allows it,
     # minimum-norm pseudo-inverse solution otherwise
     return u, v @ pseudo_inverse(gram, EXACT_SVD), lam

@@ -226,12 +226,16 @@ def _cmd_simulate(cfg: RunConfig) -> dict:
 
 
 def _traj_from_csv(cfg: RunConfig) -> PopulationTrajectory:
+    """The trajectory of a CSV whose series are named prey and predators,
+    in either column order."""
     ts = read_timeseries_csv(cfg.series, interpolate=cfg.interpolate)
-    if ts.n_series != 2:
+    if sorted(ts.names) != ["predators", "prey"]:
         raise ValueError(
-            f"fit-lv expects exactly 2 series (prey, predators); file has {ts.n_series}"
+            f"fit-lv expects exactly the series 'prey' and 'predators'; file has {ts.names}"
         )
-    return PopulationTrajectory(times=ts.times, prey=ts.values[0], predators=ts.values[1])
+    return PopulationTrajectory(
+        times=ts.times, prey=ts.series("prey"), predators=ts.series("predators")
+    )
 
 
 def _cmd_fit_lv(cfg: RunConfig) -> dict:
@@ -301,15 +305,21 @@ def _cmd_train(cfg: RunConfig) -> dict:
     return outputs
 
 
-def _model_inputs(cfg: RunConfig):
-    """The model, the series set and the context vector of a model command;
-    the series must carry the model's names in the model's order."""
-    model = load_model(cfg.model_in)
-    ts = read_timeseries_csv(cfg.series, interpolate=cfg.interpolate)
-    if tuple(ts.names) != model.schema.series_names:
+def _model_series(model, path, cfg: RunConfig) -> TimeSeriesSet:
+    """A series CSV that carries the model's series names in its order."""
+    ts = read_timeseries_csv(path, interpolate=cfg.interpolate)
+    if ts.names != model.schema.series_names:
         raise ValueError(
-            f"series names {ts.names} do not match the model schema {model.schema.series_names}"
+            f"series names {ts.names} in {path} do not match the model schema "
+            f"{model.schema.series_names}"
         )
+    return ts
+
+
+def _model_inputs(cfg: RunConfig):
+    """The model, the series set and the context vector of a model command."""
+    model = load_model(cfg.model_in)
+    ts = _model_series(model, cfg.series, cfg)
     return model, ts, _context_for(model, _read_maps(cfg))
 
 
@@ -332,8 +342,7 @@ def _cmd_rollout(cfg: RunConfig) -> dict:
     model, ts, context = _model_inputs(cfg)
     reference = None
     if cfg.reference:
-        ref_ts = read_timeseries_csv(cfg.reference, interpolate=cfg.interpolate)
-        reference = ref_ts.values
+        reference = _model_series(model, cfg.reference, cfg).values
     result = rollout(
         model,
         ts.values[:, -1],

@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 MODEL_FORMAT = "ecocast-stacked-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 
 def _fmt(x: float) -> str:
@@ -268,7 +268,12 @@ def _stem(path) -> str:
 
 
 # ---------------------------------------------------------------------------
-# model file: versioned JSON, kernel bricks keep their training inputs
+# model file: compact versioned JSON.  Version 2 stores the model's context
+# once, at the top level, and each brick that retains training inputs
+# without their context rows; loading puts them back bit for bit.  Version 1
+# files (indented, full retained inputs, no top-level context) still load:
+# their context is read from column 0 of the first brick that retains
+# inputs.  Saving always writes version 2.
 
 
 def _spec_dict(spec: KernelSpec) -> dict:
@@ -297,17 +302,22 @@ _CODECS = {
 }
 
 
-def _brick_dict(brick) -> dict:
-    """One entry per brick field; fields holding None are left out."""
+def _brick_dict(brick, context_rows: slice | None) -> dict:
+    """One entry per brick field; fields holding None are left out, and
+    retained training inputs leave out ``context_rows`` when given."""
     d = {}
     for f in fields(brick):
         value = getattr(brick, f.name)
+        if f.name == "training_inputs" and context_rows is not None:
+            value = np.delete(value, context_rows, axis=0)
         if value is not None:
             d[_KEYS.get(f.name, f.name)] = _CODECS.get(f.type, _PLAIN)[0](value)
     return d
 
 
-def _brick_from(d: dict):
+def _brick_from(d: dict, schema: InputSchema, context: np.ndarray | None):
+    """Inverse of ``_brick_dict``: a recorded ``context`` is put back into
+    every column of the retained training inputs."""
     cls = _BRICK_CLASSES.get(d["kind"])
     if cls is None:
         raise ValueError(f"unknown brick kind {d['kind']!r} in model file")
@@ -316,10 +326,26 @@ def _brick_from(d: dict):
         key = _KEYS.get(f.name, f.name)
         if f.init and key in d:
             kwargs[f.name] = _CODECS.get(f.type, _PLAIN)[1](d[key])
+    if context is not None and "training_inputs" in kwargs:
+        u = kwargs["training_inputs"]
+        ns = schema.n_series
+        block = np.repeat(context[:, None], u.shape[1], axis=1)
+        kwargs["training_inputs"] = np.vstack([u[:ns], block, u[ns:]])
     return cls(**kwargs)
 
 
+def _first_retained_context(bricks, schema: InputSchema) -> np.ndarray | None:
+    """Column 0's context rows of the first brick that retains training
+    inputs (how a version 1 file holds its context), or None."""
+    for b in bricks:
+        retained = getattr(b, "training_inputs", None)
+        if retained is not None:
+            return retained[schema.context_rows, 0]
+    return None
+
+
 def model_to_json(model: StackedModel) -> str:
+    rows = None if model.context is None else model.schema.context_rows
     doc = {
         "format": MODEL_FORMAT,
         "format_version": MODEL_VERSION,
@@ -340,17 +366,19 @@ def model_to_json(model: StackedModel) -> str:
         "last_training_state": None
         if model.last_training_state is None
         else [float(v) for v in model.last_training_state],
-        "bricks": [_brick_dict(b) for b in model.bricks],
+        "context": None if model.context is None else model.context.tolist(),
+        "bricks": [_brick_dict(b, rows) for b in model.bricks],
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
 
 
 def model_from_json(text: str) -> StackedModel:
     doc = json.loads(text)
     if doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"not a model file (format {doc.get('format')!r})")
-    if doc.get("format_version") != MODEL_VERSION:
-        raise ValueError(f"unsupported model format version {doc.get('format_version')!r}")
+    version = doc.get("format_version")
+    if version not in (1, MODEL_VERSION):
+        raise ValueError(f"unsupported model format version {version!r}")
     schema = InputSchema(
         series_names=tuple(doc["schema"]["series_names"]),
         context_names=tuple(doc["schema"]["context_names"]),
@@ -363,12 +391,17 @@ def model_from_json(text: str) -> StackedModel:
             scales=np.array(doc["scaling"]["scales"], dtype=float),
         )
     state = doc["last_training_state"]
+    context = None if doc.get("context") is None else np.array(doc["context"], dtype=float)
+    bricks = tuple(_brick_from(b, schema, context) for b in doc["bricks"])
+    if version == 1:
+        context = _first_retained_context(bricks, schema)
     return StackedModel(
-        bricks=tuple(_brick_from(b) for b in doc["bricks"]),
+        bricks=bricks,
         schema=schema,
         scaling=scaling,
         training_abs_max=doc["training_abs_max"],
         last_training_state=None if state is None else np.array(state, dtype=float),
+        context=context,
     )
 
 

@@ -3,7 +3,8 @@
 Bricks are trained bottom-up; every brick after the first consumes the
 replicated raw series, the static context, and the previous brick's output,
 so the lower brick's output vector reappears verbatim as the trailing
-segment of the next brick's input.
+segment of the next brick's input.  The context is the same in every
+column, so a trained model records it once.
 """
 
 from __future__ import annotations
@@ -85,6 +86,11 @@ class InputSchema:
     @property
     def n_datasets(self) -> int:
         return self.n_series + len(self.context_sizes)
+
+    @property
+    def context_rows(self) -> slice:
+        """Rows of every brick input that hold the context."""
+        return slice(self.n_series, self.n_series + self.context_total)
 
     def input_dim(self, brick_index: int) -> int:
         """Assembled input length for the given 1-based brick index."""
@@ -181,6 +187,10 @@ class StackedModel:
     ``training_abs_max`` (largest absolute raw target seen at training) seeds
     the default rollout divergence bound; ``last_training_state`` is the raw
     final training target, the natural start for held-out rollouts.
+    ``context`` is the training context as the bricks see it (adimensionalized
+    when a scaling set is present).  When it is recorded, every brick that
+    retains training inputs holds it in each column, and predictions reject
+    any other context; hand-built models may leave it out.
     """
 
     bricks: tuple[Brick, ...]
@@ -188,6 +198,7 @@ class StackedModel:
     scaling: ScalingSet | None = None
     training_abs_max: float | None = None
     last_training_state: np.ndarray | None = None
+    context: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         bricks = tuple(self.bricks)
@@ -209,6 +220,16 @@ class StackedModel:
             if state.shape != (ns,):
                 raise ValueError("last_training_state must have one entry per series")
             object.__setattr__(self, "last_training_state", state)
+        if self.context is not None:
+            context = readonly(self.context)
+            if context.shape != (self.schema.context_total,):
+                raise ValueError("context must have one entry per context pixel")
+            rows = self.schema.context_rows
+            for k, b in enumerate(bricks, start=1):
+                retained = getattr(b, "training_inputs", None)
+                if retained is not None and np.any(retained[rows] != context[:, None]):
+                    raise ValueError(f"brick {k} training inputs do not hold the model context")
+            object.__setattr__(self, "context", context)
 
     @property
     def n_bricks(self) -> int:
@@ -230,6 +251,9 @@ class StackedModel:
         x = np.vstack([series, np.repeat(context[:, None], n, axis=1)]) if context.size else series.copy()
         if self.scaling is not None:
             x = adimensionalize(x, self.scaling, self.schema)
+        rows = self.schema.context_rows
+        if self.context is not None and np.any(x[rows, :1] != self.context[:, None]):
+            raise ValueError("context values differ from the context the model was trained on")
         y = self.bricks[0].apply_columns(x)
         for b in self.bricks[1:]:
             y = b.apply_columns(np.vstack([x, y]))
@@ -314,9 +338,11 @@ def train_stack(
     ``inputs`` columns follow the first-brick layout ``(series, context)``;
     ``targets`` columns are the raw next-step series.  Brick k >= 2 trains on
     the raw input plus brick k-1's predictions over the training set (its own
-    outputs, not the targets).  ``configs`` is one BrickConfig applied to all
-    bricks or a sequence of per-brick configs; per-brick seeds derive from
-    ``seed`` so identical calls give bit-identical models.
+    outputs, not the targets).  The context rows must hold one value across
+    all columns; the model records that context once.  ``configs`` is one
+    BrickConfig applied to all bricks or a sequence of per-brick configs;
+    per-brick seeds derive from ``seed`` so identical calls give
+    bit-identical models.
     """
     u = np.asarray(inputs, dtype=float)
     v = np.asarray(targets, dtype=float)
@@ -328,6 +354,9 @@ def train_stack(
         raise ValueError(f"inputs have {u.shape[0]} rows, schema expects {schema.input_dim(1)}")
     if v.shape[0] != schema.n_series:
         raise ValueError(f"targets have {v.shape[0]} rows, schema expects {schema.n_series}")
+    context = u[schema.context_rows]
+    if np.any(context != context[:, :1]):
+        raise ValueError("context rows must hold the same value in every training column")
     config_list = brick_config_list(configs, n_bricks)
 
     if scaling is not None:
@@ -353,6 +382,7 @@ def train_stack(
         scaling=scaling,
         training_abs_max=float(np.max(np.abs(v))),
         last_training_state=v[:, -1],
+        context=us[schema.context_rows, 0],
     )
 
 

@@ -444,6 +444,44 @@ class TestKernelTensorBrick:
         assert a.dual_coefficients.tobytes() == b.dual_coefficients.tobytes()
 
 
+def kernel_formula(spec, a, b):
+    """The Gaussian cross-kernel as one expression, with no cached inputs."""
+    sa, sb = spec.scale(a), spec.scale(b)
+    d2 = np.sum(sa * sa, axis=0)[:, None] + np.sum(sb * sb, axis=0)[None, :] - 2.0 * (sa.T @ sb)
+    return np.exp(-np.maximum(d2, 0.0))
+
+
+class TestCachedDualApply:
+    @pytest.mark.parametrize("n_specs", [1, 2])
+    def test_cached_apply_equals_uncached_kernel_matrix_formula(self, n_specs):
+        rng = np.random.default_rng(25)
+        u = rng.standard_normal((5, 30)) * 3.0 + 100.0
+        v = rng.standard_normal((2, 30))
+        specs = (
+            KernelSpec(scales=(1.5, 40.0), slices=((0, 2), (2, 5))),
+            KernelSpec(scales=(0.7, np.inf), slices=((0, 2), (2, 5))),
+        )[:n_specs]
+        if n_specs == 1:
+            brick = train_kernel_brick(u, v, specs[0], 1e-3)
+        else:
+            brick = train_kt_brick(u, v, *specs, 1e-3)
+        gram = kernel_formula(specs[0], u, u.copy())
+        for spec in specs[1:]:
+            gram = gram * kernel_formula(spec, u, u.copy())
+        dual = np.linalg.solve(gram + 1e-3 * np.eye(30), v.T).T
+        assert np.array_equal(brick.dual_coefficients, dual)
+        x = rng.standard_normal((5, 7)) * 3.0 + 100.0
+        # the first apply fills the cache, the later ones read it
+        for cols in (x, x, x[:, :1], x[:, 0]):
+            cols2d = np.reshape(cols, (5, -1))
+            cross = kernel_formula(specs[0], u, cols2d)
+            assert np.array_equal(kernel_matrix(specs[0], u, cols2d), cross)
+            for spec in specs[1:]:
+                cross = cross * kernel_formula(spec, u, cols2d)
+            want = brick.dual_coefficients @ cross
+            assert np.array_equal(brick.apply(cols), want[:, 0] if cols.ndim == 1 else want)
+
+
 class TestBrickProtocol:
     @pytest.mark.parametrize("train", [
         lambda u, v: train_linear_brick(u, v),

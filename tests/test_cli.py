@@ -77,6 +77,28 @@ class TestSimulateFit:
         for name, truth in (("alpha", 1.1), ("beta", 0.4), ("gamma", 0.4), ("delta", 0.1)):
             assert abs(out[name] - truth) / truth < 0.02
 
+    def test_fit_picks_columns_by_header_name(self, tmp_path):
+        csv = tmp_path / "lv.csv"
+        main(["simulate", "--dt", "1e-3", "--steps", "5000", "--output", str(csv),
+              "--report", str(tmp_path / "sim.json")])
+        swapped = tmp_path / "swapped.csv"
+        rows = [line.split(",") for line in csv.read_text().splitlines()]
+        assert rows[0] == ["t", "prey", "predators"]
+        swapped.write_text("".join(f"{t},{b},{a}\n" for t, a, b in rows))
+        fits = []
+        for path in (csv, swapped):
+            report = tmp_path / f"{path.stem}.fit.json"
+            assert main(["fit-lv", "--series", str(path), "--report", str(report)]) == 0
+            fits.append(read_report(report)["outputs"])
+        assert fits[0] == fits[1]
+        assert abs(fits[0]["alpha"] - 1.1) / 1.1 < 0.02
+
+    def test_fit_rejects_unnamed_columns(self, tmp_path, capsys):
+        csv = tmp_path / "lv.csv"
+        csv.write_text("t,rabbits,predators\n0,10,5\n1,11,4\n2,12,4\n")
+        assert main(["fit-lv", "--series", str(csv)]) == 1
+        assert "'prey'" in json.loads(capsys.readouterr().err)["error"]["message"]
+
 
 @pytest.fixture
 def small_series(tmp_path):
@@ -200,6 +222,41 @@ class TestPredictRolloutHorizon:
         assert "series names" in json.loads(capsys.readouterr().err)["error"]["message"]
         assert not (tmp_path / "r.csv").exists()
 
+    def test_swapped_reference_columns_rejected(self, tmp_path, small_series, trained, capsys):
+        rows = [line.split(",") for line in small_series.read_text().splitlines()]
+        reference = tmp_path / "reference.csv"
+        reference.write_text("".join(f"{t},{b},{a}\n" for t, a, b in rows))
+        assert reference.read_text().startswith("t,predators,prey\n")
+        out = tmp_path / "roll.csv"
+        code = main(["rollout", "--series", str(small_series), "--model-in", str(trained),
+                     "--steps", "5", "--reference", str(reference), "--output", str(out)])
+        assert code == 1
+        assert "series names" in json.loads(capsys.readouterr().err)["error"]["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["linear", "kernel"])
+    @pytest.mark.parametrize("command, flags", [
+        ("predict", ["--output", "p.csv"]),
+        ("rollout", ["--steps", "5", "--output", "r.csv"]),
+        ("horizon", ["--split-fraction", "0.8"]),
+    ])
+    def test_different_context_of_same_shape_rejected(self, tmp_path, small_series, capsys,
+                                                      monkeypatch, kind, command, flags):
+        monkeypatch.chdir(tmp_path)
+        trained_on = write_grid(tmp_path / "dtm.asc")
+        other = write_grid(tmp_path / "other.asc", "1.0 2.0\n3.0 5.0")
+        common = ["--series", str(small_series), "--model-in", "m.json"]
+        assert main(["train", "--series", str(small_series), "--grid", trained_on,
+                     "--brick-kind", kind, "--bricks", "2", "--ridge", "1e-6",
+                     "--model-out", "m.json", "--report", "t.json"]) == 0
+        assert main([command, *common, "--grid", trained_on, *flags, "--report", "ok.json"]) == 0
+        capsys.readouterr()
+        code = main([command, *common, "--grid", other, *flags, "--report", "bad.json"])
+        assert code == 1
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert "context" in message and "trained on" in message
+        assert not (tmp_path / "bad.json").exists()
+
 
 class TestUSLE:
     def test_five_factor_product(self, tmp_path):
@@ -248,7 +305,7 @@ class TestErrorsAndEnv:
 
     def test_module_error_gives_error_json(self, capsys, tmp_path):
         csv = tmp_path / "flat.csv"
-        csv.write_text("t,r,f\n0,4,2.75\n1,4,2.75\n2,4,2.75\n")
+        csv.write_text("t,prey,predators\n0,4,2.75\n1,4,2.75\n2,4,2.75\n")
         code = main(["fit-lv", "--series", str(csv)])
         assert code == 1
         err = json.loads(capsys.readouterr().err)

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -242,6 +243,8 @@ class TestModelFile:
         context = cmap.values.ravel()
         x = u[:2, 3]
         assert np.array_equal(model.predict_one_step(x, context), back.predict_one_step(x, context))
+        assert np.array_equal(model.predict_columns(u[:2], context),
+                              back.predict_columns(u[:2], context))
         assert np.array_equal(back.last_training_state, model.last_training_state)
 
     def test_format_guards(self, tmp_path):
@@ -251,7 +254,8 @@ class TestModelFile:
         path.write_text(text.replace("ecocast-stacked-model", "something-else"))
         with pytest.raises(ValueError, match="not a model file"):
             load_model(path)
-        path.write_text(text.replace('"format_version": 1', '"format_version": 99'))
+        assert '"format_version":2' in text
+        path.write_text(text.replace('"format_version":2', '"format_version":99'))
         with pytest.raises(ValueError, match="version"):
             load_model(path)
 
@@ -269,6 +273,39 @@ class TestModelFile:
         save_model(model, path)
         back = load_model(path)
         assert np.array_equal(back.bricks[0].training_inputs, model.bricks[0].training_inputs)
+
+    @pytest.mark.parametrize("kind", ["kernel", "kernel-tensor"])
+    def test_file_stores_context_once(self, tmp_path, kind):
+        model, u, cmap = small_model(kind)
+        save_model(model, tmp_path / "m.json")
+        text = (tmp_path / "m.json").read_text()
+        assert text.count("\n") == 1  # compact JSON
+        doc = json.loads(text)
+        assert doc["format_version"] == 2
+        assert doc["context"] == model.context.tolist() and len(doc["context"]) == cmap.pixel_count
+        # retained inputs keep their series and previous-output rows only
+        assert [len(b["training_inputs"]) for b in doc["bricks"]] == [2, 4]
+        back = load_model(tmp_path / "m.json")
+        assert np.array_equal(back.context, model.context)
+        for loaded, brick in zip(back.bricks, model.bricks):
+            assert np.array_equal(loaded.training_inputs, brick.training_inputs)
+
+    def test_file_grows_by_the_new_context_values_only(self, tmp_path):
+        sizes = []
+        for shape in ((2, 3), (4, 6)):
+            t = np.linspace(0.0, 4.0, 25)
+            ts = TimeSeriesSet(names=("a", "b"), times=t,
+                               values=np.vstack([np.sin(t) + 2.0, np.cos(t) + 3.0]))
+            cmap = ContextMap(name="m", values=np.random.default_rng(0).uniform(0.0, 1.0, shape))
+            u, v, schema = build_training_pairs(ts, [cmap])
+            model = train_stack(u, v, schema, BrickConfig(kind="kernel", ridge=1e-4), n_bricks=2,
+                                scaling=default_scaling(ts, [cmap]))
+            save_model(model, tmp_path / "m.json")
+            sizes.append((tmp_path / "m.json").stat().st_size)
+        new_values = 24 - 6
+        # at most one shortest-repr double (<= 24 characters) plus a comma per
+        # new pixel; per-column copies would add 24 pairs x 2 bricks of them
+        assert 0 < sizes[1] - sizes[0] <= 25 * new_values
 
 
 # Model files written by the per-kind model writer that the field-driven one
@@ -299,14 +336,37 @@ def pinned_model(name):
 
 
 class TestPinnedModelFiles:
+    """The pinned files are format version 1: they load, predict like fresh
+    training, and re-save as version 2."""
+
     @pytest.mark.parametrize("name", sorted(PINNED))
     def test_loads_resaves_and_predicts_like_fresh_training(self, tmp_path, name):
         pinned = PINNED_DIR / f"model_{name}.json"
+        assert json.loads(pinned.read_text())["format_version"] == 1
         back = load_model(pinned)
-        save_model(back, tmp_path / "again.json")
-        assert (tmp_path / "again.json").read_bytes() == pinned.read_bytes()
+        save_model(back, tmp_path / "v2.json")
+        v2 = (tmp_path / "v2.json").read_bytes()
+        assert b'"format_version":2' in v2
+        again = load_model(tmp_path / "v2.json")
+        save_model(again, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == v2
         ts, cmap = pinned_inputs()
         fresh = pinned_model(name)
         context = cmap.values.ravel()
-        assert np.array_equal(back.predict_columns(ts.values, context),
-                              fresh.predict_columns(ts.values, context))
+        expected = fresh.predict_columns(ts.values, context)
+        assert np.array_equal(back.predict_columns(ts.values, context), expected)
+        assert np.array_equal(again.predict_columns(ts.values, context), expected)
+
+    @pytest.mark.parametrize("name", ["kernel", "kernel-tensor"])
+    def test_v1_dual_file_resaves_as_fresh_training(self, name):
+        back = load_model(PINNED_DIR / f"model_{name}.json")
+        fresh = pinned_model(name)
+        assert np.array_equal(back.context, fresh.context)
+        assert model_to_json(back) == model_to_json(fresh)
+
+    @pytest.mark.parametrize("name", ["linear", "dsn", "tensor"])
+    def test_v1_feature_file_records_no_context(self, name):
+        back = load_model(PINNED_DIR / f"model_{name}.json")
+        assert back.context is None
+        ts, _ = pinned_inputs()
+        back.predict_columns(ts.values, [9.0, 9.0])  # not checked

@@ -150,6 +150,13 @@ class TestTrainStack:
             shared.predict_one_step(x, context), varied.predict_one_step(x, context)
         )
 
+    def test_context_rows_must_be_constant_across_columns(self):
+        u, v, schema, _ = lv_like_pairs(n_pairs=25, context_size=3, seed=9)
+        u = np.array(u)
+        u[3, 7] += 1.0
+        with pytest.raises(ValueError, match="same value in every training column"):
+            train_stack(u, v, schema, BrickConfig(kind="linear"), n_bricks=1)
+
     def test_all_brick_kinds_train_and_predict(self):
         u, v, schema, context = lv_like_pairs(n_pairs=30, context_size=2, seed=6)
         for kind in ("linear", "dsn", "kernel", "tensor", "kernel-tensor"):
@@ -192,6 +199,28 @@ class TestPredict:
             model.predict_one_step(np.ones(3))
         with pytest.raises(ValueError):
             model.predict_one_step(np.ones(2), np.ones(1))
+
+    def test_trained_model_rejects_a_different_context(self):
+        u, v, schema, context = lv_like_pairs(n_pairs=25, context_size=3, seed=8)
+        scaling = ScalingSet(offsets=np.array([2.0, 2.0, 0.5]), scales=np.array([0.5, 0.5, 2.0]))
+        for kind in ("linear", "kernel"):
+            model = train_stack(u, v, schema, BrickConfig(kind=kind, ridge=1e-6), n_bricks=2,
+                                seed=0, scaling=scaling)
+            assert np.array_equal(model.context, (context - 0.5) / 2.0)
+            model.predict_columns(u[:2], context)
+            model.predict_columns(np.empty((2, 0)), context + 1.0)  # nothing to predict
+            other = np.array(context)
+            other[1] += 1e-9
+            with pytest.raises(ValueError, match="trained on"):
+                model.predict_columns(u[:2], other)
+
+    def test_recorded_context_must_match_retained_inputs(self):
+        u, v, schema, context = lv_like_pairs(n_pairs=25, context_size=3, seed=10)
+        model = train_stack(u, v, schema, BrickConfig(kind="kernel", ridge=1e-6), n_bricks=1)
+        with pytest.raises(ValueError, match="model context"):
+            StackedModel(bricks=model.bricks, schema=schema, context=context + 1.0)
+        with pytest.raises(ValueError, match="one entry per context pixel"):
+            StackedModel(bricks=model.bricks, schema=schema, context=context[:2])
 
     def test_model_brick_dimension_checks(self):
         schema = InputSchema(series_names=("a", "b"))
