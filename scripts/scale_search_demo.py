@@ -51,7 +51,8 @@ def main() -> None:
     )
     print("optimized scales:", np.round(result.scaling.scales, 4))
     print("ridges:", result.ridges)
-    print(f"{result.evaluations} retrains, loss trace:")
+    state = "converged" if result.converged else "stopped at the pass limit"
+    print(f"{result.evaluations} evaluations in {result.passes} passes ({state}), loss trace:")
     for i, loss in enumerate(result.loss_trace):
         print(f"  {i:>3}  {loss:.6e}")
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -565,44 +565,94 @@ def dsn_objective(weights, inputs, targets, activation: Activation, cfg: Inverse
     return _output_solve_loss(w, u, v, activation, cfg)[2]
 
 
-def _train_dual(inputs, targets, specs, lam: float) -> tuple[np.ndarray, np.ndarray, float]:
+def _train_dual(
+    inputs, targets, specs, lam: float, gram: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
     """Dual-form ridge on the product kernel of ``specs``: returns the retained
-    inputs, the coefficients ``targets @ (K + lam I)^-1`` and the ridge."""
+    inputs, the coefficients ``targets @ (K + lam I)^-1``, the ridge and the
+    ridge-free Gram matrix K.  ``gram`` is K of these inputs and specs from an
+    earlier fit; it stands in for the kernel evaluation.  K comes back as it
+    went in: the ridge is added to its diagonal for the solve, and the saved
+    diagonal is written back after it."""
     u, v = _as_pairs(inputs, targets)
     if any(spec.dim != u.shape[0] for spec in specs):
         raise ValueError("kernel spec does not match the input dimension")
     if not lam >= 0.0:
         raise ValueError("lam must be >= 0")
     lam = float(lam)
-    scaled = _scaled(specs, u)
-    # a separate right-hand copy keeps numpy's general matrix product: for
-    # ``s.T @ s`` on one buffer it switches to a symmetric product that
-    # rounds differently
-    gram = _product_gaussian(scaled, [(s.copy(), n) for s, n in scaled])
+    if gram is None:
+        scaled = _scaled(specs, u)
+        # a separate right-hand copy keeps numpy's general matrix product: for
+        # ``s.T @ s`` on one buffer it switches to a symmetric product that
+        # rounds differently
+        gram = _product_gaussian(scaled, [(s.copy(), n) for s, n in scaled])
     if lam > 0.0:
         # gram + lam I in place: the off-diagonal entries are >= 0, so the
         # zeros that sum would add leave them unchanged
+        diagonal = gram.diagonal().copy()
         gram.flat[:: gram.shape[0] + 1] += lam
-        return u, np.linalg.solve(gram, v.T).T, lam
+        try:
+            dual = np.linalg.solve(gram, v.T).T
+        finally:
+            gram.flat[:: gram.shape[0] + 1] = diagonal
+        return u, dual, lam, gram
     # ridge-free fit: exact interpolation when the Gram matrix allows it,
     # minimum-norm pseudo-inverse solution otherwise
-    return u, v @ pseudo_inverse(gram, EXACT_SVD), lam
+    return u, v @ pseudo_inverse(gram, EXACT_SVD), lam, gram
+
+
+# Instance-dict key under which a freshly trained dual brick carries the Gram
+# matrix of its solve, read-only like every array a brick holds, until
+# ``take_training_gram`` detaches it.
+_GRAM_KEY = "_training_gram"
+
+
+def _carrying(brick: _DualBrick, gram: np.ndarray) -> _DualBrick:
+    gram.setflags(write=False)
+    brick.__dict__[_GRAM_KEY] = gram
+    return brick
+
+
+def take_training_gram(brick: Brick) -> np.ndarray | None:
+    """Detach the ridge-free Gram matrix that a dual brick was just trained
+    with, so that the model does not hold it, and hand it over writable; None
+    for the other kinds, for loaded bricks and once taken.  The brick's
+    training outputs are ``brick.dual_coefficients @ gram``, the same bits as
+    ``brick.apply_columns`` on its training inputs."""
+    gram = brick.__dict__.pop(_GRAM_KEY, None)
+    if gram is not None:
+        gram.setflags(write=True)
+    return gram
+
+
+def refit_dual_brick(brick: _DualBrick, targets, lam: float, gram: np.ndarray) -> _DualBrick:
+    """``brick`` re-solved at ridge ``lam`` on its training inputs from their
+    ridge-free Gram matrix ``gram``: the same bits as training afresh at
+    ``lam``, without the kernel evaluation."""
+    _, dual, lam, _ = _train_dual(brick.training_inputs, targets, brick.specs, lam, gram)
+    return replace(brick, dual_coefficients=dual, ridge=lam)
 
 
 def train_kernel_brick(inputs, targets, spec: KernelSpec, lam: float) -> KernelBrick:
-    """Kernel ridge in dual form: coefficients ``targets @ (K + lam I)^-1``."""
-    u, dual, lam = _train_dual(inputs, targets, (spec,), lam)
-    return KernelBrick(training_inputs=u, dual_coefficients=dual, spec=spec, ridge=lam)
+    """Kernel ridge in dual form: coefficients ``targets @ (K + lam I)^-1``.
+    The brick carries K until :func:`take_training_gram` detaches it."""
+    u, dual, lam, gram = _train_dual(inputs, targets, (spec,), lam)
+    return _carrying(
+        KernelBrick(training_inputs=u, dual_coefficients=dual, spec=spec, ridge=lam), gram
+    )
 
 
 def train_kt_brick(
     inputs, targets, spec_a: KernelSpec, spec_b: KernelSpec, lam: float
 ) -> KernelTensorBrick:
-    """Kernel-tensor brick: dual-form ridge on the product kernel ``K_a * K_b``."""
-    u, dual, lam = _train_dual(inputs, targets, (spec_a, spec_b), lam)
-    return KernelTensorBrick(
+    """Kernel-tensor brick: dual-form ridge on the product kernel ``K_a * K_b``.
+    The brick carries that Gram matrix until :func:`take_training_gram`
+    detaches it."""
+    u, dual, lam, gram = _train_dual(inputs, targets, (spec_a, spec_b), lam)
+    brick = KernelTensorBrick(
         training_inputs=u, dual_coefficients=dual, spec_a=spec_a, spec_b=spec_b, ridge=lam
     )
+    return _carrying(brick, gram)
 
 
 def train_tensor_brick(

@@ -288,6 +288,8 @@ def _cmd_train(cfg: RunConfig) -> dict:
             "loss_trace": list(search.loss_trace),
             "evaluations": search.evaluations,
             "ridges": list(search.ridges),
+            "passes": search.passes,
+            "converged": search.converged,
         }
     _log(f"training {cfg.bricks} brick(s) on {inputs.shape[1]} pairs")
     model = train_stack(

@@ -6,13 +6,14 @@ product, and the derivative-free scale search.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .linalg import readonly
 from .scaling import ScalingSet, adimensionalize, undo_adimensionalize
-from .stack import InputSchema, brick_config_list, train_stack
+from .stack import InputSchema, _train_stack, brick_config_list
 
 __all__ = [
     "ContextMap",
@@ -276,12 +277,16 @@ def usle_soil_loss(
 
 @dataclass(frozen=True)
 class ScalingSearchResult:
-    """Outcome of the coordinate-descent scale search."""
+    """Outcome of the coordinate-descent scale search.  ``passes`` counts the
+    sweeps over all coordinates; ``converged`` is False when the search
+    stopped at ``max_passes`` with the last sweep still improving."""
 
     scaling: ScalingSet
     ridges: tuple[float, ...]
     loss_trace: tuple[float, ...]
     evaluations: int
+    passes: int
+    converged: bool
 
 
 def optimize_scaling(
@@ -298,19 +303,25 @@ def optimize_scaling(
 ) -> ScalingSearchResult:
     """Coordinate descent over per-dataset scales and per-brick ridges.
 
-    Pairs are split consecutively; every candidate retrains the stack on the
-    leading split and scores one-step RMSE on the trailing split (per-series,
-    normalized by the training-segment standard deviation so candidates are
-    comparable).  Each coordinate sweeps the multiplicative ``grid``; only
-    strict improvements are accepted and passes repeat until a full sweep
-    accepts nothing.  The loss trace starts at the initial configuration and
-    is non-increasing by construction.
+    Pairs are split consecutively; each candidate is a stack trained on the
+    leading split and scored by one-step RMSE on the trailing split
+    (per-series, normalized by the training-segment standard deviation so
+    candidates are comparable).  Each coordinate sweeps the multiplicative
+    ``grid``; only strict improvements are accepted and passes repeat until a
+    full sweep accepts nothing.  The loss trace starts at the initial
+    configuration and is non-increasing by construction.
+
+    A scale candidate retrains the whole stack.  A ridge candidate for brick
+    k reuses the accepted configuration's bricks 1..k-1 and re-solves brick k
+    from its kept Gram matrix (dual kinds) before training the bricks above;
+    a candidate scored before returns its stored loss.  Both give the bits of
+    a full retrain, and every candidate counts in ``evaluations``.
     """
     grid = tuple(float(g) for g in grid)
     if not grid:
         raise ValueError("the candidate grid must not be empty")
-    if any(not g > 0.0 for g in grid):
-        raise ValueError("grid multipliers must be positive")
+    if not all(0.0 < g < math.inf for g in grid):
+        raise ValueError(f"scale-search grid multipliers must be positive and finite; got {grid}")
     u = np.asarray(inputs, dtype=float)
     v = np.asarray(targets, dtype=float)
     if u.ndim != 2 or v.ndim != 2 or u.shape[1] != v.shape[1]:
@@ -335,50 +346,62 @@ def optimize_scaling(
 
     context = u[ns:, 0] if u.shape[0] > ns else np.empty(0)
     evaluations = 0
+    scored: dict[tuple, float] = {}
 
-    def evaluate(cand_scaling: ScalingSet, cand_ridges) -> float:
+    def score(cand_scaling: ScalingSet, cand_ridges, reuse=()) -> tuple[float, tuple]:
+        """The candidate's loss and brick fits; a candidate scored before
+        returns its stored loss and no fits."""
         nonlocal evaluations
         evaluations += 1
+        key = (tuple(cand_scaling.scales.tolist()), tuple(cand_ridges))
+        if key in scored:
+            return scored[key], ()
         cfgs = [replace(c, ridge=r) for c, r in zip(config_list, cand_ridges)]
-        model = train_stack(u_train, v_train, schema, cfgs, seed=seed, scaling=cand_scaling)
+        model, fits = _train_stack(u_train, v_train, schema, cfgs, seed, cand_scaling, reuse)
         pred = model.predict_columns(u_val[:ns], context)
         err = (pred - v_val) / norm[:, None]
-        return float(np.sqrt(np.mean(err * err)))
+        scored[key] = float(np.sqrt(np.mean(err * err)))
+        return scored[key], fits
 
-    best = evaluate(scaling, ridges)
+    # Only the brick fits of the accepted configuration outlive a candidate.
+    # A candidate scored before never beats the best loss, so an accepted
+    # candidate comes with its fits.
+    best, accepted = score(scaling, ridges)
     trace = [best]
-    for _ in range(max_passes):
-        improved = False
+
+    def consider(cand_scaling: ScalingSet, cand_ridges: list[float], reuse=()) -> bool:
+        """Score a candidate and accept it if it lowers the best loss."""
+        nonlocal best, scaling, ridges, accepted
+        loss, fits = score(cand_scaling, cand_ridges, reuse)
+        if not loss < best:
+            return False
+        best, scaling, ridges, accepted = loss, cand_scaling, cand_ridges, fits
+        trace.append(best)
+        return True
+
+    passes = 0
+    converged = False
+    while passes < max_passes and not converged:
+        passes += 1
+        converged = True
         for d in range(schema.n_datasets):
             current = float(scaling.scales[d])
             for g in grid:
-                cand = current * g
-                if cand == current:
-                    continue
-                cand_scaling = scaling.with_scale(d, cand)
-                loss = evaluate(cand_scaling, ridges)
-                if loss < best:
-                    best, scaling = loss, cand_scaling
-                    trace.append(best)
-                    improved = True
+                if current * g != current and consider(scaling.with_scale(d, current * g), ridges):
+                    converged = False
         for k in range(len(config_list)):
             current = ridges[k]
             for g in grid:
-                cand = current * g
-                if cand == current:
-                    continue
-                cand_ridges = list(ridges)
-                cand_ridges[k] = cand
-                loss = evaluate(scaling, cand_ridges)
-                if loss < best:
-                    best, ridges = loss, cand_ridges
-                    trace.append(best)
-                    improved = True
-        if not improved:
-            break
+                if current * g != current:
+                    cand_ridges = list(ridges)
+                    cand_ridges[k] = current * g
+                    if consider(scaling, cand_ridges, accepted):
+                        converged = False
     return ScalingSearchResult(
         scaling=scaling,
         ridges=tuple(ridges),
         loss_trace=tuple(trace),
         evaluations=evaluations,
+        passes=passes,
+        converged=converged,
     )

@@ -48,18 +48,19 @@ class ScalingSet:
 
 
 def _apply(x, scaling: ScalingSet, schema, brick_index: int, forward: bool) -> np.ndarray:
+    """Per input row, the offset and scale of the dataset that owns the row,
+    applied in one broadcast: the same operations per element as a loop over
+    the dataset segments."""
     x = np.asarray(x, dtype=float)
     slices, dataset_of = schema.dataset_slices(brick_index)
     dim = slices[-1][1] if slices else 0
     if x.shape[0] != dim:
         raise ValueError(f"expected input dimension {dim} for brick {brick_index}, got {x.shape[0]}")
-    out = np.empty_like(x)
-    for (a, b), d in zip(slices, dataset_of):
-        if forward:
-            out[a:b] = (x[a:b] - scaling.offsets[d]) / scaling.scales[d]
-        else:
-            out[a:b] = x[a:b] * scaling.scales[d] + scaling.offsets[d]
-    return out
+    owner = np.repeat(dataset_of, [b - a for a, b in slices])
+    shape = (dim,) + (1,) * (x.ndim - 1)
+    offsets = scaling.offsets[owner].reshape(shape)
+    scales = scaling.scales[owner].reshape(shape)
+    return (x - offsets) / scales if forward else x * scales + offsets
 
 
 def adimensionalize(x, scaling: ScalingSet, schema, brick_index: int = 1) -> np.ndarray:

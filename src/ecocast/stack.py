@@ -9,7 +9,7 @@ column, so a trained model records it once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -17,6 +17,8 @@ from .bricks import (
     Activation,
     Brick,
     KernelSpec,
+    refit_dual_brick,
+    take_training_gram,
     train_dsn_brick,
     train_kernel_brick,
     train_kt_brick,
@@ -344,6 +346,42 @@ def train_stack(
     per-brick seeds derive from ``seed`` so identical calls give
     bit-identical models.
     """
+    config_list = brick_config_list(configs, n_bricks)
+    return _train_stack(inputs, targets, schema, config_list, seed, scaling)[0]
+
+
+@dataclass(frozen=True)
+class _Fit:
+    """One trained brick of a stack with what reusing it takes: its config,
+    the input of the next brick (None for the last) and, for dual kinds kept
+    for reuse, the ridge-free Gram matrix of the brick's own input."""
+
+    cfg: BrickConfig
+    brick: Brick
+    next_input: np.ndarray | None
+    gram: np.ndarray | None
+
+
+def _train_stack(
+    inputs,
+    targets,
+    schema: InputSchema,
+    config_list: list[BrickConfig],
+    seed: int,
+    scaling: ScalingSet | None,
+    reuse: tuple[_Fit, ...] | None = None,
+) -> tuple[StackedModel, tuple[_Fit, ...]]:
+    """:func:`train_stack` on a config list, returning the model with its
+    per-brick fits.
+
+    ``reuse`` is None for a one-off fit.  Otherwise it holds the fits of an
+    earlier call on the same pairs, schema, seed and scaling (empty when there
+    is none), and the returned fits keep their Gram matrices for later calls.
+    The leading bricks whose configs are unchanged are taken as they are; the
+    first brick that differs only in its ridge is re-solved from its kept
+    Gram matrix; every brick from there on trains afresh.  The model is the
+    same, bit for bit, as without ``reuse``.
+    """
     u = np.asarray(inputs, dtype=float)
     v = np.asarray(targets, dtype=float)
     if u.ndim != 2 or v.ndim != 2 or u.shape[1] != v.shape[1]:
@@ -357,7 +395,6 @@ def train_stack(
     context = u[schema.context_rows]
     if np.any(context != context[:, :1]):
         raise ValueError("context rows must hold the same value in every training column")
-    config_list = brick_config_list(configs, n_bricks)
 
     if scaling is not None:
         us = adimensionalize(u, scaling, schema)
@@ -366,24 +403,41 @@ def train_stack(
     else:
         us, vs = u, v
 
-    bricks: list[Brick] = []
-    x = us
-    for k, cfg in enumerate(config_list, start=1):
+    earlier = reuse or ()
+    n_kept = 0
+    while n_kept < min(len(earlier), len(config_list)) and earlier[n_kept].cfg == config_list[n_kept]:
+        n_kept += 1
+    fits = list(earlier[:n_kept])
+    x = fits[-1].next_input if fits else us
+    for k in range(n_kept + 1, len(config_list) + 1):
+        cfg = config_list[k - 1]
+        # only the first changed brick still trains on its earlier input
+        old = earlier[k - 1] if k == n_kept + 1 and k <= len(earlier) else None
         try:
-            brick = _train_one(cfg, x, vs, schema, k, seed + k)
+            if old is not None and old.gram is not None and replace(old.cfg, ridge=cfg.ridge) == cfg:
+                brick, gram = refit_dual_brick(old.brick, vs, cfg.ridge, old.gram), old.gram
+            else:
+                brick = _train_one(cfg, x, vs, schema, k, seed + k)
+                gram = take_training_gram(brick)
         except Exception as exc:
             raise BrickTrainingError(k, str(exc)) from exc
-        bricks.append(brick)
+        next_input = None
         if k < len(config_list):
-            x = np.vstack([us, brick.apply_columns(x)])
-    return StackedModel(
-        bricks=tuple(bricks),
+            # a dual brick's outputs on its own training inputs from its Gram
+            # matrix: the product that apply_columns forms, on the same bits
+            y = brick.apply_columns(x) if gram is None else brick.dual_coefficients @ gram
+            next_input = np.vstack([us, y])
+        fits.append(_Fit(cfg, brick, next_input, gram if reuse is not None else None))
+        x = next_input
+    model = StackedModel(
+        bricks=tuple(f.brick for f in fits),
         schema=schema,
         scaling=scaling,
         training_abs_max=float(np.max(np.abs(v))),
         last_training_state=v[:, -1],
         context=us[schema.context_rows, 0],
     )
+    return model, tuple(fits)
 
 
 @dataclass(frozen=True)

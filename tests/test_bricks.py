@@ -9,6 +9,8 @@ from ecocast.bricks import (
     dsn_objective_gradient,
     gaussian_kernel,
     kernel_matrix,
+    refit_dual_brick,
+    take_training_gram,
     train_dsn_brick,
     train_kernel_brick,
     train_kt_brick,
@@ -480,6 +482,64 @@ class TestCachedDualApply:
                 cross = cross * kernel_formula(spec, u, cols2d)
             want = brick.dual_coefficients @ cross
             assert np.array_equal(brick.apply(cols), want[:, 0] if cols.ndim == 1 else want)
+
+
+class TestTrainingGram:
+    """A trained dual brick hands out the ridge-free Gram matrix of its solve."""
+
+    SPECS = (
+        KernelSpec(scales=(1.5, 40.0), slices=((0, 2), (2, 5))),
+        KernelSpec(scales=(0.7, 3.0), slices=((0, 2), (2, 5))),
+    )
+
+    def train(self, n_specs, u, v, lam):
+        if n_specs == 1:
+            return train_kernel_brick(u, v, self.SPECS[0], lam)
+        return train_kt_brick(u, v, *self.SPECS, lam)
+
+    def data(self):
+        rng = np.random.default_rng(26)
+        return rng.standard_normal((5, 30)) * 3.0 + 100.0, rng.standard_normal((2, 30))
+
+    @pytest.mark.parametrize("lam", [1e-3, 0.0], ids=["ridge", "pseudo-inverse"])
+    @pytest.mark.parametrize("n_specs", [1, 2])
+    def test_gram_outputs_equal_apply_columns_bit_for_bit(self, n_specs, lam):
+        u, v = self.data()
+        brick = self.train(n_specs, u, v, lam)
+        gram = take_training_gram(brick)
+        assert gram.flags.writeable
+        want = brick.apply_columns(u)
+        assert (brick.dual_coefficients @ gram).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n_specs", [1, 2])
+    def test_gram_comes_back_with_its_diagonal_restored(self, n_specs):
+        u, v = self.data()
+        gram = take_training_gram(self.train(n_specs, u, v, 0.5))
+        want = kernel_matrix(self.SPECS[0], u, u)
+        for spec in self.SPECS[1:n_specs]:
+            want *= kernel_matrix(spec, u, u)
+        assert gram.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n_specs", [1, 2])
+    def test_refit_equals_training_afresh_and_keeps_the_gram(self, n_specs):
+        u, v = self.data()
+        brick = self.train(n_specs, u, v, 1e-3)
+        gram = take_training_gram(brick)
+        before = gram.copy()
+        for lam in (0.25, 1e-6, 0.0):
+            refit = refit_dual_brick(brick, v, lam, gram)
+            fresh = self.train(n_specs, u, v, lam)
+            assert type(refit) is type(fresh) and refit.ridge == fresh.ridge
+            assert refit.training_inputs.tobytes() == fresh.training_inputs.tobytes()
+            assert refit.dual_coefficients.tobytes() == fresh.dual_coefficients.tobytes()
+            assert gram.tobytes() == before.tobytes()
+
+    def test_gram_is_handed_out_once_and_only_by_dual_bricks(self):
+        u, v = self.data()
+        brick = train_kernel_brick(u, v, self.SPECS[0], 1e-3)
+        assert take_training_gram(brick) is not None
+        assert take_training_gram(brick) is None
+        assert take_training_gram(train_linear_brick(u, v)) is None
 
 
 class TestBrickProtocol:

@@ -151,7 +151,20 @@ class TestTrain:
         out = read_report(report)["outputs"]
         trace = out["scale_search"]["loss_trace"]
         assert all(a >= b for a, b in zip(trace, trace[1:]))
+        assert out["scale_search"]["converged"] is True
+        assert 1 <= out["scale_search"]["passes"] <= 20
         assert "validation_rmse" in out
+
+    def test_non_finite_scale_search_grid_fails_naming_the_grid(self, tmp_path, small_series, capsys):
+        model = tmp_path / "model.json"
+        assert main([
+            "train", "--series", str(small_series), "--bricks", "1", "--ridge", "1e-3",
+            "--split-fraction", "0.8", "--rho-grid", "0.5,inf",
+            "--model-out", str(model), "--report", str(tmp_path / "train.json"),
+        ]) == 1
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert "grid multipliers must be positive and finite" in message and "inf" in message
+        assert not model.exists()
 
 
 class TestPredictRolloutHorizon:

@@ -1,7 +1,11 @@
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ecocast import datasets
 from ecocast.bricks import gaussian_kernel, uniform_kernel_spec
 from ecocast.datasets import (
     ContextMap,
@@ -16,7 +20,8 @@ from ecocast.datasets import (
     undo_adimensionalize,
     usle_soil_loss,
 )
-from ecocast.stack import BrickConfig, InputSchema
+from ecocast.lotka import REFERENCE_PARAMS, simulate_lv
+from ecocast.stack import BrickConfig, InputSchema, train_stack
 
 
 def make_ts(n_series=2, n_points=10, seed=0, names=None):
@@ -173,6 +178,25 @@ class TestAdimensionalize:
         back = undo_adimensionalize(adimensionalize(x, s, schema), s, schema)
         assert np.allclose(back, x, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("brick_index", [1, 2])
+    def test_broadcast_equals_the_per_slice_formula_bit_for_bit(self, brick_index):
+        rng = np.random.default_rng(7)
+        schema = InputSchema(
+            series_names=("a", "b"), context_names=("m1", "m2"), context_sizes=(4, 3)
+        )
+        s = ScalingSet(offsets=rng.standard_normal(4) * 50.0, scales=rng.uniform(0.01, 30.0, 4))
+        slices, owners = schema.dataset_slices(brick_index)
+        dim = slices[-1][1]
+        for x in (rng.standard_normal(dim) * 100.0, rng.standard_normal((dim, 6)) * 100.0):
+            forward, inverse = np.empty_like(x), np.empty_like(x)
+            for (a, b), d in zip(slices, owners):
+                forward[a:b] = (x[a:b] - s.offsets[d]) / s.scales[d]
+                inverse[a:b] = x[a:b] * s.scales[d] + s.offsets[d]
+            got = adimensionalize(x, s, schema, brick_index)
+            assert got.shape == x.shape and got.tobytes() == forward.tobytes()
+            got = undo_adimensionalize(x, s, schema, brick_index)
+            assert got.shape == x.shape and got.tobytes() == inverse.tobytes()
+
     def test_scale_validation(self):
         with pytest.raises(ValueError):
             ScalingSet(offsets=np.zeros(2), scales=np.array([1.0, 0.0]))
@@ -233,6 +257,61 @@ class TestUSLE:
         assert out.values[0, 0] != -9999.0
 
 
+def lv_pairs(points=81, maps=()):
+    traj = simulate_lv(REFERENCE_PARAMS, 10.0, 5.0, 0.05, points - 1)
+    ts = TimeSeriesSet(
+        names=("prey", "predators"), times=traj.times, values=np.vstack([traj.prey, traj.predators])
+    )
+    return build_training_pairs(ts, maps)
+
+
+def reference_search(u, v, schema, configs, grid, split_fraction, seed=0, max_passes=20):
+    """The scale search with every candidate retrained by train_stack."""
+    n_train = int(round(u.shape[1] * split_fraction))
+    u_train, u_val, v_train, v_val = u[:, :n_train], u[:, n_train:], v[:, :n_train], v[:, n_train:]
+    ns = schema.n_series
+    norm = np.std(v_train, axis=1)
+    norm[norm <= 0.0] = 1.0
+    evaluations = 0
+
+    def evaluate(scaling, ridges):
+        nonlocal evaluations
+        evaluations += 1
+        cfgs = [replace(c, ridge=r) for c, r in zip(configs, ridges)]
+        model = train_stack(u_train, v_train, schema, cfgs, seed=seed, scaling=scaling)
+        err = (model.predict_columns(u_val[:ns], u[ns:, 0]) - v_val) / norm[:, None]
+        return float(np.sqrt(np.mean(err * err)))
+
+    scaling = scaling_from_columns(u_train, schema)
+    ridges = [c.ridge for c in configs]
+    best = evaluate(scaling, ridges)
+    trace = [best]
+    for _ in range(max_passes):
+        improved = False
+        for d in range(schema.n_datasets):
+            current = float(scaling.scales[d])
+            for g in grid:
+                if current * g != current:
+                    cand = scaling.with_scale(d, current * g)
+                    loss = evaluate(cand, ridges)
+                    if loss < best:
+                        best, scaling, improved = loss, cand, True
+                        trace.append(best)
+        for k in range(len(configs)):
+            current = ridges[k]
+            for g in grid:
+                if current * g != current:
+                    cand = list(ridges)
+                    cand[k] = current * g
+                    loss = evaluate(scaling, cand)
+                    if loss < best:
+                        best, ridges, improved = loss, cand, True
+                        trace.append(best)
+        if not improved:
+            break
+    return scaling, tuple(ridges), tuple(trace), evaluations
+
+
 class TestOptimizeScaling:
     def pairs(self, mis_scale=None, n_points=40, seed=0):
         ts = make_ts(n_series=2, n_points=n_points, seed=seed)
@@ -283,3 +362,61 @@ class TestOptimizeScaling:
         with pytest.raises(ValueError):
             optimize_scaling(u, v, schema, BrickConfig(kind="kernel"), grid=(),
                              split_fraction=0.75, n_bricks=1)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 0.0, -2.0])
+    def test_bad_grid_multiplier_rejected_before_any_evaluation(self, monkeypatch, bad):
+        u, v, schema = self.pairs()
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a candidate was trained")
+
+        monkeypatch.setattr(datasets, "_train_stack", no_training)
+        with pytest.raises(ValueError, match="grid multipliers must be positive and finite"):
+            optimize_scaling(u, v, schema, BrickConfig(kind="kernel", ridge=1e-3),
+                             grid=(0.5, bad), split_fraction=0.75, n_bricks=1)
+
+    def test_reports_a_search_cut_by_max_passes(self):
+        u, v, schema = lv_pairs(points=121)
+        cfg = BrickConfig(kind="kernel", ridge=1e-3)
+        cut = optimize_scaling(u, v, schema, cfg, grid=(0.5, 1e300), n_bricks=1, max_passes=1)
+        assert (cut.passes, cut.converged) == (1, False)
+        assert len(cut.loss_trace) > 1
+        done = optimize_scaling(u, v, schema, cfg, grid=(0.5, 2.0), n_bricks=1)
+        assert done.converged and 1 <= done.passes < 20
+
+    @pytest.mark.parametrize("configs", [
+        [BrickConfig(kind="kernel", ridge=1e-3)] * 2,
+        [BrickConfig(kind="kernel-tensor", ridge=1e-3)] * 2,
+        [BrickConfig(kind="dsn", ridge=1e-3, hidden_size=6), BrickConfig(kind="kernel", ridge=1e-3)],
+    ], ids=["kernel", "kernel-tensor", "dsn-kernel"])
+    def test_matches_retraining_every_candidate_bit_for_bit(self, monkeypatch, configs):
+        u, v, schema = lv_pairs(maps=[make_map("dtm", 2, 2, seed=1)])
+        grid = (0.5, 2.0)  # x0.5 after an accepted x2 returns to a scored candidate
+        trainings = []
+        train = datasets._train_stack
+        monkeypatch.setattr(datasets, "_train_stack", lambda *a: trainings.append(a) or train(*a))
+        result = optimize_scaling(u, v, schema, configs, grid=grid, seed=3)
+        scaling, ridges, trace, evaluations = reference_search(u, v, schema, configs, grid, 0.8, 3)
+        assert result.scaling.scales.tobytes() == scaling.scales.tobytes()
+        assert result.ridges == ridges
+        assert result.loss_trace == trace
+        assert result.evaluations == evaluations
+        assert len(trace) > 2 and len(trainings) < evaluations
+
+    def test_keeps_at_most_one_gram_per_brick(self, monkeypatch):
+        u, v, schema = lv_pairs(maps=[make_map("dtm", 2, 2, seed=1)])
+        grams = []
+        live = []
+        train = datasets._train_stack
+
+        def counting(*args):
+            live.append(len({id(ref()) for ref in grams if ref() is not None}))
+            model, fits = train(*args)
+            grams.extend(weakref.ref(f.gram) for f in fits if f.gram is not None)
+            return model, fits
+
+        monkeypatch.setattr(datasets, "_train_stack", counting)
+        configs = [BrickConfig(kind="kernel", ridge=1e-3)] * 3
+        result = optimize_scaling(u, v, schema, configs, grid=(0.5, 2.0))
+        assert len(live) > 20 and len(result.loss_trace) > 2
+        assert max(live) == 3

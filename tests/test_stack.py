@@ -1,14 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ecocast.bricks import LinearBrick, train_kernel_brick
-from ecocast.scaling import ScalingSet
+from ecocast.bricks import LinearBrick, take_training_gram, train_kernel_brick, train_kt_brick
+from ecocast.scaling import ScalingSet, adimensionalize
 from ecocast.stack import (
     BrickConfig,
     BrickTrainingError,
     InputSchema,
     StackedModel,
+    _train_stack,
     count_free_parameters,
     train_stack,
 )
@@ -164,6 +167,62 @@ class TestTrainStack:
             model = train_stack(u, v, schema, cfg, n_bricks=2, seed=1)
             out = model.predict_one_step(u[:2, 0], context)
             assert out.shape == (2,) and np.all(np.isfinite(out))
+
+
+def brick_bits(model):
+    return [
+        (type(b), getattr(b, "ridge", None), *(getattr(b, f).tobytes() for f in vars(b)
+                                               if isinstance(getattr(b, f), np.ndarray)))
+        for b in model.bricks
+    ]
+
+
+class TestGramOutputs:
+    """Dual bricks feed the next brick from their Gram matrix; the stack is
+    the one that ``apply_columns`` on the training inputs gives."""
+
+    @pytest.mark.parametrize("ridge", [1e-3, 0.0], ids=["ridge", "pseudo-inverse"])
+    @pytest.mark.parametrize("kind", ["kernel", "kernel-tensor"])
+    def test_stack_equals_the_apply_columns_loop_bit_for_bit(self, kind, ridge):
+        u, v, schema, _ = lv_like_pairs(n_pairs=40, context_size=3, seed=11)
+        scaling = ScalingSet(offsets=np.array([2.0, 2.0, 0.0]), scales=np.array([0.5, 0.7, 1.0]))
+        model = train_stack(u, v, schema, BrickConfig(kind=kind, ridge=ridge), n_bricks=3,
+                            scaling=scaling)
+        us = adimensionalize(u, scaling, schema)
+        vs = (v - 2.0) / np.array([[0.5], [0.7]])
+        x = us
+        for k, brick in enumerate(model.bricks, start=1):
+            spec = schema.kernel_spec(k)
+            want = (train_kernel_brick(x, vs, spec, ridge) if kind == "kernel"
+                    else train_kt_brick(x, vs, spec, spec, ridge))
+            assert want.dual_coefficients.tobytes() == brick.dual_coefficients.tobytes()
+            x = np.vstack([us, want.apply_columns(x)])
+
+    @pytest.mark.parametrize("configs", [
+        [BrickConfig(kind="kernel", ridge=1e-3)] * 3,
+        [BrickConfig(kind="kernel-tensor", ridge=1e-3)] * 3,
+        [BrickConfig(kind="dsn", ridge=1e-3, hidden_size=6), BrickConfig(kind="kernel", ridge=1e-3),
+         BrickConfig(kind="kernel", ridge=1e-3)],
+    ], ids=["kernel", "kernel-tensor", "dsn-kernel"])
+    def test_reused_fits_give_the_model_of_a_fresh_fit(self, configs):
+        u, v, schema, _ = lv_like_pairs(n_pairs=40, context_size=2, seed=12)
+        scaling = ScalingSet(offsets=np.zeros(3), scales=np.array([0.9, 1.1, 1.0]))
+        _, fits = _train_stack(u, v, schema, configs, 0, scaling, reuse=())
+        assert all((f.gram is not None) == (f.cfg.kind != "dsn") for f in fits)
+        for k in range(3):
+            changed = list(configs)
+            changed[k] = replace(configs[k], ridge=0.25)
+            model, refits = _train_stack(u, v, schema, changed, 0, scaling, reuse=fits)
+            assert all(a is b for a, b in zip(refits[:k], fits[:k]))
+            assert not any(a is b for a, b in zip(refits[k:], fits[k:]))
+            fresh = train_stack(u, v, schema, changed, seed=0, scaling=scaling)
+            assert brick_bits(model) == brick_bits(fresh)
+
+    def test_a_one_off_fit_keeps_no_gram(self):
+        u, v, schema, _ = lv_like_pairs(n_pairs=30)
+        _, fits = _train_stack(u, v, schema, [BrickConfig(kind="kernel", ridge=1e-3)] * 2, 0, None)
+        assert all(f.gram is None for f in fits)
+        assert all(take_training_gram(f.brick) is None for f in fits)
 
 
 class TestPredict:
