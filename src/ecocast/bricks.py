@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .linalg import EXACT_SVD, InverseConfig, pseudo_inverse, readonly
+from .linalg import EXACT_SVD, InverseConfig, NonFiniteError, pseudo_inverse, readonly
 
 __all__ = [
     "Activation",
@@ -413,7 +413,7 @@ def _as_pairs(inputs, targets) -> tuple[np.ndarray, np.ndarray]:
     if u.shape[1] == 0:
         raise ValueError("at least one training column is required")
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-        raise ValueError("training data contains non-finite values")
+        raise NonFiniteError("training data contains non-finite values")
     return u, v
 
 

@@ -290,6 +290,7 @@ def _cmd_train(cfg: RunConfig) -> dict:
             "ridges": list(search.ridges),
             "passes": search.passes,
             "converged": search.converged,
+            "rejected": search.rejected,
         }
     _log(f"training {cfg.bricks} brick(s) on {inputs.shape[1]} pairs")
     model = train_stack(

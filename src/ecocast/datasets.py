@@ -11,9 +11,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import readonly
+from .linalg import NonFiniteError, readonly
 from .scaling import ScalingSet, adimensionalize, undo_adimensionalize
-from .stack import InputSchema, _train_stack, brick_config_list
+from .stack import BrickTrainingError, InputSchema, _train_stack, brick_config_list
 
 __all__ = [
     "ContextMap",
@@ -279,7 +279,9 @@ def usle_soil_loss(
 class ScalingSearchResult:
     """Outcome of the coordinate-descent scale search.  ``passes`` counts the
     sweeps over all coordinates; ``converged`` is False when the search
-    stopped at ``max_passes`` with the last sweep still improving."""
+    stopped at ``max_passes`` with the last sweep still improving;
+    ``rejected`` counts the evaluations that scored +inf because training met
+    non-finite values or the validation loss was not finite."""
 
     scaling: ScalingSet
     ridges: tuple[float, ...]
@@ -287,6 +289,13 @@ class ScalingSearchResult:
     evaluations: int
     passes: int
     converged: bool
+    rejected: int
+
+
+def _steps(current: float, grid: tuple[float, ...]) -> list[float]:
+    """The grid multiples of ``current`` worth trying: those that differ from
+    it and are positive and finite."""
+    return [c for c in (current * g for g in grid) if c != current and 0.0 < c < math.inf]
 
 
 def optimize_scaling(
@@ -316,6 +325,11 @@ def optimize_scaling(
     from its kept Gram matrix (dual kinds) before training the bricks above;
     a candidate scored before returns its stored loss.  Both give the bits of
     a full retrain, and every candidate counts in ``evaluations``.
+
+    A multiple that overflows to infinity or underflows to zero is never
+    tried.  A candidate whose training meets non-finite values, or whose
+    validation loss is not finite, scores +inf and counts in ``rejected``;
+    the initial configuration raises instead.
     """
     grid = tuple(float(g) for g in grid)
     if not grid:
@@ -345,23 +359,44 @@ def optimize_scaling(
     norm[norm <= 0.0] = 1.0
 
     context = u[ns:, 0] if u.shape[0] > ns else np.empty(0)
-    evaluations = 0
+    evaluations = rejected = 0
     scored: dict[tuple, float] = {}
+
+    def train_and_score(cand_scaling: ScalingSet, cand_ridges, reuse) -> tuple[float, tuple]:
+        """A new candidate's loss and brick fits; +inf and no fits when its
+        training meets non-finite values or its loss is not finite, except for
+        the initial configuration, which raises."""
+        initial = not scored
+        cfgs = [replace(c, ridge=r) for c, r in zip(config_list, cand_ridges)]
+        try:
+            model, fits = _train_stack(u_train, v_train, schema, cfgs, seed, cand_scaling, reuse)
+        except BrickTrainingError as exc:
+            if initial or not isinstance(exc.__cause__, NonFiniteError):
+                raise
+            return math.inf, ()
+        pred = model.predict_columns(u_val[:ns], context)
+        err = (pred - v_val) / norm[:, None]
+        loss = float(np.sqrt(np.mean(err * err)))
+        if math.isfinite(loss):
+            return loss, fits
+        if initial:
+            raise ValueError(f"the initial scaling gives a non-finite validation loss ({loss})")
+        return math.inf, ()
 
     def score(cand_scaling: ScalingSet, cand_ridges, reuse=()) -> tuple[float, tuple]:
         """The candidate's loss and brick fits; a candidate scored before
         returns its stored loss and no fits."""
-        nonlocal evaluations
+        nonlocal evaluations, rejected
         evaluations += 1
         key = (tuple(cand_scaling.scales.tolist()), tuple(cand_ridges))
         if key in scored:
-            return scored[key], ()
-        cfgs = [replace(c, ridge=r) for c, r in zip(config_list, cand_ridges)]
-        model, fits = _train_stack(u_train, v_train, schema, cfgs, seed, cand_scaling, reuse)
-        pred = model.predict_columns(u_val[:ns], context)
-        err = (pred - v_val) / norm[:, None]
-        scored[key] = float(np.sqrt(np.mean(err * err)))
-        return scored[key], fits
+            loss, fits = scored[key], ()
+        else:
+            loss, fits = train_and_score(cand_scaling, cand_ridges, reuse)
+            scored[key] = loss
+        if loss == math.inf:
+            rejected += 1
+        return loss, fits
 
     # Only the brick fits of the accepted configuration outlive a candidate.
     # A candidate scored before never beats the best loss, so an accepted
@@ -385,18 +420,15 @@ def optimize_scaling(
         passes += 1
         converged = True
         for d in range(schema.n_datasets):
-            current = float(scaling.scales[d])
-            for g in grid:
-                if current * g != current and consider(scaling.with_scale(d, current * g), ridges):
+            for s in _steps(float(scaling.scales[d]), grid):
+                if consider(scaling.with_scale(d, s), ridges):
                     converged = False
         for k in range(len(config_list)):
-            current = ridges[k]
-            for g in grid:
-                if current * g != current:
-                    cand_ridges = list(ridges)
-                    cand_ridges[k] = current * g
-                    if consider(scaling, cand_ridges, accepted):
-                        converged = False
+            for r in _steps(ridges[k], grid):
+                cand_ridges = list(ridges)
+                cand_ridges[k] = r
+                if consider(scaling, cand_ridges, accepted):
+                    converged = False
     return ScalingSearchResult(
         scaling=scaling,
         ridges=tuple(ridges),
@@ -404,4 +436,5 @@ def optimize_scaling(
         evaluations=evaluations,
         passes=passes,
         converged=converged,
+        rejected=rejected,
     )

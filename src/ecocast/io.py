@@ -1,13 +1,16 @@
 """File formats: time-series CSV, ASCII-grid rasters, and JSON model files.
 
-All writers emit numbers in shortest round-trip decimal form, so a
+The CSV and grid writers emit numbers in shortest round-trip decimal form,
+and model files store arrays as their raw float64 bytes, so every
 write-read-write cycle is byte-identical and reloaded values are bit-exact.
 """
 
 from __future__ import annotations
 
+import base64
 import csv
 import json
+import math
 from dataclasses import fields
 from datetime import datetime
 
@@ -36,7 +39,7 @@ __all__ = [
 ]
 
 MODEL_FORMAT = "ecocast-stacked-model"
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 
 
 def _fmt(x: float) -> str:
@@ -268,12 +271,49 @@ def _stem(path) -> str:
 
 
 # ---------------------------------------------------------------------------
-# model file: compact versioned JSON.  Version 2 stores the model's context
-# once, at the top level, and each brick that retains training inputs
-# without their context rows; loading puts them back bit for bit.  Version 1
-# files (indented, full retained inputs, no top-level context) still load:
-# their context is read from column 0 of the first brick that retains
-# inputs.  Saving always writes version 2.
+# model file: compact, sorted-key, versioned JSON.  Version 3 stores every
+# array as a payload object {"f8": <base64 of its raw little-endian float64
+# bytes>, "shape": [...]}; version 2 held the same arrays as nested decimal
+# lists.  Both store the model's context once, at the top level, and each
+# brick that retains training inputs without their context rows; loading puts
+# them back bit for bit.  Version 1 files (indented decimal lists, full
+# retained inputs, no top-level context) still load: their context is read
+# from column 0 of the first brick that retains inputs.  Saving always writes
+# version 3.
+
+
+def _array_doc(a: np.ndarray) -> dict:
+    a = np.ascontiguousarray(a, dtype="<f8")
+    return {"f8": base64.b64encode(a.tobytes()).decode("ascii"), "shape": list(a.shape)}
+
+
+def _array_from(value) -> np.ndarray:
+    """Inverse of ``_array_doc`` (a read-only view of the decoded bytes); the
+    nested decimal lists of format versions 1 and 2 are read as well.  The
+    payload is checked as outside input."""
+    if isinstance(value, list):
+        return np.array(value, dtype=float)
+    if not isinstance(value, dict) or set(value) != {"f8", "shape"}:
+        raise ValueError("expected an array payload with exactly the keys 'f8' and 'shape'")
+    shape = value["shape"]
+    if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+        raise ValueError(f"shape must be a list of non-negative integers, got {shape!r}")
+    try:
+        raw = base64.b64decode(value["f8"], validate=True)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"invalid base64 payload ({exc})") from None
+    need = 8 * math.prod(shape)
+    if len(raw) != need:
+        raise ValueError(f"payload holds {len(raw)} bytes, shape {shape} needs {need}")
+    return np.frombuffer(raw, dtype="<f8").reshape(shape)
+
+
+def _decoded(decode, value, where: str):
+    """``decode(value)``, with any ValueError naming the model-file field."""
+    try:
+        return decode(value)
+    except ValueError as exc:
+        raise ValueError(f"model file {where}: {exc}") from None
 
 
 def _spec_dict(spec: KernelSpec) -> dict:
@@ -294,7 +334,7 @@ _KEYS = {"spec": "kernel", "spec_a": "kernel_a", "spec_b": "kernel_b"}
 # (to JSON, from JSON) per annotated field type; other fields are stored as is
 _PLAIN = (lambda v: v, lambda v: v)
 _CODECS = {
-    "np.ndarray": (lambda a: a.tolist(), lambda v: np.array(v, dtype=float)),
+    "np.ndarray": (_array_doc, _array_from),
     "KernelSpec": (_spec_dict, _spec_from),
     "Activation": (lambda a: a.value, Activation),
     "float": (float, float),
@@ -315,9 +355,10 @@ def _brick_dict(brick, context_rows: slice | None) -> dict:
     return d
 
 
-def _brick_from(d: dict, schema: InputSchema, context: np.ndarray | None):
-    """Inverse of ``_brick_dict``: a recorded ``context`` is put back into
-    every column of the retained training inputs."""
+def _brick_from(d: dict, index: int, schema: InputSchema, context: np.ndarray | None):
+    """Inverse of ``_brick_dict`` for the ``index``-th (1-based) brick: a
+    recorded ``context`` is put back into every column of the retained
+    training inputs."""
     cls = _BRICK_CLASSES.get(d["kind"])
     if cls is None:
         raise ValueError(f"unknown brick kind {d['kind']!r} in model file")
@@ -325,7 +366,8 @@ def _brick_from(d: dict, schema: InputSchema, context: np.ndarray | None):
     for f in fields(cls):
         key = _KEYS.get(f.name, f.name)
         if f.init and key in d:
-            kwargs[f.name] = _CODECS.get(f.type, _PLAIN)[1](d[key])
+            decode = _CODECS.get(f.type, _PLAIN)[1]
+            kwargs[f.name] = _decoded(decode, d[key], f"brick {index} field {key!r}")
     if context is not None and "training_inputs" in kwargs:
         u = kwargs["training_inputs"]
         ns = schema.n_series
@@ -357,16 +399,16 @@ def model_to_json(model: StackedModel) -> str:
         "scaling": None
         if model.scaling is None
         else {
-            "offsets": [float(v) for v in model.scaling.offsets],
-            "scales": [float(v) for v in model.scaling.scales],
+            "offsets": _array_doc(model.scaling.offsets),
+            "scales": _array_doc(model.scaling.scales),
         },
         "training_abs_max": None
         if model.training_abs_max is None
         else float(model.training_abs_max),
         "last_training_state": None
         if model.last_training_state is None
-        else [float(v) for v in model.last_training_state],
-        "context": None if model.context is None else model.context.tolist(),
+        else _array_doc(model.last_training_state),
+        "context": None if model.context is None else _array_doc(model.context),
         "bricks": [_brick_dict(b, rows) for b in model.bricks],
     }
     return json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
@@ -377,22 +419,25 @@ def model_from_json(text: str) -> StackedModel:
     if doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"not a model file (format {doc.get('format')!r})")
     version = doc.get("format_version")
-    if version not in (1, MODEL_VERSION):
+    if version not in (1, 2, MODEL_VERSION):
         raise ValueError(f"unsupported model format version {version!r}")
     schema = InputSchema(
         series_names=tuple(doc["schema"]["series_names"]),
         context_names=tuple(doc["schema"]["context_names"]),
         context_sizes=tuple(doc["schema"]["context_sizes"]),
     )
+
+    def array(value, where: str) -> np.ndarray | None:
+        return None if value is None else _decoded(_array_from, value, f"field {where!r}")
+
     scaling = None
     if doc["scaling"] is not None:
         scaling = ScalingSet(
-            offsets=np.array(doc["scaling"]["offsets"], dtype=float),
-            scales=np.array(doc["scaling"]["scales"], dtype=float),
+            offsets=array(doc["scaling"]["offsets"], "scaling.offsets"),
+            scales=array(doc["scaling"]["scales"], "scaling.scales"),
         )
-    state = doc["last_training_state"]
-    context = None if doc.get("context") is None else np.array(doc["context"], dtype=float)
-    bricks = tuple(_brick_from(b, schema, context) for b in doc["bricks"])
+    context = array(doc.get("context"), "context")
+    bricks = tuple(_brick_from(b, k, schema, context) for k, b in enumerate(doc["bricks"], start=1))
     if version == 1:
         context = _first_retained_context(bricks, schema)
     return StackedModel(
@@ -400,7 +445,7 @@ def model_from_json(text: str) -> StackedModel:
         schema=schema,
         scaling=scaling,
         training_abs_max=doc["training_abs_max"],
-        last_training_state=None if state is None else np.array(state, dtype=float),
+        last_training_state=array(doc["last_training_state"], "last_training_state"),
         context=context,
     )
 

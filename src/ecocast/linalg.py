@@ -13,6 +13,7 @@ import numpy as np
 __all__ = [
     "EXACT_SVD",
     "InverseConfig",
+    "NonFiniteError",
     "SpectralEstimate",
     "finite_difference",
     "pseudo_inverse",
@@ -97,12 +98,17 @@ class SpectralEstimate:
             raise ValueError("radius must be nonnegative")
 
 
+class NonFiniteError(ValueError):
+    """Raised when data handed to a solve or a training step holds NaN or
+    infinite values."""
+
+
 def _as_matrix(a, name: str) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.size == 0:
         raise ValueError(f"{name} must be a nonempty 2-d matrix")
     if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise NonFiniteError(f"{name} contains non-finite entries")
     return a
 
 
@@ -140,7 +146,7 @@ def solve_ridge(u, d, lam: float) -> np.ndarray:
     u = _as_matrix(u, "u")
     d = np.asarray(d, dtype=float)
     if not np.all(np.isfinite(d)):
-        raise ValueError("d contains non-finite entries")
+        raise NonFiniteError("d contains non-finite entries")
     if d.shape[0] != u.shape[0]:
         raise ValueError(
             f"sample dimension mismatch: {u.shape[0]} design rows vs {d.shape[0]} target rows"

@@ -167,6 +167,18 @@ class TestTrain:
         assert not model.exists()
 
 
+    def test_overflowing_scale_search_candidates_are_rejected(self, tmp_path, small_series):
+        report = tmp_path / "train.json"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main([
+                "train", "--series", str(small_series), "--bricks", "2", "--ridge", "1e-3",
+                "--split-fraction", "0.8", "--rho-grid", "1e-200,1e200",
+                "--model-out", str(tmp_path / "model.json"), "--report", str(report),
+            ]) == 0
+        search = read_report(report)["outputs"]["scale_search"]
+        assert 0 < search["rejected"] < search["evaluations"]
+        assert np.isfinite(search["loss_trace"]).all()
+
 class TestPredictRolloutHorizon:
     @pytest.fixture
     def trained(self, tmp_path, small_series):

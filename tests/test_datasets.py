@@ -21,7 +21,7 @@ from ecocast.datasets import (
     usle_soil_loss,
 )
 from ecocast.lotka import REFERENCE_PARAMS, simulate_lv
-from ecocast.stack import BrickConfig, InputSchema, train_stack
+from ecocast.stack import BrickConfig, BrickTrainingError, InputSchema, train_stack
 
 
 def make_ts(n_series=2, n_points=10, seed=0, names=None):
@@ -383,6 +383,59 @@ class TestOptimizeScaling:
         assert len(cut.loss_trace) > 1
         done = optimize_scaling(u, v, schema, cfg, grid=(0.5, 2.0), n_bricks=1)
         assert done.converged and 1 <= done.passes < 20
+
+    def test_never_tries_a_product_that_overflows(self, monkeypatch):
+        u, v, schema = lv_pairs(points=121)
+        tried = []
+        train = datasets._train_stack
+
+        def recording(*args):
+            cfgs, scaling = args[3], args[5]
+            tried.append([*scaling.scales, *(c.ridge for c in cfgs)])
+            return train(*args)
+
+        monkeypatch.setattr(datasets, "_train_stack", recording)
+        result = optimize_scaling(u, v, schema, BrickConfig(kind="kernel", ridge=1e-3),
+                                  grid=(0.5, 1e300), n_bricks=1)
+        # x1e300 is accepted once; a second x1e300 would overflow
+        assert result.scaling.scales.max() > 1e299
+        assert np.isfinite(tried).all() and result.converged
+        assert result.rejected == 0
+
+    def test_rejects_candidates_whose_training_meets_non_finite_values(self, monkeypatch):
+        u, v, schema = lv_pairs(points=121)
+        failures = []
+        train = datasets._train_stack
+
+        def recording(*args):
+            try:
+                return train(*args)
+            except BrickTrainingError as exc:
+                failures.append(str(exc))
+                raise
+
+        monkeypatch.setattr(datasets, "_train_stack", recording)
+        # x1e-200 scales overflow the kernel distances: brick 1 outputs NaN
+        # and brick 2 refuses to train on them
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = optimize_scaling(u, v, schema, BrickConfig(kind="kernel", ridge=1e-3),
+                                      grid=(1e-200, 1e200), n_bricks=2)
+        assert failures and set(failures) == {"brick 2: training data contains non-finite values"}
+        assert result.rejected >= len(failures)
+        assert result.evaluations > result.rejected
+        assert np.isfinite(result.loss_trace).all() and len(result.loss_trace) > 1
+        assert np.isfinite(result.scaling.scales).all() and np.isfinite(result.ridges).all()
+
+    def test_initial_configuration_still_fails_loudly(self):
+        u, v, schema = lv_pairs(points=121)
+        initial = scaling_from_columns(u, schema)
+        tiny = ScalingSet(offsets=initial.offsets, scales=initial.scales * 1e-200)
+        cfg = BrickConfig(kind="kernel", ridge=1e-3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(BrickTrainingError, match="brick 2: training data contains non-finite"):
+                optimize_scaling(u, v, schema, cfg, grid=(0.5, 2.0), n_bricks=2, initial=tiny)
+            with pytest.raises(ValueError, match="initial scaling gives a non-finite validation loss"):
+                optimize_scaling(u, v, schema, cfg, grid=(0.5, 2.0), n_bricks=1, initial=tiny)
 
     @pytest.mark.parametrize("configs", [
         [BrickConfig(kind="kernel", ridge=1e-3)] * 2,

@@ -1,3 +1,4 @@
+import base64
 import json
 from pathlib import Path
 
@@ -12,8 +13,10 @@ from ecocast.datasets import (
     default_scaling,
     flatten_context,
 )
+from ecocast.cli import main
 from ecocast.io import (
     load_model,
+    model_from_json,
     model_to_json,
     read_ascii_grid,
     read_timeseries_csv,
@@ -224,6 +227,12 @@ def small_model(kind, seed=0):
     ), u, cmap
 
 
+def payload(d: dict) -> np.ndarray:
+    """A model file's array payload decoded as the format defines it."""
+    assert set(d) == {"f8", "shape"}
+    return np.frombuffer(base64.b64decode(d["f8"]), dtype="<f8").reshape(d["shape"])
+
+
 class TestModelFile:
     @pytest.mark.parametrize("kind", ["linear", "dsn", "kernel", "tensor", "kernel-tensor"])
     def test_save_load_save_byte_identical(self, tmp_path, kind):
@@ -254,8 +263,8 @@ class TestModelFile:
         path.write_text(text.replace("ecocast-stacked-model", "something-else"))
         with pytest.raises(ValueError, match="not a model file"):
             load_model(path)
-        assert '"format_version":2' in text
-        path.write_text(text.replace('"format_version":2', '"format_version":99'))
+        assert '"format_version":3' in text
+        path.write_text(text.replace('"format_version":3', '"format_version":99'))
         with pytest.raises(ValueError, match="version"):
             load_model(path)
 
@@ -281,17 +290,18 @@ class TestModelFile:
         text = (tmp_path / "m.json").read_text()
         assert text.count("\n") == 1  # compact JSON
         doc = json.loads(text)
-        assert doc["format_version"] == 2
-        assert doc["context"] == model.context.tolist() and len(doc["context"]) == cmap.pixel_count
+        assert doc["format_version"] == 3
+        assert np.array_equal(payload(doc["context"]), model.context)
+        assert doc["context"]["shape"] == [cmap.pixel_count]
         # retained inputs keep their series and previous-output rows only
-        assert [len(b["training_inputs"]) for b in doc["bricks"]] == [2, 4]
+        assert [payload(b["training_inputs"]).shape[0] for b in doc["bricks"]] == [2, 4]
         back = load_model(tmp_path / "m.json")
         assert np.array_equal(back.context, model.context)
         for loaded, brick in zip(back.bricks, model.bricks):
             assert np.array_equal(loaded.training_inputs, brick.training_inputs)
 
     def test_file_grows_by_the_new_context_values_only(self, tmp_path):
-        sizes = []
+        sizes, counts = [], []
         for shape in ((2, 3), (4, 6)):
             t = np.linspace(0.0, 4.0, 25)
             ts = TimeSeriesSet(names=("a", "b"), times=t,
@@ -302,15 +312,114 @@ class TestModelFile:
                                 scaling=default_scaling(ts, [cmap]))
             save_model(model, tmp_path / "m.json")
             sizes.append((tmp_path / "m.json").stat().st_size)
+            doc = json.loads((tmp_path / "m.json").read_text())
+            # the integers that count pixels: schema size, payload shape and
+            # kernel slice bounds
+            counts.append(json.dumps([doc["schema"]["context_sizes"], doc["context"]["shape"],
+                                      [b["kernel"]["slices"] for b in doc["bricks"]]]))
+            assert payload(doc["context"]).size == shape[0] * shape[1]
         new_values = 24 - 6
-        # at most one shortest-repr double (<= 24 characters) plus a comma per
-        # new pixel; per-column copies would add 24 pairs x 2 bricks of them
-        assert 0 < sizes[1] - sizes[0] <= 25 * new_values
+        # exactly the base64 of 8 bytes per new pixel, plus the longer pixel
+        # counts; per-column copies would add 24 pairs x 2 bricks of them
+        assert sizes[1] - sizes[0] == 8 * new_values * 4 // 3 + len(counts[1]) - len(counts[0])
 
 
-# Model files written by the per-kind model writer that the field-driven one
-# replaced.  They pin the on-disk format: never regenerate them.
+def truncated(d):
+    d["f8"] = d["f8"][:-4]  # one base64 quantum short
+
+
+def invalid_base64(d):
+    d["f8"] = d["f8"][:4] + "*" + d["f8"][4:]  # a lax decoder would skip the "*"
+
+
+def wrong_byte_count(d):
+    d["shape"][0] += 1
+
+
+def negative_shape(d):
+    d["shape"][0] = -d["shape"][0]
+
+
+def non_integer_shape(d):
+    d["shape"][0] = float(d["shape"][0])
+
+
+def unknown_key(d):
+    d["dtype"] = "<f8"
+
+
+MALFORMED = {
+    truncated: "payload holds",
+    invalid_base64: "invalid base64",
+    wrong_byte_count: "payload holds",
+    negative_shape: "non-negative integers",
+    non_integer_shape: "non-negative integers",
+    unknown_key: "exactly the keys 'f8' and 'shape'",
+}
+# where each array lives in a model document -> how load errors name it
+PAYLOAD_FIELDS = {
+    ("bricks", 1, "dual_coefficients"): "brick 2 field 'dual_coefficients'",
+    ("bricks", 0, "training_inputs"): "brick 1 field 'training_inputs'",
+    ("context",): "field 'context'",
+    ("scaling", "offsets"): "field 'scaling.offsets'",
+    ("last_training_state",): "field 'last_training_state'",
+}
+
+
+def malformed_text(model, where, damage) -> str:
+    doc = json.loads(model_to_json(model))
+    target = doc
+    for key in where:
+        target = target[key]
+    damage(target)
+    return json.dumps(doc)
+
+
+class TestMalformedPayload:
+    @pytest.mark.parametrize("damage", list(MALFORMED), ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("where", list(PAYLOAD_FIELDS), ids=lambda w: "/".join(map(str, w)))
+    def test_rejected_naming_the_field(self, where, damage):
+        model, _, _ = small_model("kernel")
+        text = malformed_text(model, where, damage)
+        with pytest.raises(ValueError) as info:
+            model_from_json(text)
+        assert PAYLOAD_FIELDS[where] in str(info.value)
+        assert MALFORMED[damage] in str(info.value)
+
+    @pytest.mark.parametrize("damage", list(MALFORMED), ids=lambda f: f.__name__)
+    def test_cli_predict_exits_with_error_json(self, tmp_path, capsys, damage):
+        model, _, cmap = small_model("kernel")
+        bad = tmp_path / "bad.json"
+        bad.write_text(malformed_text(model, ("bricks", 1, "dual_coefficients"), damage))
+        t = np.linspace(0.0, 4.0, 25)
+        write_timeseries_csv(TimeSeriesSet(names=("a", "b"), times=t,
+                                           values=np.vstack([np.sin(t) + 2.0, np.cos(t) + 3.0])),
+                             tmp_path / "s.csv")
+        write_ascii_grid(cmap, tmp_path / "m.asc")
+        out = tmp_path / "p.csv"
+        assert main(["predict", "--model-in", str(bad), "--series", str(tmp_path / "s.csv"),
+                     "--grid", str(tmp_path / "m.asc"), "--output", str(out)]) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ValueError"
+        assert "brick 2 field 'dual_coefficients'" in error["message"]
+        assert MALFORMED[damage] in error["message"]
+        assert not out.exists()
+
+    def test_decimal_lists_still_read(self):
+        model, _, _ = small_model("kernel")
+        doc = json.loads(model_to_json(model))
+        brick = doc["bricks"][1]
+        brick["dual_coefficients"] = payload(brick["dual_coefficients"]).tolist()
+        back = model_from_json(json.dumps(doc))
+        assert np.array_equal(back.bricks[1].dual_coefficients, model.bricks[1].dual_coefficients)
+
+
+# Pinned model files: model_<name>.json are format version 1, written by the
+# per-kind model writer that the field-driven one replaced; model_v2_<name>.json
+# are format version 2, written by the version 2 writer.  They pin the on-disk
+# formats: never regenerate them.
 PINNED_DIR = Path(__file__).parent / "data"
+PINNED_FILES = {1: "model_{}.json", 2: "model_v2_{}.json"}
 PINNED = {
     "linear": dict(kind="linear"),
     "dsn": dict(kind="dsn"),
@@ -335,27 +444,58 @@ def pinned_model(name):
     return train_stack(u, v, schema, cfg, n_bricks=2, seed=7, scaling=default_scaling(ts, [cmap]))
 
 
-class TestPinnedModelFiles:
-    """The pinned files are format version 1: they load, predict like fresh
-    training, and re-save as version 2."""
+def same_content(decimal, binary) -> bool:
+    """Whether a version 2 document holds, as decimal lists, exactly the bits
+    that a version 3 document holds as array payloads, and equals it
+    elsewhere."""
+    if isinstance(binary, dict) and set(binary) == {"f8", "shape"}:
+        a, b = np.array(decimal, dtype=float), payload(binary)
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+    if isinstance(binary, dict):
+        return decimal.keys() == binary.keys() and all(
+            same_content(decimal[k], binary[k]) for k in binary)
+    if isinstance(binary, list):
+        return len(decimal) == len(binary) and all(map(same_content, decimal, binary))
+    return decimal == binary
 
-    @pytest.mark.parametrize("name", sorted(PINNED))
-    def test_loads_resaves_and_predicts_like_fresh_training(self, tmp_path, name):
-        pinned = PINNED_DIR / f"model_{name}.json"
-        assert json.loads(pinned.read_text())["format_version"] == 1
+
+class TestPinnedModelFiles:
+    """The pinned files are format versions 1 and 2: they load, predict like
+    fresh training, and re-save as version 3."""
+
+    def check_resave_and_predict(self, tmp_path, name, version):
+        pinned = PINNED_DIR / PINNED_FILES[version].format(name)
+        assert json.loads(pinned.read_text())["format_version"] == version
         back = load_model(pinned)
-        save_model(back, tmp_path / "v2.json")
-        v2 = (tmp_path / "v2.json").read_bytes()
-        assert b'"format_version":2' in v2
-        again = load_model(tmp_path / "v2.json")
+        save_model(back, tmp_path / "v3.json")
+        v3 = (tmp_path / "v3.json").read_bytes()
+        assert b'"format_version":3' in v3
+        again = load_model(tmp_path / "v3.json")
         save_model(again, tmp_path / "again.json")
-        assert (tmp_path / "again.json").read_bytes() == v2
+        assert (tmp_path / "again.json").read_bytes() == v3
         ts, cmap = pinned_inputs()
         fresh = pinned_model(name)
         context = cmap.values.ravel()
         expected = fresh.predict_columns(ts.values, context)
         assert np.array_equal(back.predict_columns(ts.values, context), expected)
         assert np.array_equal(again.predict_columns(ts.values, context), expected)
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_loads_resaves_and_predicts_like_fresh_training(self, tmp_path, name):
+        self.check_resave_and_predict(tmp_path, name, 1)
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_v2_loads_resaves_and_predicts_like_fresh_training(self, tmp_path, name):
+        self.check_resave_and_predict(tmp_path, name, 2)
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_v2_file_resaves_as_fresh_training(self, name):
+        pinned = PINNED_DIR / PINNED_FILES[2].format(name)
+        fresh = model_to_json(pinned_model(name))
+        assert model_to_json(load_model(pinned)) == fresh
+        decimal, binary = json.loads(pinned.read_text()), json.loads(fresh)
+        assert (decimal.pop("format_version"), binary.pop("format_version")) == (2, 3)
+        assert same_content(decimal, binary)
 
     @pytest.mark.parametrize("name", ["kernel", "kernel-tensor"])
     def test_v1_dual_file_resaves_as_fresh_training(self, name):
