@@ -17,12 +17,7 @@ from ecocast.stability import estimate_horizon, split_train_validate
 
 
 def make_dataset(points: int, dt: float) -> tuple[TimeSeriesSet, ContextMap]:
-    traj = simulate_lv(REFERENCE_PARAMS, 10.0, 5.0, dt, points - 1)
-    ts = TimeSeriesSet(
-        names=("prey", "predators"),
-        times=traj.times,
-        values=np.vstack([traj.prey, traj.predators]),
-    )
+    ts = simulate_lv(REFERENCE_PARAMS, 10.0, 5.0, dt, points - 1)
     rng = np.random.default_rng(0)
     dtm = ContextMap(name="dtm", values=rng.uniform(0.0, 400.0, (10, 10)), cell_size=100.0)
     return ts, dtm

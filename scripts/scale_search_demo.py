@@ -9,12 +9,7 @@ import argparse
 
 import numpy as np
 
-from ecocast.datasets import (
-    TimeSeriesSet,
-    build_training_pairs,
-    optimize_scaling,
-    scaling_from_columns,
-)
+from ecocast.datasets import build_training_pairs, optimize_scaling, scaling_from_columns
 from ecocast.lotka import REFERENCE_PARAMS, simulate_lv
 from ecocast.stack import BrickConfig
 
@@ -28,12 +23,7 @@ def main() -> None:
     grid = tuple(float(g) for g in args.grid.split(","))
 
     traj = simulate_lv(REFERENCE_PARAMS, 10.0, 5.0, 0.05, args.points - 1)
-    ts = TimeSeriesSet(
-        names=("prey", "predators"),
-        times=traj.times,
-        values=np.vstack([traj.prey, traj.predators]),
-    )
-    inputs, targets, schema = build_training_pairs(ts)
+    inputs, targets, schema = build_training_pairs(traj)
     initial = scaling_from_columns(inputs, schema)
     broken = initial.with_scale(0, float(initial.scales[0]) * 100.0)
     print("initial scales:", np.round(broken.scales, 4))

@@ -54,7 +54,6 @@ from .lotka import (
     REFERENCE_PARAMS,
     first_integral,
     fit_lv,
-    predict_lv,
     simulate_lv,
 )
 from .scaling import ScalingSet, adimensionalize, undo_adimensionalize

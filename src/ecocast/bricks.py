@@ -542,18 +542,14 @@ def train_dsn_brick(
     )
 
 
-def dsn_objective_gradient(brick_or_weights, inputs, targets, activation=None, cfg=EXACT_SVD):
+def dsn_objective_gradient(
+    weights, inputs, targets, activation: Activation, cfg: InverseConfig = EXACT_SVD
+) -> np.ndarray:
     """Analytic gradient of the refined DSN objective at the given hidden
     weights (output weights re-solved in closed form).  Exposed for gradient
     checking against finite differences."""
-    if isinstance(brick_or_weights, DSNBrick):
-        w = np.asarray(brick_or_weights.hidden_weights, dtype=float)
-        activation = brick_or_weights.activation
-    else:
-        w = np.asarray(brick_or_weights, dtype=float)
-        if activation is None:
-            raise ValueError("activation is required when passing raw weights")
     u, v = _as_pairs(inputs, targets)
+    w = np.asarray(weights, dtype=float)
     out, h, _ = _output_solve_loss(w, u, v, activation, cfg)
     return 2.0 * ((out.T @ (out @ h - v)) * activation_derivative(activation, w @ u)) @ u.T
 
@@ -595,6 +591,8 @@ def _train_dual(
             dual = np.linalg.solve(gram, v.T).T
         finally:
             gram.flat[:: gram.shape[0] + 1] = diagonal
+        if not np.all(np.isfinite(dual)):
+            raise NonFiniteError("the kernel solve gave non-finite dual coefficients")
         return u, dual, lam, gram
     # ridge-free fit: exact interpolation when the Gram matrix allows it,
     # minimum-norm pseudo-inverse solution otherwise

@@ -168,7 +168,7 @@ def _context_for(model, maps) -> np.ndarray:
         raise ValueError(
             f"context grids {sizes} do not match the model schema {model.schema.context_sizes}"
         )
-    return flatten_context(maps)[0]
+    return flatten_context(maps)
 
 
 def _brick_configs(cfg: RunConfig) -> list[BrickConfig]:
@@ -205,19 +205,11 @@ def _write_curve_csv(path, times, curve, label: str) -> None:
             fh.write(f"{i + 1},{repr(float(times[i]))},{repr(float(e))}\n")
 
 
-def _trajectory_set(traj: PopulationTrajectory) -> TimeSeriesSet:
-    return TimeSeriesSet(
-        names=("prey", "predators"),
-        times=traj.times,
-        values=np.vstack([traj.prey, traj.predators]),
-    )
-
-
 def _cmd_simulate(cfg: RunConfig) -> dict:
     _require(cfg, output=cfg.output)
     params = LVParams(cfg.alpha, cfg.beta, cfg.gamma, cfg.delta)
     traj = simulate_lv(params, cfg.prey0, cfg.predators0, cfg.dt, cfg.steps)
-    write_timeseries_csv(_trajectory_set(traj), cfg.output)
+    write_timeseries_csv(traj, cfg.output)
     outputs: dict = {"csv": cfg.output, "points": len(traj)}
     if np.all(traj.prey > 0.0) and np.all(traj.predators > 0.0):
         h = first_integral(params, traj.prey, traj.predators)

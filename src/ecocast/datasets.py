@@ -34,15 +34,6 @@ __all__ = [
 _UNIFORM_RTOL = 1e-9
 
 
-def check_uniform_cadence(times: np.ndarray) -> None:
-    """Reject a time axis that is not strictly increasing with one step."""
-    if times.size >= 2:
-        steps = np.diff(times)
-        dt = steps[0]
-        if dt <= 0.0 or np.any(np.abs(steps - dt) > _UNIFORM_RTOL * abs(dt)):
-            raise ValueError("times must be strictly increasing with uniform cadence")
-
-
 @dataclass(frozen=True)
 class TimeSeriesSet:
     """Named series sharing one uniformly sampled time axis.
@@ -55,7 +46,6 @@ class TimeSeriesSet:
     names: tuple[str, ...]
     times: np.ndarray
     values: np.ndarray
-    units: tuple[str, ...] = ()
     epoch: str | None = None
 
     def __post_init__(self) -> None:
@@ -80,13 +70,13 @@ class TimeSeriesSet:
             )
         if not np.all(np.isfinite(values)):
             raise ValueError("series values must be finite (resolve missing values at ingestion)")
-        check_uniform_cadence(times)
-        units = tuple(self.units) if self.units else ("",) * len(names)
-        if len(units) != len(names):
-            raise ValueError("one unit string per series is required")
+        if times.size >= 2:
+            steps = np.diff(times)
+            dt = steps[0]
+            if dt <= 0.0 or np.any(np.abs(steps - dt) > _UNIFORM_RTOL * abs(dt)):
+                raise ValueError("times must be strictly increasing with uniform cadence")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "units", units)
 
     @property
     def n_series(self) -> int:
@@ -109,14 +99,13 @@ class TimeSeriesSet:
         return np.array(self.values[:, i])
 
     def window(self, start: int, stop: int) -> "TimeSeriesSet":
-        """Consecutive sub-range [start, stop) with the same names and units."""
+        """Consecutive sub-range [start, stop) with the same names."""
         if not 0 <= start < stop <= self.n_points:
             raise ValueError(f"invalid window [{start}, {stop}) for {self.n_points} points")
         return TimeSeriesSet(
             names=self.names,
             times=self.times[start:stop],
             values=self.values[:, start:stop],
-            units=self.units,
             epoch=self.epoch,
         )
 
@@ -172,20 +161,14 @@ class ContextMap:
         return (self.n_rows, self.n_cols, self.cell_size, self.x_origin, self.y_origin)
 
 
-def flatten_context(maps) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
-    """Row-major concatenation of map pixels, one slice per map."""
+def flatten_context(maps) -> np.ndarray:
+    """Row-major concatenation of map pixels, in map order."""
     parts = []
-    slices = []
-    pos = 0
     for m in maps:
         if m.has_nodata():
             raise ValueError(f"map {m.name!r} has unresolved nodata cells")
-        flat = m.values.ravel()
-        parts.append(flat)
-        slices.append((pos, pos + flat.size))
-        pos += flat.size
-    vector = np.concatenate(parts) if parts else np.empty(0)
-    return vector, tuple(slices)
+        parts.append(m.values.ravel())
+    return np.concatenate(parts) if parts else np.empty(0)
 
 
 def build_training_pairs(
@@ -196,7 +179,7 @@ def build_training_pairs(
     if ts.n_points < 2:
         raise ValueError("at least 2 time points are required to form pairs")
     maps = tuple(maps)
-    context, _ = flatten_context(maps)
+    context = flatten_context(maps)
     n_pairs = ts.n_points - 1
     series_part = ts.values[:, :-1]
     if context.size:

@@ -187,13 +187,14 @@ def write_ascii_grid(cmap: ContextMap, path) -> None:
             fh.write(" ".join(_fmt(v) for v in row) + "\n")
 
 
-def read_ascii_grid(path, nodata_fill=None, name: str | None = None) -> ContextMap:
+def read_ascii_grid(path, nodata_fill=None) -> ContextMap:
     """Parse a six-header-line ASCII grid (row 1 northernmost).
 
     Header keys must appear in order (case-insensitive): ncols, nrows,
     xllcorner, yllcorner, cellsize, NODATA_value.  Cells equal to the nodata
     marker are an error unless ``nodata_fill`` resolves them: ``"mean"``
     fills with the mean of the valid cells, a number fills with that value.
+    The map is named after the file stem.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -253,9 +254,8 @@ def read_ascii_grid(path, nodata_fill=None, name: str | None = None) -> ContextM
         else:
             values[mask] = float(nodata_fill)
         nodata_value = None  # resolved; the marker no longer labels any cell
-    map_name = name if name is not None else _stem(path)
     return ContextMap(
-        name=map_name,
+        name=_stem(path),
         values=values,
         cell_size=cell_size,
         x_origin=x_origin,

@@ -1,5 +1,6 @@
-"""Predator-prey laboratory: simulate the classic two-species model, fit its
-four rate constants from an observed trajectory, and predict forward.
+"""Predator-prey laboratory: simulate the classic two-species model and fit
+its four rate constants from an observed trajectory; simulating with fitted
+constants predicts forward.
 
 The coupled system is
 
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import check_uniform_cadence
-from .linalg import EXACT_SVD, InverseConfig, finite_difference, pseudo_inverse, readonly
+from .datasets import TimeSeriesSet
+from .linalg import EXACT_SVD, InverseConfig, finite_difference, pseudo_inverse
 
 __all__ = [
     "DegenerateFitError",
@@ -26,7 +27,6 @@ __all__ = [
     "REFERENCE_PARAMS",
     "first_integral",
     "fit_lv",
-    "predict_lv",
     "simulate_lv",
 ]
 
@@ -74,44 +74,29 @@ class LVParams:
 REFERENCE_PARAMS = LVParams(alpha=1.1, beta=0.4, gamma=0.4, delta=0.1)
 
 
-@dataclass(frozen=True)
-class PopulationTrajectory:
-    """Uniformly sampled prey/predator populations on a shared time axis."""
+class PopulationTrajectory(TimeSeriesSet):
+    """Prey and predator populations: the series set named
+    ``("prey", "predators")``."""
 
-    times: np.ndarray
-    prey: np.ndarray
-    predators: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("times", "prey", "predators"):
-            object.__setattr__(self, name, readonly(getattr(self, name)))
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"{name} contains non-finite values")
-        if self.times.ndim != 1 or self.times.size == 0:
-            raise ValueError("times must be a nonempty 1-d array")
-        if self.prey.shape != self.times.shape or self.predators.shape != self.times.shape:
-            raise ValueError("times, prey, and predators must have equal lengths")
-        check_uniform_cadence(self.times)
+    def __init__(self, times, prey, predators) -> None:
+        super().__init__(names=("prey", "predators"), times=times, values=np.vstack([prey, predators]))
 
     def __len__(self) -> int:
-        return self.times.size
+        return self.n_points
 
     @property
-    def dt(self) -> float:
-        if len(self) < 2:
-            raise ValueError("dt is undefined for a single-sample trajectory")
-        return float(self.times[1] - self.times[0])
+    def prey(self) -> np.ndarray:
+        return self.values[0]
 
-    def state(self, i: int) -> np.ndarray:
-        return np.array([self.prey[i], self.predators[i]])
+    @property
+    def predators(self) -> np.ndarray:
+        return self.values[1]
 
 
-def simulate_lv(
-    p: LVParams, r0: float, f0: float, dt: float, steps: int, t0: float = 0.0
-) -> PopulationTrajectory:
+def simulate_lv(p: LVParams, r0: float, f0: float, dt: float, steps: int) -> PopulationTrajectory:
     """Integrate the predator-prey system with fixed-step classical RK4.
 
-    Returns ``steps + 1`` samples starting from ``(r0, f0)`` at time ``t0``.
+    Returns ``steps + 1`` samples starting from ``(r0, f0)`` at time 0.
     """
     if not (np.isfinite(r0) and np.isfinite(f0)):
         raise ValueError("initial populations must be finite")
@@ -141,16 +126,7 @@ def simulate_lv(
         r += (dt / 6.0) * (k1r + 2.0 * (k2r + k3r) + k4r)
         f += (dt / 6.0) * (k1f + 2.0 * (k2f + k3f) + k4f)
         prey[i + 1], pred[i + 1] = r, f
-    times = t0 + dt * np.arange(steps + 1)
-    return PopulationTrajectory(times=times, prey=prey, predators=pred)
-
-
-def predict_lv(
-    p: LVParams, r: float, f: float, dt: float, steps: int, t0: float = 0.0
-) -> PopulationTrajectory:
-    """Forward prediction from a fitted parameter set; same integrator as
-    :func:`simulate_lv`, so identical inputs give identical trajectories."""
-    return simulate_lv(p, r, f, dt, steps, t0=t0)
+    return PopulationTrajectory(dt * np.arange(steps + 1), prey, pred)
 
 
 def fit_lv(

@@ -47,15 +47,15 @@ class ScalingSet:
         return ScalingSet(offsets=self.offsets, scales=scales)
 
 
-def _apply(x, scaling: ScalingSet, schema, brick_index: int, forward: bool) -> np.ndarray:
+def _apply(x, scaling: ScalingSet, schema, forward: bool) -> np.ndarray:
     """Per input row, the offset and scale of the dataset that owns the row,
     applied in one broadcast: the same operations per element as a loop over
     the dataset segments."""
     x = np.asarray(x, dtype=float)
-    slices, dataset_of = schema.dataset_slices(brick_index)
+    slices, dataset_of = schema.dataset_slices(1)
     dim = slices[-1][1] if slices else 0
     if x.shape[0] != dim:
-        raise ValueError(f"expected input dimension {dim} for brick {brick_index}, got {x.shape[0]}")
+        raise ValueError(f"expected input dimension {dim}, got {x.shape[0]}")
     owner = np.repeat(dataset_of, [b - a for a, b in slices])
     shape = (dim,) + (1,) * (x.ndim - 1)
     offsets = scaling.offsets[owner].reshape(shape)
@@ -63,19 +63,16 @@ def _apply(x, scaling: ScalingSet, schema, brick_index: int, forward: bool) -> n
     return (x - offsets) / scales if forward else x * scales + offsets
 
 
-def adimensionalize(x, scaling: ScalingSet, schema, brick_index: int = 1) -> np.ndarray:
-    """Per-dataset ``(x_d - offset_d) / scale_d`` over a brick input layout.
-
-    Accepts a vector or a column-sample matrix; ``brick_index >= 2`` layouts
-    scale the trailing previous-output segment with the series factors.
-    """
+def adimensionalize(x, scaling: ScalingSet, schema) -> np.ndarray:
+    """Per-dataset ``(x_d - offset_d) / scale_d`` over the first-brick input
+    layout ``(series, context)``; accepts a vector or a column-sample matrix."""
     if scaling.n_datasets != schema.n_datasets:
         raise ValueError("scaling set does not match the schema's dataset count")
-    return _apply(x, scaling, schema, brick_index, forward=True)
+    return _apply(x, scaling, schema, forward=True)
 
 
-def undo_adimensionalize(x, scaling: ScalingSet, schema, brick_index: int = 1) -> np.ndarray:
+def undo_adimensionalize(x, scaling: ScalingSet, schema) -> np.ndarray:
     """Inverse of :func:`adimensionalize` given the same factors."""
     if scaling.n_datasets != schema.n_datasets:
         raise ValueError("scaling set does not match the schema's dataset count")
-    return _apply(x, scaling, schema, brick_index, forward=False)
+    return _apply(x, scaling, schema, forward=False)

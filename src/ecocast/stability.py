@@ -131,7 +131,7 @@ class StabilityReport:
         object.__setattr__(self, "error_curve", readonly(self.error_curve))
 
 
-def linear_stability(model, tol: float = 1e-9, max_iter: int = 1000) -> SpectralEstimate | None:
+def linear_stability(model) -> SpectralEstimate | None:
     """Spectral radius of the series-to-series block of a single-brick linear
     model; None for stacked or nonlinear models.
 
@@ -144,7 +144,7 @@ def linear_stability(model, tol: float = 1e-9, max_iter: int = 1000) -> Spectral
         return None
     ns = model.schema.n_series
     block = bricks[0].matrix[:, :ns]
-    return spectral_radius(block, tol=tol, max_iter=max_iter)
+    return spectral_radius(block)
 
 
 def estimate_horizon(
@@ -173,11 +173,12 @@ def estimate_horizon(
         if start is None:
             raise ValueError("model records no final training state; pass start explicitly")
     ref = validation.values
-    result = rollout(model, start, context_values, steps=validation.n_points, reference=ref)
+    result = rollout(model, start, context_values, steps=validation.n_points)
+    if ref.shape[0] != result.predictions.shape[0]:
+        raise ValueError("validation must hold one series per model series")
     sigma = np.std(ref, axis=1)
     sigma[sigma <= 0.0] = 1.0
-    span = result.predictions.shape[1]
-    span = min(span, ref.shape[1])
+    span = result.steps_completed
     diff = (result.predictions[:, :span] - ref[:, :span]) / sigma[:, None]
     curve = np.sqrt(np.mean(diff * diff, axis=0))
     exceeded = np.nonzero(curve > epsilon)[0]

@@ -127,23 +127,11 @@ class InputSchema:
                 pos += 1
         return tuple(slices), tuple(owners)
 
-    def kernel_spec(self, brick_index: int, dataset_scales=None) -> KernelSpec:
-        """Kernel spec over the brick's input layout.
-
-        ``dataset_scales`` holds one distance scale per dataset (defaults to
-        all ones); the previous-output segment reuses the series scales.
-        """
-        slices, owners = self.dataset_slices(brick_index)
-        if dataset_scales is None:
-            scales = np.ones(self.n_datasets)
-        else:
-            scales = np.asarray(dataset_scales, dtype=float)
-            if scales.shape != (self.n_datasets,):
-                raise ValueError(f"expected {self.n_datasets} dataset scales, got {scales.shape}")
-        return KernelSpec(
-            scales=tuple(float(scales[d]) for d in owners),
-            slices=slices,
-        )
+    def kernel_spec(self, brick_index: int) -> KernelSpec:
+        """Unit-scale kernel spec over the brick's dataset segments: the
+        scaling set, not the spec, carries the distance scales."""
+        slices, _ = self.dataset_slices(brick_index)
+        return KernelSpec(scales=(1.0,) * len(slices), slices=slices)
 
 
 @dataclass(frozen=True)
@@ -151,10 +139,7 @@ class BrickConfig:
     """Hyperparameters for one brick.
 
     ``ridge`` is the per-brick regularization: the Gram ridge for kernel
-    kinds, a Tikhonov parameter on the feature solve otherwise (``inverse``
-    overrides the derived solve policy).  ``kernel_scales`` (and
-    ``kernel_scales_b`` for the second kernel of ``kernel-tensor``) hold one
-    distance scale per dataset.
+    kinds, a Tikhonov parameter on the feature solve otherwise.
     """
 
     kind: str = "kernel"
@@ -164,9 +149,6 @@ class BrickConfig:
     hidden_size_b: int = 8
     activation: Activation = Activation.SIGMOID
     mode: str = "fixed-random"
-    kernel_scales: tuple[float, ...] | None = None
-    kernel_scales_b: tuple[float, ...] | None = None
-    inverse: InverseConfig | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in _BRICK_KINDS:
@@ -175,8 +157,6 @@ class BrickConfig:
             raise ValueError("ridge must be >= 0")
 
     def solve_config(self) -> InverseConfig:
-        if self.inverse is not None:
-            return self.inverse
         return tikhonov(self.ridge) if self.ridge > 0.0 else EXACT_SVD
 
 
@@ -232,10 +212,6 @@ class StackedModel:
                 if retained is not None and np.any(retained[rows] != context[:, None]):
                     raise ValueError(f"brick {k} training inputs do not hold the model context")
             object.__setattr__(self, "context", context)
-
-    @property
-    def n_bricks(self) -> int:
-        return len(self.bricks)
 
     def predict_columns(self, series_columns, context_values=()) -> np.ndarray:
         """One-step predictions for many present states at once (columns)."""
@@ -309,8 +285,7 @@ def _train_one(
             seed=seed,
         )
     if cfg.kind == "kernel":
-        spec = schema.kernel_spec(brick_index, cfg.kernel_scales)
-        return train_kernel_brick(inputs, targets, spec, cfg.ridge)
+        return train_kernel_brick(inputs, targets, schema.kernel_spec(brick_index), cfg.ridge)
     if cfg.kind == "tensor":
         return train_tensor_brick(
             inputs,
@@ -321,9 +296,8 @@ def _train_one(
             cfg=cfg.solve_config(),
             seed=seed,
         )
-    spec_a = schema.kernel_spec(brick_index, cfg.kernel_scales)
-    spec_b = schema.kernel_spec(brick_index, cfg.kernel_scales_b)
-    return train_kt_brick(inputs, targets, spec_a, spec_b, cfg.ridge)
+    spec = schema.kernel_spec(brick_index)
+    return train_kt_brick(inputs, targets, spec, spec, cfg.ridge)
 
 
 def train_stack(

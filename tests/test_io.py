@@ -161,7 +161,7 @@ class TestAsciiGrid:
         path = tmp_path / "dtm.asc"
         write_ascii_grid(dtm, path)
         back = read_ascii_grid(path)
-        vector, _ = flatten_context([back])
+        vector = flatten_context([back])
         assert vector.size == 10_000
         assert np.array_equal(back.values, dtm.values)
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from ecocast.datasets import TimeSeriesSet
+from ecocast.io import write_timeseries_csv
 from ecocast.linalg import tikhonov
 from ecocast.lotka import (
     DegenerateFitError,
@@ -9,7 +11,6 @@ from ecocast.lotka import (
     REFERENCE_PARAMS,
     first_integral,
     fit_lv,
-    predict_lv,
     simulate_lv,
 )
 
@@ -75,6 +76,21 @@ class TestSimulate:
         with pytest.raises(ValueError):
             LVParams(np.nan, 0.4, 0.4, 0.1)
 
+    def test_trajectory_is_a_series_set_written_as_before(self, tmp_path):
+        traj = simulate_lv(P, 10.0, 5.0, 0.05, 200)
+        assert isinstance(traj, TimeSeriesSet)
+        assert traj.names == ("prey", "predators")
+        assert len(traj) == traj.n_points == 201
+        # the set the simulate command wrote before trajectories were series sets
+        rebuilt = TimeSeriesSet(
+            names=("prey", "predators"),
+            times=traj.times,
+            values=np.vstack([traj.prey, traj.predators]),
+        )
+        write_timeseries_csv(traj, tmp_path / "traj.csv")
+        write_timeseries_csv(rebuilt, tmp_path / "rebuilt.csv")
+        assert (tmp_path / "traj.csv").read_bytes() == (tmp_path / "rebuilt.csv").read_bytes()
+
     def test_trajectory_validation(self):
         with pytest.raises(ValueError):
             PopulationTrajectory(np.array([0.0, 1.0, 1.5]), np.ones(3), np.ones(3))
@@ -130,21 +146,14 @@ class TestFit:
 
 class TestPredict:
     def test_zero_steps_returns_initial_state(self):
-        traj = predict_lv(P, 4.0, 2.0, 0.1, 0)
+        traj = simulate_lv(P, 4.0, 2.0, 0.1, 0)
         assert len(traj) == 1
         assert traj.prey[0] == 4.0 and traj.predators[0] == 2.0
-
-    def test_identical_to_simulate(self):
-        a = simulate_lv(P, 10.0, 5.0, 1e-2, 300)
-        b = predict_lv(P, 10.0, 5.0, 1e-2, 300)
-        assert np.array_equal(a.prey, b.prey)
-        assert np.array_equal(a.predators, b.predators)
-        assert np.array_equal(a.times, b.times)
 
     def test_forecast_with_fitted_parameters(self):
         traj = simulate_lv(P, 10.0, 5.0, 1e-3, 20000)
         fitted = fit_lv(traj)
-        horizon = predict_lv(fitted, 10.0, 5.0, 1e-3, 5000)
+        horizon = simulate_lv(fitted, 10.0, 5.0, 1e-3, 5000)
         truth = simulate_lv(P, 10.0, 5.0, 1e-3, 5000)
         for got, ref in ((horizon.prey, truth.prey), (horizon.predators, truth.predators)):
             amplitude = ref.max() - ref.min()

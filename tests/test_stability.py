@@ -189,6 +189,14 @@ class TestHorizon:
         with pytest.raises(ValueError):
             estimate_horizon(model, val, epsilon=0.2)
 
+    def test_validation_series_must_match_the_model(self):
+        ts = lv_series(40)
+        train, val = split_train_validate(ts, 0.5)
+        prey_only = TimeSeriesSet(names=("prey",), times=val.times, values=val.values[:1])
+        model = linear_model(np.eye(2), names=("prey", "predators"))
+        with pytest.raises(ValueError, match="one series per model series"):
+            estimate_horizon(model, prey_only, start=train.values[:, -1])
+
 
 class TestLinearStability:
     def test_scaled_identity(self):

@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ecocast.bricks import LinearBrick, take_training_gram, train_kernel_brick, train_kt_brick
+from ecocast.datasets import build_training_pairs, scaling_from_columns
+from ecocast.linalg import NonFiniteError
+from ecocast.lotka import REFERENCE_PARAMS, simulate_lv
 from ecocast.scaling import ScalingSet, adimensionalize
 from ecocast.stack import (
     BrickConfig,
@@ -70,6 +73,14 @@ def lv_like_pairs(n_series=2, n_pairs=60, context_size=0, seed=0):
     return u, values[:, 1:], schema, context
 
 
+def lv_series_with_tiny_scales():
+    """Pairs of the 121-point LV series (dt 0.05) with their unit-variance
+    scales times 1e-200."""
+    u, v, schema = build_training_pairs(simulate_lv(REFERENCE_PARAMS, 10.0, 5.0, 0.05, 120))
+    scaling = scaling_from_columns(u, schema)
+    return u, v, schema, ScalingSet(offsets=scaling.offsets, scales=scaling.scales * 1e-200)
+
+
 class TestTrainStack:
     def test_single_brick_stack_equals_bare_brick(self):
         u, v, schema, _ = lv_like_pairs()
@@ -107,17 +118,24 @@ class TestTrainStack:
         assert np.linalg.norm(pred - v[:, 7]) < 1e-6
 
     def test_brick_failure_carries_index(self):
-        from ecocast.linalg import truncated
-
-        u, v, schema, _ = lv_like_pairs()
-        # rank 6 exceeds the 5-row hidden feature matrix only at train time
-        bad = [
-            BrickConfig(kind="kernel", ridge=1e-6),
-            BrickConfig(kind="dsn", hidden_size=5, inverse=truncated(6)),
-        ]
-        with pytest.raises(BrickTrainingError) as err:
-            train_stack(u, v, schema, bad, seed=0)
+        # x1e-200 scales overflow the kernel distances of brick 2; the linear
+        # brick 1 below it trains
+        u, v, schema, tiny = lv_series_with_tiny_scales()
+        bad = [BrickConfig(kind="linear"), BrickConfig(kind="kernel", ridge=1e-3)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(BrickTrainingError, match="non-finite dual coefficients") as err:
+                train_stack(u, v, schema, bad, seed=0, scaling=tiny)
         assert err.value.brick_index == 2
+        assert isinstance(err.value.__cause__, NonFiniteError)
+
+    def test_kernel_solve_with_non_finite_results_fails_loudly(self):
+        u, v, schema, tiny = lv_series_with_tiny_scales()
+        cfg = BrickConfig(kind="kernel", ridge=1e-3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(BrickTrainingError, match="non-finite dual coefficients") as err:
+                train_stack(u, v, schema, cfg, n_bricks=1, scaling=tiny)
+        assert err.value.brick_index == 1
+        assert isinstance(err.value.__cause__, NonFiniteError)
 
     def test_scaled_stack_round_trips_units(self):
         u, v, schema, context = lv_like_pairs(n_pairs=50, context_size=4, seed=5)
@@ -129,29 +147,6 @@ class TestTrainStack:
         )
         pred = model.predict_one_step(u[:2, 9], context)
         assert np.linalg.norm(pred - v[:, 9]) < 1e-6
-
-    def test_per_brick_kernel_scales(self):
-        # distance scales may vary per brick (and per kernel) on top of the
-        # shared adimensionalization
-        u, v, schema, context = lv_like_pairs(n_pairs=35, context_size=2, seed=8)
-        shared = train_stack(
-            u, v, schema, BrickConfig(kind="kernel", ridge=1e-4), n_bricks=2, seed=0
-        )
-        varied = train_stack(
-            u,
-            v,
-            schema,
-            [
-                BrickConfig(kind="kernel", ridge=1e-4, kernel_scales=(0.5, 1.0, 2.0)),
-                BrickConfig(kind="kernel", ridge=1e-4, kernel_scales=(3.0, 1.0, 0.7)),
-            ],
-            seed=0,
-        )
-        assert varied.bricks[0].spec.scales != varied.bricks[1].spec.scales[:3]
-        x = u[:2, 4]
-        assert not np.array_equal(
-            shared.predict_one_step(x, context), varied.predict_one_step(x, context)
-        )
 
     def test_context_rows_must_be_constant_across_columns(self):
         u, v, schema, _ = lv_like_pairs(n_pairs=25, context_size=3, seed=9)
