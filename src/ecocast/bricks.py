@@ -22,6 +22,11 @@ also takes a single vector.  The ``kind`` field names the kind, and each
 dataclass field is one entry of the model file.  The kernel and
 kernel-tensor kinds are the one- and two-kernel cases of one dual-form
 brick.  Training is deterministic given the seed.
+
+A constant vector that every input column holds (a stack's context) is
+folded out of the linear, DSN and tensor kinds: they read the other rows
+and carry the context's contribution as a bias, which ``fold_context``
+derives from full-width weights.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ __all__ = [
     "TensorBrick",
     "activate",
     "activation_derivative",
+    "fold_context",
     "gaussian_kernel",
     "kernel_matrix",
     "train_dsn_brick",
@@ -158,12 +164,14 @@ def gaussian_kernel(x, z, spec: KernelSpec) -> float:
 
 
 def _scaled(specs, x: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per spec: the column samples ``x`` scaled, and their squared norms."""
-    out = []
+    """Per spec: the column samples ``x`` scaled, and their squared norms.
+    Equal specs share one entry, computed once."""
+    done: dict[KernelSpec, tuple[np.ndarray, np.ndarray]] = {}
     for spec in specs:
-        s = spec.scale(x)
-        out.append((s, np.sum(s * s, axis=0)))
-    return out
+        if spec not in done:
+            s = spec.scale(x)
+            done[spec] = (s, np.sum(s * s, axis=0))
+    return [done[spec] for spec in specs]
 
 
 def _gaussian(sa: np.ndarray, na: np.ndarray, sb: np.ndarray, nb: np.ndarray) -> np.ndarray:
@@ -182,7 +190,13 @@ def _gaussian(sa: np.ndarray, na: np.ndarray, sb: np.ndarray, nb: np.ndarray) ->
 
 def _product_gaussian(left, right) -> np.ndarray:
     """Elementwise product over specs of the Gaussian kernels between scaled
-    column samples, each side given as ``_scaled`` returns it."""
+    column samples, each side given as ``_scaled`` returns it.  Two equal
+    specs (the kernel-tensor bricks a stack trains) give one kernel, squared
+    in place: the same bits as the product of two evaluations, in one
+    buffer less."""
+    if len(left) == 2 and left[0] is left[1] and right[0] is right[1]:
+        k = _gaussian(*left[0], *right[0])
+        return np.multiply(k, k, out=k)
     kernels = (_gaussian(*a, *b) for a, b in zip(left, right))
     return functools.reduce(lambda k, k_next: np.multiply(k, k_next, out=k), kernels)
 
@@ -196,15 +210,33 @@ def kernel_matrix(spec: KernelSpec, a, b) -> np.ndarray:
     return _product_gaussian(_scaled((spec,), a), _scaled((spec,), b))
 
 
+# annotations of the array fields; the optional ones are the biases
+_ARRAY_TYPES = ("np.ndarray", "np.ndarray | None")
+
+
+def _affine(w: np.ndarray, bias: np.ndarray | None, x: np.ndarray) -> np.ndarray:
+    """``w @ x``, plus ``bias`` in every column when there is one."""
+    z = w @ x
+    if bias is not None:
+        z += bias[:, None]
+    return z
+
+
+def _check_bias(bias: np.ndarray | None, rows: int, name: str) -> None:
+    if bias is not None and bias.shape != (rows,):
+        raise ValueError(f"{name} must be a vector of length {rows}")
+
+
 @dataclass(frozen=True)
 class _Brick:
-    """The brick protocol: fields annotated ``np.ndarray`` are stored as
-    read-only copies, and ``apply`` also takes a single input vector."""
+    """The brick protocol: array fields are stored as read-only copies, and
+    ``apply`` also takes a single input vector."""
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            if f.type == "np.ndarray":
-                object.__setattr__(self, f.name, readonly(getattr(self, f.name)))
+            value = getattr(self, f.name)
+            if f.type in _ARRAY_TYPES and value is not None:
+                object.__setattr__(self, f.name, readonly(value))
 
     def _columns(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -223,15 +255,18 @@ class _Brick:
 
 @dataclass(frozen=True)
 class LinearBrick(_Brick):
-    """One-step predictor ``y = matrix @ x``."""
+    """One-step predictor ``y = matrix @ x + bias`` (``matrix @ x`` without
+    a bias)."""
 
     matrix: np.ndarray
+    bias: np.ndarray | None = None
     kind: str = field(default="linear", init=False)
 
     def __post_init__(self) -> None:
         super().__post_init__()
         if self.matrix.ndim != 2:
             raise ValueError("matrix must be 2-d")
+        _check_bias(self.bias, self.matrix.shape[0], "bias")
 
     @property
     def input_dim(self) -> int:
@@ -242,16 +277,18 @@ class LinearBrick(_Brick):
         return self.matrix.shape[0]
 
     def apply_columns(self, x) -> np.ndarray:
-        return self.matrix @ self._columns(x)
+        return _affine(self.matrix, self.bias, self._columns(x))
 
 
 @dataclass(frozen=True)
 class DSNBrick(_Brick):
-    """Random-hidden-layer brick ``y = output_weights @ act(hidden_weights @ x)``."""
+    """Random-hidden-layer brick
+    ``y = output_weights @ act(hidden_weights @ x + hidden_bias)``."""
 
     hidden_weights: np.ndarray
     output_weights: np.ndarray
     activation: Activation
+    hidden_bias: np.ndarray | None = None
     refine_converged: bool | None = None
     refine_trace: tuple[float, ...] | None = None
     kind: str = field(default="dsn", init=False)
@@ -262,6 +299,7 @@ class DSNBrick(_Brick):
             raise ValueError("weights must be 2-d")
         if self.output_weights.shape[1] != self.hidden_weights.shape[0]:
             raise ValueError("output weights do not match the hidden layer size")
+        _check_bias(self.hidden_bias, self.hidden_weights.shape[0], "hidden_bias")
 
     @property
     def input_dim(self) -> int:
@@ -272,7 +310,8 @@ class DSNBrick(_Brick):
         return self.output_weights.shape[0]
 
     def apply_columns(self, x) -> np.ndarray:
-        return self.output_weights @ activate(self.activation, self.hidden_weights @ self._columns(x))
+        z = _affine(self.hidden_weights, self.hidden_bias, self._columns(x))
+        return self.output_weights @ activate(self.activation, z)
 
 
 @dataclass(frozen=True)
@@ -335,10 +374,11 @@ class KernelBrick(_DualBrick):
         return self._apply_dual(x)
 
 
-def _tensor_features(wa: np.ndarray, wb: np.ndarray, a: Activation, cols: np.ndarray) -> np.ndarray:
-    """Per-sample ``act(wa @ x) (outer) act(wb @ x)`` flattened row-major."""
-    ha = activate(a, wa @ cols)
-    hb = activate(a, wb @ cols)
+def _tensor_features(wa, ba, wb, bb, a: Activation, cols: np.ndarray) -> np.ndarray:
+    """Per-sample ``act(wa @ x + ba) (outer) act(wb @ x + bb)`` flattened
+    row-major."""
+    ha = activate(a, _affine(wa, ba, cols))
+    hb = activate(a, _affine(wb, bb, cols))
     return (ha[:, None, :] * hb[None, :, :]).reshape(ha.shape[0] * hb.shape[0], cols.shape[1])
 
 
@@ -346,14 +386,17 @@ def _tensor_features(wa: np.ndarray, wb: np.ndarray, a: Activation, cols: np.nda
 class TensorBrick(_Brick):
     """Split-hidden-layer brick over flattened outer-product features.
 
-    Per sample the feature vector is ``act(w_a @ x) (outer) act(w_b @ x)``
-    flattened row-major to length ``h_a * h_b``.
+    Per sample the feature vector is
+    ``act(w_a @ x + b_a) (outer) act(w_b @ x + b_b)`` flattened row-major to
+    length ``h_a * h_b``; a hidden bias left out counts as zero.
     """
 
     hidden_weights_a: np.ndarray
     hidden_weights_b: np.ndarray
     output_weights: np.ndarray
     activation: Activation
+    hidden_bias_a: np.ndarray | None = None
+    hidden_bias_b: np.ndarray | None = None
     kind: str = field(default="tensor", init=False)
 
     def __post_init__(self) -> None:
@@ -363,6 +406,8 @@ class TensorBrick(_Brick):
             raise ValueError("both hidden layers must share the input dimension")
         if self.output_weights.shape[1] != ha * hb:
             raise ValueError("output weights do not match the tensor feature length")
+        _check_bias(self.hidden_bias_a, ha, "hidden_bias_a")
+        _check_bias(self.hidden_bias_b, hb, "hidden_bias_b")
 
     @property
     def input_dim(self) -> int:
@@ -374,7 +419,14 @@ class TensorBrick(_Brick):
 
     def apply_columns(self, x) -> np.ndarray:
         cols = self._columns(x)
-        feats = _tensor_features(self.hidden_weights_a, self.hidden_weights_b, self.activation, cols)
+        feats = _tensor_features(
+            self.hidden_weights_a,
+            self.hidden_bias_a,
+            self.hidden_weights_b,
+            self.hidden_bias_b,
+            self.activation,
+            cols,
+        )
         return self.output_weights @ feats
 
 
@@ -417,14 +469,70 @@ def _as_pairs(inputs, targets) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
-def train_linear_brick(inputs, targets, cfg: InverseConfig = EXACT_SVD) -> LinearBrick:
+def _as_context(context) -> np.ndarray | None:
+    """A folded context as a checked vector (None for no context)."""
+    if context is None:
+        return None
+    c = np.asarray(context, dtype=float)
+    if c.ndim != 1:
+        raise ValueError("the context must be a vector")
+    if not np.all(np.isfinite(c)):
+        raise NonFiniteError("training data contains non-finite values")
+    return c
+
+
+def _fold(w: np.ndarray, context: np.ndarray | None, at: int):
+    """Full-width weights ``w`` as the columns of the rows around the context
+    rows ``at:at + context.size`` and the bias ``w_c @ context`` that the
+    context rows add; no bias when the context is absent or zero."""
+    if context is None:
+        return w, None
+    rows = slice(at, at + context.size)
+    bias = w[:, rows] @ context if np.linalg.norm(context) else None
+    return np.delete(w, rows, axis=1), bias
+
+
+def fold_context(brick: Brick, context, at: int) -> Brick:
+    """A full-width linear, DSN or tensor brick whose input rows
+    ``at:at + context.size`` always hold ``context``, as the brick that reads
+    the other rows and adds the context's contribution as a bias: the same
+    predictions up to rounding.  Kernel kinds are returned as they are."""
+    c = np.asarray(context, dtype=float)
+    if isinstance(brick, LinearBrick):
+        matrix, bias = _fold(brick.matrix, c, at)
+        return replace(brick, matrix=matrix, bias=bias)
+    if isinstance(brick, DSNBrick):
+        w, b = _fold(brick.hidden_weights, c, at)
+        return replace(brick, hidden_weights=w, hidden_bias=b)
+    if isinstance(brick, TensorBrick):
+        wa, ba = _fold(brick.hidden_weights_a, c, at)
+        wb, bb = _fold(brick.hidden_weights_b, c, at)
+        return replace(
+            brick, hidden_weights_a=wa, hidden_bias_a=ba, hidden_weights_b=wb, hidden_bias_b=bb
+        )
+    return brick
+
+
+def train_linear_brick(
+    inputs, targets, cfg: InverseConfig = EXACT_SVD, context=None
+) -> LinearBrick:
     """Closed-form linear predictor ``targets @ pinv(inputs)``.
 
     Among all linear maps this minimizes the Frobenius training residual
     (with the configured regularization applied to the inverse).
+    ``context`` is a constant vector that every input column also holds,
+    left out of ``inputs``.  It enters the solve as one bias row of value
+    ``||context||``, which leaves the full-width ``U^T U`` unchanged, so the
+    brick predicts as the full-width solve would, up to rounding.  A zero
+    context adds no bias.
     """
     u, v = _as_pairs(inputs, targets)
-    return LinearBrick(matrix=v @ pseudo_inverse(u, cfg))
+    c = _as_context(context)
+    norm = 0.0 if c is None else float(np.linalg.norm(c))
+    if not norm:
+        return LinearBrick(matrix=v @ pseudo_inverse(u, cfg))
+    m = v @ pseudo_inverse(np.vstack([u, np.full((1, u.shape[1]), norm)]), cfg)
+    return LinearBrick(matrix=m[:, :-1], bias=m[:, -1] * norm)
 
 
 def _hidden_layer(rng: np.random.Generator, rows: int, cols: int, given=None) -> np.ndarray:
@@ -440,11 +548,17 @@ def _hidden_layer(rng: np.random.Generator, rows: int, cols: int, given=None) ->
 
 
 def _output_solve_loss(
-    w: np.ndarray, u: np.ndarray, v: np.ndarray, a: Activation, cfg: InverseConfig
+    w: np.ndarray,
+    b: np.ndarray | None,
+    u: np.ndarray,
+    v: np.ndarray,
+    a: Activation,
+    cfg: InverseConfig,
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Closed-form output weights for hidden weights ``w`` plus the refined
-    objective value (data residual plus the ridge term when cfg carries one)."""
-    h = activate(a, w @ u)
+    """Closed-form output weights for hidden weights ``w`` and bias ``b``
+    plus the refined objective value (data residual plus the ridge term when
+    cfg carries one)."""
+    h = activate(a, _affine(w, b, u))
     out = v @ pseudo_inverse(h, cfg)
     resid = out @ h - v
     lam = cfg.lam if (cfg.mode == "tikhonov" and cfg.lam) else 0.0
@@ -454,13 +568,15 @@ def _output_solve_loss(
 
 def _refine_hidden_weights(
     w: np.ndarray,
+    b: np.ndarray | None,
+    cc: float,
     u: np.ndarray,
     v: np.ndarray,
     a: Activation,
     cfg: InverseConfig,
     max_steps: int,
     rel_tol: float,
-) -> tuple[np.ndarray, tuple[float, ...], bool]:
+) -> tuple[np.ndarray, np.ndarray | None, tuple[float, ...], bool]:
     """Gradient descent on the reduced objective Q(w) with the output weights
     re-solved in closed form each step.
 
@@ -468,22 +584,33 @@ def _refine_hidden_weights(
     Q equals the partial gradient through the hidden layer with the output
     weights held fixed (envelope argument).  Backtracking line search accepts
     only improvements, so the returned w is the best seen.
+
+    A bias ``b`` stands for folded context columns ``W_c`` with
+    ``b = W_c @ c`` and ``cc = ||c||^2``.  Their gradient is the outer
+    product of the bias gradient ``g_b`` with ``c``, so a step moves the
+    bias by ``cc`` times ``g_b`` and the step's squared norm gains
+    ``cc * ||g_b||^2``: the full-width descent in exact arithmetic.
     """
-    out, h, loss = _output_solve_loss(w, u, v, a, cfg)
+    out, h, loss = _output_solve_loss(w, b, u, v, a, cfg)
     trace = [loss]
     step = 1.0
     converged = False
     for _ in range(max_steps):
-        z = w @ u
-        grad = 2.0 * ((out.T @ (out @ h - v)) * activation_derivative(a, z)) @ u.T
+        d = 2.0 * ((out.T @ (out @ h - v)) * activation_derivative(a, _affine(w, b, u)))
+        grad = d @ u.T
         gnorm2 = float(np.sum(grad * grad))
+        grad_b = None
+        if b is not None:
+            grad_b = d.sum(axis=1)
+            gnorm2 += cc * float(np.sum(grad_b * grad_b))
         if gnorm2 == 0.0:
             converged = True
             break
         accepted = False
         while step > 1e-16:
             w_new = w - step * grad
-            out_new, h_new, loss_new = _output_solve_loss(w_new, u, v, a, cfg)
+            b_new = None if b is None else b - (step * cc) * grad_b
+            out_new, h_new, loss_new = _output_solve_loss(w_new, b_new, u, v, a, cfg)
             if loss_new <= loss - 1e-4 * step * gnorm2:
                 accepted = True
                 break
@@ -491,13 +618,13 @@ def _refine_hidden_weights(
         if not accepted:
             break
         improvement = loss - loss_new
-        w, out, h, loss = w_new, out_new, h_new, loss_new
+        w, b, out, h, loss = w_new, b_new, out_new, h_new, loss_new
         trace.append(loss)
         step *= 2.0
         if improvement < rel_tol * max(abs(loss), 1e-300):
             converged = True
             break
-    return w, tuple(trace), converged
+    return w, b, tuple(trace), converged
 
 
 def train_dsn_brick(
@@ -511,6 +638,8 @@ def train_dsn_brick(
     hidden_weights=None,
     max_refine_steps: int = 200,
     refine_tol: float = 1e-8,
+    context=None,
+    context_row: int = 0,
 ) -> DSNBrick:
     """Train a DSN brick: seeded random hidden layer, closed-form output solve.
 
@@ -519,24 +648,35 @@ def train_dsn_brick(
     stalls before the tolerance is reported through ``refine_converged`` with
     the best weights so far retained.  ``hidden_weights`` overrides the random
     initialization.
+
+    ``context`` is a constant vector that every input column also holds, in
+    rows ``context_row`` onwards of the full-width input that ``inputs``
+    leaves it out of.  The hidden weights are drawn (or given) over the full
+    width; the brick keeps the columns of the rows in ``inputs`` and, as a
+    hidden bias, what the context rows add (none for a zero context).
     """
     u, v = _as_pairs(inputs, targets)
+    c = _as_context(context)
     if hidden_size < 1:
         raise ValueError("hidden_size must be >= 1")
     if mode not in ("fixed-random", "gradient-refined"):
         raise ValueError(f"unknown dsn training mode {mode!r}")
-    w = _hidden_layer(np.random.default_rng(seed), hidden_size, u.shape[0], hidden_weights)
+    rng = np.random.default_rng(seed)
+    width = u.shape[0] + (0 if c is None else c.size)
+    w, b = _fold(_hidden_layer(rng, hidden_size, width, hidden_weights), c, context_row)
     refine_trace: tuple[float, ...] | None = None
     refine_converged: bool | None = None
     if mode == "gradient-refined":
-        w, refine_trace, refine_converged = _refine_hidden_weights(
-            w, u, v, activation, cfg, max_refine_steps, refine_tol
+        cc = 0.0 if b is None else float(c @ c)
+        w, b, refine_trace, refine_converged = _refine_hidden_weights(
+            w, b, cc, u, v, activation, cfg, max_refine_steps, refine_tol
         )
-    out, _, _ = _output_solve_loss(w, u, v, activation, cfg)
+    out, _, _ = _output_solve_loss(w, b, u, v, activation, cfg)
     return DSNBrick(
         hidden_weights=w,
         output_weights=out,
         activation=activation,
+        hidden_bias=b,
         refine_converged=refine_converged,
         refine_trace=refine_trace,
     )
@@ -550,7 +690,7 @@ def dsn_objective_gradient(
     checking against finite differences."""
     u, v = _as_pairs(inputs, targets)
     w = np.asarray(weights, dtype=float)
-    out, h, _ = _output_solve_loss(w, u, v, activation, cfg)
+    out, h, _ = _output_solve_loss(w, None, u, v, activation, cfg)
     return 2.0 * ((out.T @ (out @ h - v)) * activation_derivative(activation, w @ u)) @ u.T
 
 
@@ -558,7 +698,7 @@ def dsn_objective(weights, inputs, targets, activation: Activation, cfg: Inverse
     """Refined DSN objective Q(w) with output weights re-solved in closed form."""
     u, v = _as_pairs(inputs, targets)
     w = np.asarray(weights, dtype=float)
-    return _output_solve_loss(w, u, v, activation, cfg)[2]
+    return _output_solve_loss(w, None, u, v, activation, cfg)[2]
 
 
 def _train_dual(
@@ -577,11 +717,10 @@ def _train_dual(
         raise ValueError("lam must be >= 0")
     lam = float(lam)
     if gram is None:
-        scaled = _scaled(specs, u)
-        # a separate right-hand copy keeps numpy's general matrix product: for
+        # a separate right-hand side keeps numpy's general matrix product: for
         # ``s.T @ s`` on one buffer it switches to a symmetric product that
         # rounds differently
-        gram = _product_gaussian(scaled, [(s.copy(), n) for s, n in scaled])
+        gram = _product_gaussian(_scaled(specs, u), _scaled(specs, u))
     if lam > 0.0:
         # gram + lam I in place: the off-diagonal entries are >= 0, so the
         # zeros that sum would add leave them unchanged
@@ -663,19 +802,30 @@ def train_tensor_brick(
     seed: int = 0,
     hidden_weights_a=None,
     hidden_weights_b=None,
+    context=None,
+    context_row: int = 0,
 ) -> TensorBrick:
     """Train a tensor brick on flattened outer-product features.
 
     Both hidden layers are drawn from the seeded generator (a first, then b);
-    explicit weights override the random initialization.
+    explicit weights override the random initialization.  ``context`` and
+    ``context_row`` fold a constant context out of both layers as in
+    :func:`train_dsn_brick`.
     """
     u, v = _as_pairs(inputs, targets)
+    c = _as_context(context)
     if hidden_size_a < 1 or hidden_size_b < 1:
         raise ValueError("hidden sizes must be >= 1")
     rng = np.random.default_rng(seed)
-    wa = _hidden_layer(rng, hidden_size_a, u.shape[0], hidden_weights_a)
-    wb = _hidden_layer(rng, hidden_size_b, u.shape[0], hidden_weights_b)
-    out = v @ pseudo_inverse(_tensor_features(wa, wb, activation, u), cfg)
+    width = u.shape[0] + (0 if c is None else c.size)
+    wa, ba = _fold(_hidden_layer(rng, hidden_size_a, width, hidden_weights_a), c, context_row)
+    wb, bb = _fold(_hidden_layer(rng, hidden_size_b, width, hidden_weights_b), c, context_row)
+    out = v @ pseudo_inverse(_tensor_features(wa, ba, wb, bb, activation, u), cfg)
     return TensorBrick(
-        hidden_weights_a=wa, hidden_weights_b=wb, output_weights=out, activation=activation
+        hidden_weights_a=wa,
+        hidden_weights_b=wb,
+        output_weights=out,
+        activation=activation,
+        hidden_bias_a=ba,
+        hidden_bias_b=bb,
     )

@@ -24,6 +24,7 @@ from .bricks import (
     KernelTensorBrick,
     LinearBrick,
     TensorBrick,
+    fold_context,
 )
 from .datasets import _UNIFORM_RTOL, ContextMap, TimeSeriesSet
 from .scaling import ScalingSet
@@ -39,7 +40,7 @@ __all__ = [
 ]
 
 MODEL_FORMAT = "ecocast-stacked-model"
-MODEL_VERSION = 3
+MODEL_VERSION = 4
 
 
 def _fmt(x: float) -> str:
@@ -271,15 +272,19 @@ def _stem(path) -> str:
 
 
 # ---------------------------------------------------------------------------
-# model file: compact, sorted-key, versioned JSON.  Version 3 stores every
-# array as a payload object {"f8": <base64 of its raw little-endian float64
-# bytes>, "shape": [...]}; version 2 held the same arrays as nested decimal
-# lists.  Both store the model's context once, at the top level, and each
-# brick that retains training inputs without their context rows; loading puts
-# them back bit for bit.  Version 1 files (indented decimal lists, full
-# retained inputs, no top-level context) still load: their context is read
-# from column 0 of the first brick that retains inputs.  Saving always writes
-# version 3.
+# model file: compact, sorted-key, versioned JSON.  Versions 3 and 4 store
+# every array as a payload object {"f8": <base64 of its raw little-endian
+# float64 bytes>, "shape": [...]}; version 2 held the same arrays as nested
+# decimal lists.  Versions 2-4 store the model's context once, at the top
+# level, and each brick that retains training inputs without their context
+# rows; loading puts them back bit for bit.  Version 4 linear, DSN and tensor
+# bricks store the weights of their non-context rows and the bias that the
+# context adds; in versions 2 and 3 they hold full-width weights, which are
+# folded on load into those weights and bias.  Version 1 files (indented
+# decimal lists, full retained inputs, no top-level context) still load: their
+# context is read from column 0 of the first brick that retains inputs, and
+# their feature bricks fold only when one does.  Saving always writes
+# version 4.
 
 
 def _array_doc(a: np.ndarray) -> dict:
@@ -337,6 +342,7 @@ _CODECS = {
     "np.ndarray": (_array_doc, _array_from),
     "KernelSpec": (_spec_dict, _spec_from),
     "Activation": (lambda a: a.value, Activation),
+    "np.ndarray | None": (_array_doc, _array_from),
     "float": (float, float),
     "tuple[float, ...] | None": (list, tuple),
 }
@@ -419,7 +425,7 @@ def model_from_json(text: str) -> StackedModel:
     if doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"not a model file (format {doc.get('format')!r})")
     version = doc.get("format_version")
-    if version not in (1, 2, MODEL_VERSION):
+    if version not in (1, 2, 3, MODEL_VERSION):
         raise ValueError(f"unsupported model format version {version!r}")
     schema = InputSchema(
         series_names=tuple(doc["schema"]["series_names"]),
@@ -440,6 +446,8 @@ def model_from_json(text: str) -> StackedModel:
     bricks = tuple(_brick_from(b, k, schema, context) for k, b in enumerate(doc["bricks"], start=1))
     if version == 1:
         context = _first_retained_context(bricks, schema)
+    if version < MODEL_VERSION and context is not None:
+        bricks = tuple(fold_context(b, context, schema.n_series) for b in bricks)
     return StackedModel(
         bricks=bricks,
         schema=schema,

@@ -14,7 +14,7 @@ import numpy as np
 
 from .linalg import readonly
 
-__all__ = ["ScalingSet", "adimensionalize", "undo_adimensionalize"]
+__all__ = ["ScalingSet", "adimensionalize", "adimensionalize_split", "undo_adimensionalize"]
 
 
 @dataclass(frozen=True)
@@ -69,6 +69,24 @@ def adimensionalize(x, scaling: ScalingSet, schema) -> np.ndarray:
     if scaling.n_datasets != schema.n_datasets:
         raise ValueError("scaling set does not match the schema's dataset count")
     return _apply(x, scaling, schema, forward=True)
+
+
+def adimensionalize_split(series, context, scaling: ScalingSet, schema):
+    """:func:`adimensionalize` of the first-brick layout given as its series
+    rows (column samples) and the context vector that every column holds:
+    the same bits as the matching rows of the full result, with the context
+    scaled once."""
+    if scaling.n_datasets != schema.n_datasets:
+        raise ValueError("scaling set does not match the schema's dataset count")
+    ns = schema.n_series
+    series = np.asarray(series, dtype=float)
+    context = np.asarray(context, dtype=float)
+    offsets = np.repeat(scaling.offsets[ns:], schema.context_sizes)
+    scales = np.repeat(scaling.scales[ns:], schema.context_sizes)
+    return (
+        (series - scaling.offsets[:ns, None]) / scaling.scales[:ns, None],
+        (context - offsets) / scales,
+    )
 
 
 def undo_adimensionalize(x, scaling: ScalingSet, schema) -> np.ndarray:

@@ -135,9 +135,10 @@ def linear_stability(model) -> SpectralEstimate | None:
     """Spectral radius of the series-to-series block of a single-brick linear
     model; None for stacked or nonlinear models.
 
-    Context columns are excluded.  Any scaling acts as a diagonal similarity
-    on the series block, so the radius is the raw-unit iteration rate either
-    way.
+    The context does not enter: a folded brick carries it as a bias, and
+    the context columns of a full-width one are left out.  Any scaling acts
+    as a diagonal similarity on the series block, so the radius is the
+    raw-unit iteration rate either way.
     """
     bricks = getattr(model, "bricks", None)
     if not bricks or len(bricks) != 1 or not isinstance(bricks[0], LinearBrick):

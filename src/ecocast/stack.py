@@ -4,7 +4,10 @@ Bricks are trained bottom-up; every brick after the first consumes the
 replicated raw series, the static context, and the previous brick's output,
 so the lower brick's output vector reappears verbatim as the trailing
 segment of the next brick's input.  The context is the same in every
-column, so a trained model records it once.
+column, so a trained model records it once, and the linear, DSN and tensor
+bricks fold it out: they read the series and previous-output rows only and
+carry the context's contribution as a bias.  Kernel bricks read the full
+layout, context rows included.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .bricks import (
     train_tensor_brick,
 )
 from .linalg import EXACT_SVD, InverseConfig, readonly, tikhonov
-from .scaling import ScalingSet, adimensionalize
+from .scaling import ScalingSet, adimensionalize_split
 
 __all__ = [
     "BrickConfig",
@@ -58,6 +61,8 @@ class InputSchema:
     ``(series, context, previous_output)`` where the previous output has one
     entry per series.  Datasets are the individual series plus the context
     maps; the previous-output segment reuses the series datasets' scales.
+    This is the full layout.  A brick that folds the context out reads the
+    folded layout: the same rows without the context rows.
     """
 
     series_names: tuple[str, ...]
@@ -95,11 +100,19 @@ class InputSchema:
         return slice(self.n_series, self.n_series + self.context_total)
 
     def input_dim(self, brick_index: int) -> int:
-        """Assembled input length for the given 1-based brick index."""
+        """Full-layout input length for the given 1-based brick index."""
         if brick_index < 1:
             raise ValueError("brick indices are 1-based")
         extra = self.n_series if brick_index >= 2 else 0
         return self.n_series + self.context_total + extra
+
+    def full_input(self, rows: np.ndarray, context: np.ndarray) -> np.ndarray:
+        """Folded-layout column samples ``rows`` in the full layout: the
+        ``context`` vector repeated in every column after the series rows."""
+        if not context.size:
+            return rows
+        block = np.repeat(context[:, None], rows.shape[1], axis=1)
+        return np.vstack([rows[: self.n_series], block, rows[self.n_series :]])
 
     def dataset_slices(
         self, brick_index: int = 1
@@ -173,6 +186,11 @@ class StackedModel:
     when a scaling set is present).  When it is recorded, every brick that
     retains training inputs holds it in each column, and predictions reject
     any other context; hand-built models may leave it out.
+
+    A brick's ``input_dim`` says which layout of the schema it reads: the full
+    layout (kernel kinds, and linear, DSN or tensor bricks of version 1 files
+    or built by hand) or the folded one, whose bricks carry the context as a
+    bias and so require a recorded context.
     """
 
     bricks: tuple[Brick, ...]
@@ -188,11 +206,17 @@ class StackedModel:
         if not bricks:
             raise ValueError("a stacked model needs at least one brick")
         ns = self.schema.n_series
+        n_context = self.schema.context_total
         for k, b in enumerate(bricks, start=1):
-            if b.input_dim != self.schema.input_dim(k):
-                raise ValueError(
-                    f"brick {k} input dimension {b.input_dim} != schema layout {self.schema.input_dim(k)}"
-                )
+            full = self.schema.input_dim(k)
+            if b.input_dim != full:
+                # only a brick that retains no inputs may read the folded layout
+                if b.input_dim != full - n_context or hasattr(b, "training_inputs"):
+                    raise ValueError(
+                        f"brick {k} input dimension {b.input_dim} != schema layout {full}"
+                    )
+                if self.context is None:
+                    raise ValueError(f"brick {k} folds the context out; the model must record it")
             if b.output_dim != ns:
                 raise ValueError(f"brick {k} output dimension {b.output_dim} != series count {ns}")
         if self.scaling is not None and self.scaling.n_datasets != self.schema.n_datasets:
@@ -225,16 +249,21 @@ class StackedModel:
             raise ValueError(
                 f"expected {self.schema.context_total} context entries, got {context.size}"
             )
-        n = series.shape[1]
-        x = np.vstack([series, np.repeat(context[:, None], n, axis=1)]) if context.size else series.copy()
+        x = series
         if self.scaling is not None:
-            x = adimensionalize(x, self.scaling, self.schema)
-        rows = self.schema.context_rows
-        if self.context is not None and np.any(x[rows, :1] != self.context[:, None]):
+            x, context = adimensionalize_split(series, context, self.scaling, self.schema)
+        # a model with nothing to predict compares no context
+        if self.context is not None and x.shape[1] and np.any(context != self.context):
             raise ValueError("context values differ from the context the model was trained on")
-        y = self.bricks[0].apply_columns(x)
-        for b in self.bricks[1:]:
-            y = b.apply_columns(np.vstack([x, y]))
+        full = None  # the full layout's first-brick rows, built on first use
+        y = None
+        for k, b in enumerate(self.bricks, start=1):
+            rows = x
+            if b.input_dim == self.schema.input_dim(k):
+                if full is None:
+                    full = self.schema.full_input(x, context)
+                rows = full
+            y = b.apply_columns(rows if y is None else np.vstack([rows, y]))
         if self.scaling is not None:
             ns = self.schema.n_series
             y = y * self.scaling.scales[:ns, None] + self.scaling.offsets[:ns, None]
@@ -267,13 +296,18 @@ def brick_config_list(configs, n_bricks: int | None) -> list[BrickConfig]:
 def _train_one(
     cfg: BrickConfig,
     inputs: np.ndarray,
+    context: np.ndarray,
     targets: np.ndarray,
     schema: InputSchema,
     brick_index: int,
     seed: int,
 ) -> Brick:
+    """One brick on folded-layout ``inputs`` whose full layout holds
+    ``context`` in every column: the feature kinds fold it out, the kernel
+    kinds read the full layout."""
+    ns = schema.n_series
     if cfg.kind == "linear":
-        return train_linear_brick(inputs, targets, cfg.solve_config())
+        return train_linear_brick(inputs, targets, cfg.solve_config(), context=context)
     if cfg.kind == "dsn":
         return train_dsn_brick(
             inputs,
@@ -283,9 +317,9 @@ def _train_one(
             mode=cfg.mode,
             cfg=cfg.solve_config(),
             seed=seed,
+            context=context,
+            context_row=ns,
         )
-    if cfg.kind == "kernel":
-        return train_kernel_brick(inputs, targets, schema.kernel_spec(brick_index), cfg.ridge)
     if cfg.kind == "tensor":
         return train_tensor_brick(
             inputs,
@@ -295,9 +329,14 @@ def _train_one(
             activation=cfg.activation,
             cfg=cfg.solve_config(),
             seed=seed,
+            context=context,
+            context_row=ns,
         )
+    full = schema.full_input(inputs, context)
     spec = schema.kernel_spec(brick_index)
-    return train_kt_brick(inputs, targets, spec, spec, cfg.ridge)
+    if cfg.kind == "kernel":
+        return train_kernel_brick(full, targets, spec, cfg.ridge)
+    return train_kt_brick(full, targets, spec, spec, cfg.ridge)
 
 
 def train_stack(
@@ -327,8 +366,9 @@ def train_stack(
 @dataclass(frozen=True)
 class _Fit:
     """One trained brick of a stack with what reusing it takes: its config,
-    the input of the next brick (None for the last) and, for dual kinds kept
-    for reuse, the ridge-free Gram matrix of the brick's own input."""
+    the folded-layout input of the next brick (None for the last) and, for
+    dual kinds kept for reuse, the ridge-free Gram matrix of the brick's own
+    input."""
 
     cfg: BrickConfig
     brick: Brick
@@ -370,12 +410,12 @@ def _train_stack(
     if np.any(context != context[:, :1]):
         raise ValueError("context rows must hold the same value in every training column")
 
+    # the series rows and the context vector, as the bricks see them
+    ns = schema.n_series
+    us, c, vs = u[:ns], context[:, 0], v
     if scaling is not None:
-        us = adimensionalize(u, scaling, schema)
-        ns = schema.n_series
+        us, c = adimensionalize_split(us, c, scaling, schema)
         vs = (v - scaling.offsets[:ns, None]) / scaling.scales[:ns, None]
-    else:
-        us, vs = u, v
 
     earlier = reuse or ()
     n_kept = 0
@@ -391,7 +431,7 @@ def _train_stack(
             if old is not None and old.gram is not None and replace(old.cfg, ridge=cfg.ridge) == cfg:
                 brick, gram = refit_dual_brick(old.brick, vs, cfg.ridge, old.gram), old.gram
             else:
-                brick = _train_one(cfg, x, vs, schema, k, seed + k)
+                brick = _train_one(cfg, x, c, vs, schema, k, seed + k)
                 gram = take_training_gram(brick)
         except Exception as exc:
             raise BrickTrainingError(k, str(exc)) from exc
@@ -402,6 +442,9 @@ def _train_stack(
             y = brick.apply_columns(x) if gram is None else brick.dual_coefficients @ gram
             next_input = np.vstack([us, y])
         fits.append(_Fit(cfg, brick, next_input, gram if reuse is not None else None))
+        # a one-off fit keeps no Gram matrix: drop it before the next brick
+        # trains, so that two are never held at once
+        del gram
         x = next_input
     model = StackedModel(
         bricks=tuple(f.brick for f in fits),
@@ -409,7 +452,7 @@ def _train_stack(
         scaling=scaling,
         training_abs_max=float(np.max(np.abs(v))),
         last_training_state=v[:, -1],
-        context=us[schema.context_rows, 0],
+        context=c,
     )
     return model, tuple(fits)
 

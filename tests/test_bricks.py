@@ -7,6 +7,7 @@ from ecocast.bricks import (
     activate,
     dsn_objective,
     dsn_objective_gradient,
+    fold_context,
     gaussian_kernel,
     kernel_matrix,
     refit_dual_brick,
@@ -18,7 +19,7 @@ from ecocast.bricks import (
     train_tensor_brick,
     uniform_kernel_spec,
 )
-from ecocast.linalg import tikhonov
+from ecocast.linalg import EXACT_SVD, InverseConfig, NonFiniteError, tikhonov
 
 
 class TestActivations:
@@ -372,6 +373,17 @@ class TestKernelTensorBrick:
         k = gaussian_kernel(x, x, spec_a) * gaussian_kernel(x, x, spec_b)
         assert k == 1.0
 
+    def test_equal_specs_square_one_kernel_bit_for_bit(self):
+        rng = np.random.default_rng(22)
+        u, v = rng.standard_normal((3, 30)), rng.standard_normal((2, 30))
+        x = rng.standard_normal((3, 7))
+        spec = KernelSpec(scales=(0.8, 1.3), slices=((0, 1), (1, 3)))
+        brick = train_kt_brick(u, v, spec, spec, lam=1e-3)
+        gram, cross = kernel_matrix(spec, u, u), kernel_matrix(spec, u, x)
+        assert take_training_gram(brick).tobytes() == (gram * gram).tobytes()
+        want = brick.dual_coefficients @ (cross * cross)
+        assert brick.apply_columns(x).tobytes() == want.tobytes()
+
     def test_product_gram_equals_pointwise_kernel_products(self):
         rng = np.random.default_rng(21)
         u = rng.standard_normal((3, 8))
@@ -542,6 +554,68 @@ class TestTrainingGram:
         assert take_training_gram(train_linear_brick(u, v)) is None
 
 
+CONTEXT = np.array([0.4, -1.3])
+
+
+class TestContextFold:
+    """A constant context folded out of the feature kinds predicts as the
+    full-width brick up to rounding: 1e-12 relative to each column's largest
+    magnitude on these well-conditioned draws."""
+
+    @staticmethod
+    def pairs(seed):
+        rng = np.random.default_rng(seed)
+        u, v = rng.standard_normal((3, 40)), rng.standard_normal((2, 40))
+        x = rng.standard_normal((3, 6))
+        return u, v, x
+
+    @staticmethod
+    def full(rows):
+        """``rows`` with CONTEXT in every column after the first two rows."""
+        block = np.repeat(CONTEXT[:, None], rows.shape[1], axis=1)
+        return np.vstack([rows[:2], block, rows[2:]])
+
+    def assert_close(self, got, want):
+        assert np.all(np.abs(got - want) <= 1e-12 * np.max(np.abs(want), axis=0))
+
+    @pytest.mark.parametrize("cfg", [
+        EXACT_SVD, tikhonov(1e-3), InverseConfig(mode="truncated-svd", rank_or_threshold=3),
+    ], ids=["exact-svd", "tikhonov", "truncated-svd"])
+    def test_linear_bias_row_solves_as_the_full_width(self, cfg):
+        u, v, x = self.pairs(30)
+        folded = train_linear_brick(u, v, cfg, context=CONTEXT)
+        full = train_linear_brick(self.full(u), v, cfg)
+        want = full.apply_columns(self.full(x))
+        assert folded.input_dim == 3 and folded.bias.shape == (2,)
+        self.assert_close(folded.apply_columns(x), want)
+        self.assert_close(fold_context(full, CONTEXT, 2).apply_columns(x), want)
+
+    @pytest.mark.parametrize("train", [
+        lambda u, v, **kw: train_dsn_brick(u, v, hidden_size=6, seed=4, **kw),
+        lambda u, v, **kw: train_tensor_brick(u, v, 2, 3, seed=4, **kw),
+    ], ids=["dsn", "tensor"])
+    def test_hidden_bias_stands_for_the_context_columns(self, train):
+        u, v, x = self.pairs(31)
+        folded = train(u, v, context=CONTEXT, context_row=2)
+        full = train(self.full(u), v)
+        want = full.apply_columns(self.full(x))
+        self.assert_close(folded.apply_columns(x), want)
+        self.assert_close(fold_context(full, CONTEXT, 2).apply_columns(x), want)
+
+    def test_a_zero_context_folds_to_no_bias(self):
+        u, v, _ = self.pairs(32)
+        zero = np.zeros(2)
+        assert train_linear_brick(u, v, context=zero).bias is None
+        assert train_dsn_brick(u, v, hidden_size=3, context=zero, context_row=2).hidden_bias is None
+        brick = train_tensor_brick(u, v, 2, 2, context=zero, context_row=2)
+        assert brick.hidden_bias_a is None and brick.hidden_bias_b is None
+
+    def test_a_non_finite_context_is_rejected(self):
+        u, v, _ = self.pairs(33)
+        with pytest.raises(NonFiniteError):
+            train_dsn_brick(u, v, hidden_size=3, context=np.array([1.0, np.inf]), context_row=2)
+
+
 class TestBrickProtocol:
     @pytest.mark.parametrize("train", [
         lambda u, v: train_linear_brick(u, v),
@@ -549,7 +623,11 @@ class TestBrickProtocol:
         lambda u, v: train_kernel_brick(u, v, uniform_kernel_spec(3), 1e-3),
         lambda u, v: train_tensor_brick(u, v, 2, 3),
         lambda u, v: train_kt_brick(u, v, uniform_kernel_spec(3), uniform_kernel_spec(3, 2.0), 1e-3),
-    ], ids=["linear", "dsn", "kernel", "tensor", "kernel-tensor"])
+        lambda u, v: train_linear_brick(u, v, context=CONTEXT),
+        lambda u, v: train_dsn_brick(u, v, hidden_size=4, context=CONTEXT, context_row=2),
+        lambda u, v: train_tensor_brick(u, v, 2, 3, context=CONTEXT, context_row=2),
+    ], ids=["linear", "dsn", "kernel", "tensor", "kernel-tensor", "linear-folded", "dsn-folded",
+            "tensor-folded"])
     def test_array_fields_are_read_only_copies(self, train):
         rng = np.random.default_rng(0)
         u, v = rng.standard_normal((3, 12)), rng.standard_normal((2, 12))

@@ -263,8 +263,8 @@ class TestModelFile:
         path.write_text(text.replace("ecocast-stacked-model", "something-else"))
         with pytest.raises(ValueError, match="not a model file"):
             load_model(path)
-        assert '"format_version":3' in text
-        path.write_text(text.replace('"format_version":3', '"format_version":99'))
+        assert '"format_version":4' in text
+        path.write_text(text.replace('"format_version":4', '"format_version":99'))
         with pytest.raises(ValueError, match="version"):
             load_model(path)
 
@@ -290,7 +290,7 @@ class TestModelFile:
         text = (tmp_path / "m.json").read_text()
         assert text.count("\n") == 1  # compact JSON
         doc = json.loads(text)
-        assert doc["format_version"] == 3
+        assert doc["format_version"] == 4
         assert np.array_equal(payload(doc["context"]), model.context)
         assert doc["context"]["shape"] == [cmap.pixel_count]
         # retained inputs keep their series and previous-output rows only
@@ -300,7 +300,8 @@ class TestModelFile:
         for loaded, brick in zip(back.bricks, model.bricks):
             assert np.array_equal(loaded.training_inputs, brick.training_inputs)
 
-    def test_file_grows_by_the_new_context_values_only(self, tmp_path):
+    @pytest.mark.parametrize("kind", ["kernel", "linear", "dsn", "tensor"])
+    def test_file_grows_by_the_new_context_values_only(self, tmp_path, kind):
         sizes, counts = [], []
         for shape in ((2, 3), (4, 6)):
             t = np.linspace(0.0, 4.0, 25)
@@ -308,19 +309,21 @@ class TestModelFile:
                                values=np.vstack([np.sin(t) + 2.0, np.cos(t) + 3.0]))
             cmap = ContextMap(name="m", values=np.random.default_rng(0).uniform(0.0, 1.0, shape))
             u, v, schema = build_training_pairs(ts, [cmap])
-            model = train_stack(u, v, schema, BrickConfig(kind="kernel", ridge=1e-4), n_bricks=2,
-                                scaling=default_scaling(ts, [cmap]))
+            cfg = BrickConfig(kind=kind, ridge=1e-4, hidden_size=5, hidden_size_a=2,
+                              hidden_size_b=3)
+            model = train_stack(u, v, schema, cfg, n_bricks=2, scaling=default_scaling(ts, [cmap]))
             save_model(model, tmp_path / "m.json")
             sizes.append((tmp_path / "m.json").stat().st_size)
             doc = json.loads((tmp_path / "m.json").read_text())
             # the integers that count pixels: schema size, payload shape and
             # kernel slice bounds
             counts.append(json.dumps([doc["schema"]["context_sizes"], doc["context"]["shape"],
-                                      [b["kernel"]["slices"] for b in doc["bricks"]]]))
+                                      [b.get("kernel", {}).get("slices") for b in doc["bricks"]]]))
             assert payload(doc["context"]).size == shape[0] * shape[1]
         new_values = 24 - 6
         # exactly the base64 of 8 bytes per new pixel, plus the longer pixel
-        # counts; per-column copies would add 24 pairs x 2 bricks of them
+        # counts; per-column copies would add 24 pairs x 2 bricks of them, and
+        # full-width weights a column per hidden unit or output
         assert sizes[1] - sizes[0] == 8 * new_values * 4 // 3 + len(counts[1]) - len(counts[0])
 
 
@@ -416,10 +419,16 @@ class TestMalformedPayload:
 
 # Pinned model files: model_<name>.json are format version 1, written by the
 # per-kind model writer that the field-driven one replaced; model_v2_<name>.json
-# are format version 2, written by the version 2 writer.  They pin the on-disk
-# formats: never regenerate them.
+# and model_v3_<name>.json are format versions 2 and 3, written by the writers
+# of those versions.  They pin the on-disk formats: never regenerate them.
 PINNED_DIR = Path(__file__).parent / "data"
-PINNED_FILES = {1: "model_{}.json", 2: "model_v2_{}.json"}
+PINNED_FILES = {1: "model_{}.json", 2: "model_v2_{}.json", 3: "model_v3_{}.json"}
+DUAL = ("kernel", "kernel-tensor")
+# Linear, DSN and tensor bricks fold the context out since format version 4;
+# those of older files were solved on the full width, so they predict like
+# fresh training within rounding: this bound, relative to each column's
+# largest magnitude.
+FOLD_RTOL = 1e-12
 PINNED = {
     "linear": dict(kind="linear"),
     "dsn": dict(kind="dsn"),
@@ -459,26 +468,57 @@ def same_content(decimal, binary) -> bool:
     return decimal == binary
 
 
+def close_to(got: np.ndarray, want: np.ndarray) -> bool:
+    """Within FOLD_RTOL of ``want``, relative to each column's largest
+    magnitude (to the largest entry for a vector)."""
+    scale = np.max(np.abs(want), axis=0)
+    return got.shape == want.shape and bool(np.all(np.abs(got - want) <= FOLD_RTOL * scale))
+
+
 class TestPinnedModelFiles:
-    """The pinned files are format versions 1 and 2: they load, predict like
-    fresh training, and re-save as version 3."""
+    """The pinned files are format versions 1 to 3: they load, predict like
+    fresh training, and re-save as version 4.  Dual kinds do so bit for bit;
+    linear, DSN and tensor bricks within FOLD_RTOL."""
 
     def check_resave_and_predict(self, tmp_path, name, version):
         pinned = PINNED_DIR / PINNED_FILES[version].format(name)
         assert json.loads(pinned.read_text())["format_version"] == version
         back = load_model(pinned)
-        save_model(back, tmp_path / "v3.json")
-        v3 = (tmp_path / "v3.json").read_bytes()
-        assert b'"format_version":3' in v3
-        again = load_model(tmp_path / "v3.json")
+        save_model(back, tmp_path / "v4.json")
+        v4 = (tmp_path / "v4.json").read_bytes()
+        assert b'"format_version":4' in v4
+        again = load_model(tmp_path / "v4.json")
         save_model(again, tmp_path / "again.json")
-        assert (tmp_path / "again.json").read_bytes() == v3
+        assert (tmp_path / "again.json").read_bytes() == v4
         ts, cmap = pinned_inputs()
         fresh = pinned_model(name)
         context = cmap.values.ravel()
         expected = fresh.predict_columns(ts.values, context)
-        assert np.array_equal(back.predict_columns(ts.values, context), expected)
-        assert np.array_equal(again.predict_columns(ts.values, context), expected)
+        for model in (back, again):
+            got = model.predict_columns(ts.values, context)
+            assert np.array_equal(got, expected) if name in DUAL else close_to(got, expected)
+
+    def check_resaves_as_fresh_training(self, name, version):
+        resaved = model_to_json(load_model(PINNED_DIR / PINNED_FILES[version].format(name)))
+        fresh = model_to_json(pinned_model(name))
+        if name in DUAL:
+            assert resaved == fresh
+            return
+        # the feature bricks fold on load: the fields of fresh training, with
+        # the weights and refinement losses of the full-width fit within
+        # FOLD_RTOL; the rest of the file is the same
+        resaved_doc, fresh_doc = json.loads(resaved), json.loads(fresh)
+        resaved_bricks, fresh_bricks = resaved_doc.pop("bricks"), fresh_doc.pop("bricks")
+        assert resaved_doc == fresh_doc and len(resaved_bricks) == len(fresh_bricks)
+        for loaded, trained in zip(resaved_bricks, fresh_bricks):
+            assert loaded.keys() == trained.keys()
+            for key, value in trained.items():
+                if key == "refine_trace":
+                    assert close_to(np.array(loaded[key]), np.array(value))
+                elif isinstance(value, dict) and set(value) == {"f8", "shape"}:
+                    assert close_to(payload(loaded[key]).ravel(), payload(value).ravel()), key
+                else:
+                    assert loaded[key] == value
 
     @pytest.mark.parametrize("name", sorted(PINNED))
     def test_loads_resaves_and_predicts_like_fresh_training(self, tmp_path, name):
@@ -489,11 +529,19 @@ class TestPinnedModelFiles:
         self.check_resave_and_predict(tmp_path, name, 2)
 
     @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_v3_loads_resaves_and_predicts_like_fresh_training(self, tmp_path, name):
+        self.check_resave_and_predict(tmp_path, name, 3)
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
     def test_v2_file_resaves_as_fresh_training(self, name):
-        pinned = PINNED_DIR / PINNED_FILES[2].format(name)
-        fresh = model_to_json(pinned_model(name))
-        assert model_to_json(load_model(pinned)) == fresh
-        decimal, binary = json.loads(pinned.read_text()), json.loads(fresh)
+        self.check_resaves_as_fresh_training(name, 2)
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_v3_file_resaves_as_fresh_training(self, name):
+        self.check_resaves_as_fresh_training(name, 3)
+        # the version 3 payloads hold exactly the bits of version 2's decimals
+        decimal, binary = (json.loads((PINNED_DIR / PINNED_FILES[v].format(name)).read_text())
+                           for v in (2, 3))
         assert (decimal.pop("format_version"), binary.pop("format_version")) == (2, 3)
         assert same_content(decimal, binary)
 

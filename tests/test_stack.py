@@ -1,10 +1,19 @@
+import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ecocast.bricks import LinearBrick, take_training_gram, train_kernel_brick, train_kt_brick
+from ecocast.bricks import (
+    Activation,
+    LinearBrick,
+    take_training_gram,
+    train_dsn_brick,
+    train_kernel_brick,
+    train_kt_brick,
+)
 from ecocast.datasets import build_training_pairs, scaling_from_columns
 from ecocast.linalg import NonFiniteError
 from ecocast.lotka import REFERENCE_PARAMS, simulate_lv
@@ -155,6 +164,51 @@ class TestTrainStack:
         with pytest.raises(ValueError, match="same value in every training column"):
             train_stack(u, v, schema, BrickConfig(kind="linear"), n_bricks=1)
 
+    @pytest.mark.parametrize("kind", ["dsn", "tensor"])
+    def test_folded_hidden_weights_are_the_full_width_draw(self, kind):
+        u, v, schema, _ = lv_like_pairs(n_pairs=30, context_size=4, seed=13)
+        scaling = scaling_from_columns(u, schema)
+        cfg = BrickConfig(kind=kind, hidden_size=5, hidden_size_a=2, hidden_size_b=3)
+        model = train_stack(u, v, schema, cfg, n_bricks=3, seed=20, scaling=scaling)
+        rows = schema.context_rows
+        for k, brick in enumerate(model.bricks, start=1):
+            assert brick.input_dim == schema.input_dim(k) - 4
+            rng = np.random.default_rng(20 + k)
+            width = schema.input_dim(k)
+            bound = 1.0 / math.sqrt(width)
+            layers = (("hidden_weights", "hidden_bias", 5),) if kind == "dsn" else (
+                ("hidden_weights_a", "hidden_bias_a", 2), ("hidden_weights_b", "hidden_bias_b", 3))
+            for weights, bias, size in layers:
+                draw = rng.uniform(-bound, bound, size=(size, width))
+                assert getattr(brick, weights).tobytes() == np.delete(draw, rows, axis=1).tobytes()
+                assert getattr(brick, bias).tobytes() == (draw[:, rows] @ model.context).tobytes()
+
+    def test_folded_refinement_follows_the_full_width_one(self):
+        u, v, schema, _ = lv_like_pairs(n_pairs=30, context_size=3, seed=14)
+        scaling = scaling_from_columns(u, schema)
+        cfg = BrickConfig(kind="dsn", hidden_size=4, mode="gradient-refined", ridge=1e-6)
+        folded = train_stack(u, v, schema, cfg, n_bricks=1, seed=2, scaling=scaling).bricks[0]
+        full = train_dsn_brick(adimensionalize(u, scaling, schema), (v - scaling.offsets[:2, None])
+                               / scaling.scales[:2, None], 4, Activation.SIGMOID,
+                               "gradient-refined", cfg.solve_config(), seed=3)
+        assert full.input_dim == folded.input_dim + 3 and folded.hidden_bias is not None
+        # the same descent in exact arithmetic; the steps agree to rounding
+        assert len(folded.refine_trace) == len(full.refine_trace) > 10
+        assert np.allclose(folded.refine_trace, full.refine_trace, rtol=1e-10, atol=0.0)
+        assert folded.refine_converged == full.refine_converged
+
+    @pytest.mark.parametrize("kind", ["linear", "dsn", "tensor"])
+    def test_a_zero_context_adds_no_bias(self, kind):
+        u, v, schema, _ = lv_like_pairs(n_pairs=30, context_size=3, seed=15)
+        u[2:] = 7.0  # a flat map, which scales to zeros
+        scaling = scaling_from_columns(u, schema)
+        cfg = BrickConfig(kind=kind, ridge=1e-6, hidden_size=4, hidden_size_a=2, hidden_size_b=2)
+        model = train_stack(u, v, schema, cfg, n_bricks=2, seed=0, scaling=scaling)
+        assert not np.any(model.context)
+        for k, brick in enumerate(model.bricks, start=1):
+            assert brick.input_dim == schema.input_dim(k) - 3
+            assert all(getattr(brick, f) is None for f in vars(brick) if "bias" in f)
+
     def test_all_brick_kinds_train_and_predict(self):
         u, v, schema, context = lv_like_pairs(n_pairs=30, context_size=2, seed=6)
         for kind in ("linear", "dsn", "kernel", "tensor", "kernel-tensor"):
@@ -257,7 +311,7 @@ class TestPredict:
     def test_trained_model_rejects_a_different_context(self):
         u, v, schema, context = lv_like_pairs(n_pairs=25, context_size=3, seed=8)
         scaling = ScalingSet(offsets=np.array([2.0, 2.0, 0.5]), scales=np.array([0.5, 0.5, 2.0]))
-        for kind in ("linear", "kernel"):
+        for kind in ("linear", "dsn", "tensor", "kernel"):
             model = train_stack(u, v, schema, BrickConfig(kind=kind, ridge=1e-6), n_bricks=2,
                                 seed=0, scaling=scaling)
             assert np.array_equal(model.context, (context - 0.5) / 2.0)
@@ -280,6 +334,34 @@ class TestPredict:
         schema = InputSchema(series_names=("a", "b"))
         with pytest.raises(ValueError):
             StackedModel(bricks=(LinearBrick(np.eye(3)),), schema=schema)
+
+    def test_a_folded_brick_needs_the_recorded_context(self):
+        schema = InputSchema(series_names=("a", "b"), context_names=("m",), context_sizes=(3,))
+        folded = LinearBrick(np.eye(2), bias=np.ones(2))
+        with pytest.raises(ValueError, match="must record it"):
+            StackedModel(bricks=(folded,), schema=schema)
+        model = StackedModel(bricks=(folded,), schema=schema, context=np.zeros(3))
+        state = np.array([4.0, -1.0])
+        assert np.array_equal(model.predict_one_step(state, np.zeros(3)), [5.0, 0.0])
+
+
+class TestPeakMemory:
+    """Training a dual stack and predicting over its training columns hold at
+    most about two n x n matrices at a time: a Gram matrix and the kernel
+    being evaluated or solved against it."""
+
+    @pytest.mark.parametrize("kind, n_bricks", [("kernel", 3), ("kernel-tensor", 2)])
+    def test_peak_stays_under_two_and_a_half_grams(self, kind, n_bricks):
+        n = 800
+        u, v, schema, _ = lv_like_pairs(n_pairs=n, seed=16)
+        tracemalloc.start()
+        try:
+            model = train_stack(u, v, schema, BrickConfig(kind=kind, ridge=1e-6), n_bricks=n_bricks)
+            model.predict_columns(u[:2])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * n * n * 8
 
 
 class TestCounting:
