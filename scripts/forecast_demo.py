@@ -1,8 +1,10 @@
 """End-to-end demo on synthetic data: a two-species trajectory plus one
 static context map, stacked predictors of every brick kind, and the
 reliability horizon of each on the held-out suffix.  Each model is also
-saved and loaded back; the script exits with status 1 unless every reloaded
-model predicts bit for bit as the trained one.
+saved and loaded back, and rolled out across the suffix; the script exits
+with status 1 unless every reloaded model predicts bit for bit as the trained
+one and every rollout, which prepares the context once, gives the bits of a
+plain ``predict_one_step`` loop.
 
 Usage: python scripts/forecast_demo.py [--points 400] [--bricks 3] [--epsilon 0.2]
 """
@@ -19,7 +21,7 @@ from ecocast.datasets import ContextMap, TimeSeriesSet, build_training_pairs, de
 from ecocast.io import load_model, save_model
 from ecocast.lotka import REFERENCE_PARAMS, simulate_lv
 from ecocast.stack import BrickConfig, train_stack
-from ecocast.stability import estimate_horizon, split_train_validate
+from ecocast.stability import estimate_horizon, rollout, split_train_validate
 
 
 def make_dataset(points: int, dt: float) -> tuple[TimeSeriesSet, ContextMap]:
@@ -38,6 +40,16 @@ def reloads_identically(model, path: Path, series_columns, context) -> bool:
         np.array_equal(back.predict_columns(series_columns, context),
                        model.predict_columns(series_columns, context))
     )
+
+
+def rollout_matches_one_step_loop(model, start, context, steps: int) -> bool:
+    """Whether ``rollout`` gives the bits of a ``predict_one_step`` loop."""
+    result = rollout(model, start, context, steps=steps)
+    x, loop = start, []
+    for _ in range(result.steps_completed):
+        x = model.predict_one_step(x, context)
+        loop.append(x)
+    return result.predictions.tobytes() == np.array(loop).T.tobytes()
 
 
 def main() -> int:
@@ -67,8 +79,8 @@ def main() -> int:
         "kernel-tensor": BrickConfig(kind="kernel-tensor", ridge=1e-6),
     }
     print(f"\n{'stack':<16}{'train rmse':>12}{'val rmse':>12}{'horizon':>9}{'radius':>9}"
-          f"{'reload':>8}")
-    mismatched = []
+          f"{'reload':>8}{'rollout':>9}")
+    mismatched, unstepped = [], []
     with tempfile.TemporaryDirectory() as workdir:
         for label, cfg in configs.items():
             n_bricks = 1 if label == "linear" else args.bricks
@@ -86,13 +98,21 @@ def main() -> int:
             same = reloads_identically(model, Path(workdir) / f"{label}.json", series, context)
             if not same:
                 mismatched.append(label)
+            stepped = rollout_matches_one_step_loop(
+                model, train_ts.values[:, -1], context, val_ts.n_points
+            )
+            if not stepped:
+                unstepped.append(label)
             print(
                 f"{label:<16}{train_rmse:>12.3e}{val_rmse:>12.3e}"
                 f"{report.horizon:>6}/{val_ts.n_points:<3}{radius:>8}"
-                f"{'same' if same else 'DIFFERS':>8}"
+                f"{'same' if same else 'DIFFERS':>8}{'same' if stepped else 'DIFFERS':>9}"
             )
     if mismatched:
         print(f"reloaded models predict differently: {', '.join(mismatched)}", file=sys.stderr)
+    if unstepped:
+        print(f"rollouts differ from the one-step loop: {', '.join(unstepped)}", file=sys.stderr)
+    if mismatched or unstepped:
         return 1
     return 0
 

@@ -146,9 +146,10 @@ class KernelSpec:
         x = np.asarray(x, dtype=float)
         if x.shape[0] != self.dim:
             raise ValueError(f"input dimension {x.shape[0]} != kernel spec dimension {self.dim}")
-        out = np.empty_like(x)
+        out = x.copy()  # dividing by 1 is exact: unit-scale segments stay as they are
         for (a, b), s in zip(self.slices, self.scales):
-            out[a:b] = 0.0 if math.isinf(s) else x[a:b] / s
+            if s != 1.0:
+                out[a:b] = 0.0 if math.isinf(s) else x[a:b] / s
         return out
 
 
@@ -176,16 +177,19 @@ def _scaled(specs, x: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
 
 def _gaussian(sa: np.ndarray, na: np.ndarray, sb: np.ndarray, nb: np.ndarray) -> np.ndarray:
     """``exp(-max(na_i + nb_j - 2 sa_i . sb_j, 0))`` from scaled column samples
-    and their squared norms.  The steps run in place on two buffers, because
-    the allocator maps and faults in every fresh large temporary anew; the
-    rounding is that of ``np.exp(-np.maximum(na + nb - 2.0 * (sa.T @ sb), 0))``."""
-    d2 = na[:, None] + nb[None, :]
-    cross = sa.T @ sb
-    cross *= 2.0
-    d2 -= cross
-    np.maximum(d2, 0.0, out=d2)
-    np.negative(d2, out=d2)
-    return np.exp(d2, out=d2)
+    and their squared norms in one n x m buffer: one matrix product (split up,
+    it would round differently), then the rest in place, about 32k entries at
+    a time, with the rounding of ``np.exp(-np.maximum(na + nb - 2.0 * (sa.T @ sb), 0))``."""
+    k = sa.T @ sb
+    step = max(1, (1 << 15) // max(1, k.shape[1]))
+    for i in range(0, k.shape[0], step):
+        block = k[i : i + step]
+        block *= 2.0
+        np.subtract(na[i : i + step, None] + nb[None, :], block, out=block)
+        np.maximum(block, 0.0, out=block)
+        np.negative(block, out=block)
+        np.exp(block, out=block)
+    return k
 
 
 def _product_gaussian(left, right) -> np.ndarray:
@@ -320,9 +324,10 @@ class _DualBrick(_Brick):
 
     Retains exactly the training inputs seen at fit time; prediction is
     ``dual_coefficients @ prod_s k_s(training_inputs, x)``.  The scaled
-    training inputs and their squared column norms are computed once per
-    brick, on first use, so each apply scales only its new columns; the
-    arithmetic is that of ``kernel_matrix``, bit for bit.
+    training inputs and their squared column norms are those that training
+    formed the Gram matrix from (a loaded brick computes them on first use),
+    so each apply scales only its new columns and evaluates each kernel in
+    one n x m buffer; the arithmetic is that of ``kernel_matrix``, bit for bit.
     """
 
     training_inputs: np.ndarray
@@ -701,26 +706,13 @@ def dsn_objective(weights, inputs, targets, activation: Activation, cfg: Inverse
     return _output_solve_loss(w, None, u, v, activation, cfg)[2]
 
 
-def _train_dual(
-    inputs, targets, specs, lam: float, gram: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
-    """Dual-form ridge on the product kernel of ``specs``: returns the retained
-    inputs, the coefficients ``targets @ (K + lam I)^-1``, the ridge and the
-    ridge-free Gram matrix K.  ``gram`` is K of these inputs and specs from an
-    earlier fit; it stands in for the kernel evaluation.  K comes back as it
-    went in: the ridge is added to its diagonal for the solve, and the saved
-    diagonal is written back after it."""
-    u, v = _as_pairs(inputs, targets)
-    if any(spec.dim != u.shape[0] for spec in specs):
-        raise ValueError("kernel spec does not match the input dimension")
+def _train_dual(v: np.ndarray, lam: float, gram: np.ndarray) -> tuple[np.ndarray, float]:
+    """The coefficients ``v @ (gram + lam I)^-1`` and the ridge, from the
+    ridge-free Gram matrix of the inputs, which comes back as it went in: the
+    saved diagonal is written back after the solve."""
     if not lam >= 0.0:
         raise ValueError("lam must be >= 0")
     lam = float(lam)
-    if gram is None:
-        # a separate right-hand side keeps numpy's general matrix product: for
-        # ``s.T @ s`` on one buffer it switches to a symmetric product that
-        # rounds differently
-        gram = _product_gaussian(_scaled(specs, u), _scaled(specs, u))
     if lam > 0.0:
         # gram + lam I in place: the off-diagonal entries are >= 0, so the
         # zeros that sum would add leave them unchanged
@@ -732,10 +724,10 @@ def _train_dual(
             gram.flat[:: gram.shape[0] + 1] = diagonal
         if not np.all(np.isfinite(dual)):
             raise NonFiniteError("the kernel solve gave non-finite dual coefficients")
-        return u, dual, lam, gram
+        return dual, lam
     # ridge-free fit: exact interpolation when the Gram matrix allows it,
     # minimum-norm pseudo-inverse solution otherwise
-    return u, v @ pseudo_inverse(gram, EXACT_SVD), lam, gram
+    return v @ pseudo_inverse(gram, EXACT_SVD), lam
 
 
 # Instance-dict key under which a freshly trained dual brick carries the Gram
@@ -744,7 +736,21 @@ def _train_dual(
 _GRAM_KEY = "_training_gram"
 
 
-def _carrying(brick: _DualBrick, gram: np.ndarray) -> _DualBrick:
+def _fit_dual(cls, inputs, targets, lam: float, **specs) -> _DualBrick:
+    """A dual brick of class ``cls`` with the kernel ``specs``, trained on
+    inputs scaled once: it keeps them as its scaled training inputs and
+    carries the Gram matrix until :func:`take_training_gram` detaches it."""
+    u, v = _as_pairs(inputs, targets)
+    if any(spec.dim != u.shape[0] for spec in specs.values()):
+        raise ValueError("kernel spec does not match the input dimension")
+    scaled = _scaled(tuple(specs.values()), u)
+    # the right-hand side is a copy: for ``s.T @ s`` on one buffer numpy
+    # switches to a symmetric product that rounds differently
+    rhs = {id(e): (e[0].copy(), e[1]) for e in scaled}
+    gram = _product_gaussian(scaled, [rhs[id(e)] for e in scaled])
+    dual, lam = _train_dual(v, lam, gram)
+    brick = cls(training_inputs=u, dual_coefficients=dual, ridge=lam, **specs)
+    brick.__dict__["_scaled_training_inputs"] = scaled
     gram.setflags(write=False)
     brick.__dict__[_GRAM_KEY] = gram
     return brick
@@ -764,19 +770,18 @@ def take_training_gram(brick: Brick) -> np.ndarray | None:
 
 def refit_dual_brick(brick: _DualBrick, targets, lam: float, gram: np.ndarray) -> _DualBrick:
     """``brick`` re-solved at ridge ``lam`` on its training inputs from their
-    ridge-free Gram matrix ``gram``: the same bits as training afresh at
-    ``lam``, without the kernel evaluation."""
-    _, dual, lam, _ = _train_dual(brick.training_inputs, targets, brick.specs, lam, gram)
-    return replace(brick, dual_coefficients=dual, ridge=lam)
+    ridge-free Gram matrix ``gram`` (and scaled training inputs): the same
+    bits as training afresh at ``lam``, without the kernel evaluation."""
+    dual, lam = _train_dual(_as_pairs(brick.training_inputs, targets)[1], lam, gram)
+    refit = replace(brick, dual_coefficients=dual, ridge=lam)
+    refit.__dict__["_scaled_training_inputs"] = brick._scaled_training_inputs
+    return refit
 
 
 def train_kernel_brick(inputs, targets, spec: KernelSpec, lam: float) -> KernelBrick:
     """Kernel ridge in dual form: coefficients ``targets @ (K + lam I)^-1``.
     The brick carries K until :func:`take_training_gram` detaches it."""
-    u, dual, lam, gram = _train_dual(inputs, targets, (spec,), lam)
-    return _carrying(
-        KernelBrick(training_inputs=u, dual_coefficients=dual, spec=spec, ridge=lam), gram
-    )
+    return _fit_dual(KernelBrick, inputs, targets, lam, spec=spec)
 
 
 def train_kt_brick(
@@ -785,11 +790,7 @@ def train_kt_brick(
     """Kernel-tensor brick: dual-form ridge on the product kernel ``K_a * K_b``.
     The brick carries that Gram matrix until :func:`take_training_gram`
     detaches it."""
-    u, dual, lam, gram = _train_dual(inputs, targets, (spec_a, spec_b), lam)
-    brick = KernelTensorBrick(
-        training_inputs=u, dual_coefficients=dual, spec_a=spec_a, spec_b=spec_b, ridge=lam
-    )
-    return _carrying(brick, gram)
+    return _fit_dual(KernelTensorBrick, inputs, targets, lam, spec_a=spec_a, spec_b=spec_b)
 
 
 def train_tensor_brick(

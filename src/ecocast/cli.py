@@ -3,8 +3,9 @@
 Subcommands: simulate, fit-lv, train, predict, rollout, horizon,
 count-params, usle.  Every run echoes its fully resolved configuration
 (seed included) into a JSON report, so any report can be replayed
-bit-identically.  Module errors exit nonzero with a machine-readable error
-JSON on stderr.
+bit-identically.  Rollout and horizon reports say why and where the rollout
+stopped in a diagnostics block.  Module errors exit nonzero with a
+machine-readable error JSON on stderr.
 
 Environment overrides (the only ones): ECOCAST_OUTPUT_DIR prefixes relative
 output paths, ECOCAST_VERBOSE enables progress lines on stderr.
@@ -18,6 +19,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -40,7 +42,13 @@ from .io import (
 )
 from .linalg import EXACT_SVD, InverseConfig, tikhonov, truncated
 from .lotka import LVParams, PopulationTrajectory, first_integral, fit_lv, simulate_lv
-from .stack import BrickConfig, InputSchema, count_free_parameters, train_stack
+from .stack import (
+    BrickConfig,
+    InputSchema,
+    count_free_parameters,
+    take_training_predictions,
+    train_stack,
+)
 from .stability import estimate_horizon, rollout, split_train_validate
 
 __all__ = ["RunConfig", "config_from_dict", "main", "run"]
@@ -125,8 +133,10 @@ def _log(message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _emit_report(cfg: RunConfig, outputs: dict) -> dict:
+def _emit_report(cfg: RunConfig, outputs: dict, diagnostics: dict | None = None) -> dict:
     doc = {"command": cfg.command, "config": dataclasses.asdict(cfg), "outputs": outputs}
+    if diagnostics is not None:
+        doc["diagnostics"] = diagnostics
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if cfg.report:
         with open(cfg.report, "w", newline="") as fh:
@@ -243,10 +253,8 @@ def _cmd_fit_lv(cfg: RunConfig) -> dict:
     }
 
 
-def _one_step_rmse(model, inputs, targets, context) -> float:
-    ns = model.schema.n_series
-    pred = model.predict_columns(inputs[:ns], context)
-    diff = pred - targets
+def _rmse(predictions, targets) -> float:
+    diff = predictions - targets
     return float(np.sqrt(np.mean(diff * diff)))
 
 
@@ -288,15 +296,16 @@ def _cmd_train(cfg: RunConfig) -> dict:
     model = train_stack(
         inputs, targets, schema, configs, n_bricks=cfg.bricks, seed=cfg.seed, scaling=scaling
     )
+    outputs["training_rmse"] = _rmse(take_training_predictions(model), targets)
     save_model(model, cfg.model_out)
-    context = _context_for(model, maps)
     outputs["model"] = cfg.model_out
     outputs["training_pairs"] = int(inputs.shape[1])
-    outputs["training_rmse"] = _one_step_rmse(model, inputs, targets, context)
     if val_ts is not None:
         val_inputs, val_targets, _ = build_training_pairs(val_ts, maps)
+        context = _context_for(model, maps)
+        predictions = model.predict_columns(val_inputs[: schema.n_series], context)
         outputs["validation_points"] = int(val_ts.n_points)
-        outputs["validation_rmse"] = _one_step_rmse(model, val_inputs, val_targets, context)
+        outputs["validation_rmse"] = _rmse(predictions, val_targets)
     return outputs
 
 
@@ -353,8 +362,11 @@ def _cmd_rollout(cfg: RunConfig) -> dict:
             names=model.schema.series_names, times=times, values=result.predictions, epoch=ts.epoch
         )
         write_timeseries_csv(out, cfg.output)
+    else:
+        # no forecast: a file at the path from an earlier run must not pass for one
+        Path(cfg.output).unlink(missing_ok=True)
     outputs: dict = {
-        "csv": cfg.output,
+        "csv": cfg.output if k else None,
         "steps_requested": cfg.steps,
         "steps_completed": k,
         "diverged": result.diverged,
@@ -364,7 +376,7 @@ def _cmd_rollout(cfg: RunConfig) -> dict:
         if cfg.errors_output:
             _write_curve_csv(cfg.errors_output, times, result.errors, "rmse")
             outputs["errors_csv"] = cfg.errors_output
-    return outputs
+    return outputs, {"stop_reason": result.stop_reason, "stopped_at": result.stopped_at}
 
 
 def _cmd_horizon(cfg: RunConfig) -> dict:
@@ -391,7 +403,8 @@ def _cmd_horizon(cfg: RunConfig) -> dict:
         span = report.error_curve.size
         _write_curve_csv(cfg.errors_output, val_ts.times[:span], report.error_curve, "normalized_rmse")
         outputs["errors_csv"] = cfg.errors_output
-    return outputs
+    stop = report.rollout
+    return outputs, {"stop_reason": stop.stop_reason, "stopped_at": stop.stopped_at}
 
 
 def _cmd_count_params(cfg: RunConfig) -> dict:
@@ -439,8 +452,8 @@ def run(cfg: RunConfig) -> dict:
     handler = _COMMANDS.get(cfg.command)
     if handler is None:
         raise ValueError(f"unknown command {cfg.command!r}")
-    outputs = handler(cfg)
-    return _emit_report(cfg, outputs)
+    result = handler(cfg)  # the outputs, or the outputs and the diagnostics
+    return _emit_report(cfg, *(result if isinstance(result, tuple) else (result,)))
 
 
 def _floats(text: str) -> tuple[float, ...]:

@@ -33,20 +33,25 @@ class RolloutResult:
 
     ``predictions`` holds one column per completed step; ``errors`` (present
     when a reference was supplied) is the per-step RMSE across series, with
-    length ``min(completed steps, reference length)``.  ``diverged`` is set
-    when a prediction went non-finite (that step is dropped) or its magnitude
-    exceeded the divergence bound (that step is kept); either way the run
-    truncates there.
+    length ``min(completed steps, reference length)``.  The run ended at step
+    ``stopped_at`` (1-based) for ``stop_reason``: ``completed``, ``non-finite``
+    (that prediction is dropped) or ``bound`` (its magnitude exceeded the
+    divergence bound; it is kept).  ``diverged`` means one of the last two.
     """
 
     predictions: np.ndarray
     errors: np.ndarray | None
-    diverged: bool
+    stop_reason: str
+    stopped_at: int
     steps_requested: int
 
     @property
     def steps_completed(self) -> int:
         return self.predictions.shape[1]
+
+    @property
+    def diverged(self) -> bool:
+        return self.stop_reason != "completed"
 
 
 def rollout(
@@ -60,9 +65,10 @@ def rollout(
     """Iterate the one-step predictor from ``start``, feeding each prediction
     back as the next input with the context held fixed.
 
-    The default divergence bound is 1e6 times the model's largest absolute
-    training value (falling back to the start vector's scale for hand-built
-    models without training metadata).
+    ``model.prepare`` checks, scales and lays out the context once; each step
+    predicts one column with what it returns.  The default divergence bound
+    is 1e6 times the model's largest absolute training value (falling back to
+    the start vector's scale for hand-built models without training metadata).
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -74,16 +80,17 @@ def rollout(
         if base is None or not base > 0.0:
             base = max(1.0, float(np.max(np.abs(x))))
         bound = 1e6 * float(base)
+    predict = model.prepare(context_values)
     preds = []
-    diverged = False
-    for _ in range(steps):
-        y = model.predict_one_step(x, context_values)
+    reason = "completed"
+    for step in range(1, steps + 1):
+        y = predict(x[:, None])[:, 0]
         if not np.all(np.isfinite(y)):
-            diverged = True
+            reason = "non-finite"
             break
         preds.append(y)
         if float(np.max(np.abs(y))) > bound:
-            diverged = True
+            reason = "bound"
             break
         x = y
     predictions = np.array(preds).T if preds else np.empty((x.size, 0))
@@ -95,9 +102,7 @@ def rollout(
         span = min(predictions.shape[1], ref.shape[1])
         diff = predictions[:, :span] - ref[:, :span]
         errors = np.sqrt(np.mean(diff * diff, axis=0))
-    return RolloutResult(
-        predictions=predictions, errors=errors, diverged=diverged, steps_requested=steps
-    )
+    return RolloutResult(predictions, errors, reason, step, steps)
 
 
 def split_train_validate(ts: TimeSeriesSet, fraction: float) -> tuple[TimeSeriesSet, TimeSeriesSet]:
@@ -118,13 +123,15 @@ class StabilityReport:
     """Reliability-horizon report.
 
     ``horizon`` is the first rollout step whose normalized error exceeds
-    ``epsilon`` (the validation length when none does).  ``spectral_radius``
-    is present only for single-brick linear models.
+    ``epsilon`` (the validation length when none does); ``rollout`` is the
+    run it was read from.  ``spectral_radius`` is present only for
+    single-brick linear models.
     """
 
     horizon: int
     error_curve: np.ndarray
     epsilon: float
+    rollout: RolloutResult
     spectral_radius: float | None = None
 
     def __post_init__(self) -> None:
@@ -194,5 +201,6 @@ def estimate_horizon(
         horizon=horizon,
         error_curve=curve,
         epsilon=float(epsilon),
+        rollout=result,
         spectral_radius=None if estimate is None else estimate.radius,
     )

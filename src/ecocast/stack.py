@@ -12,6 +12,7 @@ layout, context rows included.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -38,6 +39,7 @@ __all__ = [
     "ParameterCounts",
     "StackedModel",
     "count_free_parameters",
+    "take_training_predictions",
     "train_stack",
 ]
 
@@ -190,7 +192,8 @@ class StackedModel:
     A brick's ``input_dim`` says which layout of the schema it reads: the full
     layout (kernel kinds, and linear, DSN or tensor bricks of version 1 files
     or built by hand) or the folded one, whose bricks carry the context as a
-    bias and so require a recorded context.
+    bias and so require a recorded context.  ``prepare`` readies a context
+    once for many predictions; ``predict_columns`` goes through it too.
     """
 
     bricks: tuple[Brick, ...]
@@ -237,37 +240,45 @@ class StackedModel:
                     raise ValueError(f"brick {k} training inputs do not hold the model context")
             object.__setattr__(self, "context", context)
 
+    def prepare(self, context_values=()) -> Callable[[np.ndarray], np.ndarray]:
+        """The one-step map for one context, from series columns to their
+        predictions: the context is checked, scaled, compared with the
+        recorded one and laid out here, once, and each call does the rest."""
+        return self._prepare(context_values, compare=True)
+
+    def _prepare(self, context_values, compare: bool) -> Callable[[np.ndarray], np.ndarray]:
+        schema, scaling = self.schema, self.scaling
+        ns = schema.n_series
+        context = np.array(context_values, dtype=float).reshape(-1)  # a copy: it is kept
+        if context.size != schema.context_total:
+            raise ValueError(f"expected {schema.context_total} context entries, got {context.size}")
+        if scaling is not None:
+            _, context = adimensionalize_split(np.empty((ns, 0)), context, scaling, schema)
+            # the series rows of adimensionalize_split
+            offsets, scales = scaling.offsets[:ns, None], scaling.scales[:ns, None]
+        if compare and self.context is not None and np.any(context != self.context):
+            raise ValueError("context values differ from the context the model was trained on")
+        reads_full = [b.input_dim == schema.input_dim(k) for k, b in enumerate(self.bricks, 1)]
+
+        def predict(series_columns) -> np.ndarray:
+            series = np.asarray(series_columns, dtype=float)
+            if series.ndim != 2 or series.shape[0] != ns:
+                raise ValueError(f"expected {ns} series rows, got shape {series.shape}")
+            x = series if scaling is None else (series - offsets) / scales
+            full = schema.full_input(x, context) if any(reads_full) else None
+            y = None
+            for brick, full_layout in zip(self.bricks, reads_full):
+                rows = full if full_layout else x
+                y = brick.apply_columns(rows if y is None else np.vstack([rows, y]))
+            return _raw_units(y, scaling, ns)
+
+        return predict
+
     def predict_columns(self, series_columns, context_values=()) -> np.ndarray:
         """One-step predictions for many present states at once (columns)."""
         series = np.asarray(series_columns, dtype=float)
-        if series.ndim != 2 or series.shape[0] != self.schema.n_series:
-            raise ValueError(
-                f"expected {self.schema.n_series} series rows, got shape {series.shape}"
-            )
-        context = np.asarray(context_values, dtype=float).reshape(-1)
-        if context.size != self.schema.context_total:
-            raise ValueError(
-                f"expected {self.schema.context_total} context entries, got {context.size}"
-            )
-        x = series
-        if self.scaling is not None:
-            x, context = adimensionalize_split(series, context, self.scaling, self.schema)
         # a model with nothing to predict compares no context
-        if self.context is not None and x.shape[1] and np.any(context != self.context):
-            raise ValueError("context values differ from the context the model was trained on")
-        full = None  # the full layout's first-brick rows, built on first use
-        y = None
-        for k, b in enumerate(self.bricks, start=1):
-            rows = x
-            if b.input_dim == self.schema.input_dim(k):
-                if full is None:
-                    full = self.schema.full_input(x, context)
-                rows = full
-            y = b.apply_columns(rows if y is None else np.vstack([rows, y]))
-        if self.scaling is not None:
-            ns = self.schema.n_series
-            y = y * self.scaling.scales[:ns, None] + self.scaling.offsets[:ns, None]
-        return y
+        return self._prepare(context_values, compare=series.size > 0)(series)
 
     def predict_one_step(self, series_values, context_values=()) -> np.ndarray:
         """Predict the next series vector from the present one."""
@@ -275,6 +286,13 @@ class StackedModel:
         if series.ndim != 1:
             raise ValueError("series_values must be a 1-d vector")
         return self.predict_columns(series[:, None], context_values)[:, 0]
+
+
+def _raw_units(y: np.ndarray, scaling: ScalingSet | None, ns: int) -> np.ndarray:
+    """Last-brick outputs mapped back to raw series units."""
+    if scaling is None:
+        return y
+    return y * scaling.scales[:ns, None] + scaling.offsets[:ns, None]
 
 
 def brick_config_list(configs, n_bricks: int | None) -> list[BrickConfig]:
@@ -435,12 +453,10 @@ def _train_stack(
                 gram = take_training_gram(brick)
         except Exception as exc:
             raise BrickTrainingError(k, str(exc)) from exc
-        next_input = None
-        if k < len(config_list):
-            # a dual brick's outputs on its own training inputs from its Gram
-            # matrix: the product that apply_columns forms, on the same bits
-            y = brick.apply_columns(x) if gram is None else brick.dual_coefficients @ gram
-            next_input = np.vstack([us, y])
+        # a dual brick's outputs on its own training inputs from its Gram
+        # matrix: the product that apply_columns forms, on the same bits
+        y = brick.apply_columns(x) if gram is None else brick.dual_coefficients @ gram
+        next_input = np.vstack([us, y]) if k < len(config_list) else None
         fits.append(_Fit(cfg, brick, next_input, gram if reuse is not None else None))
         # a one-off fit keeps no Gram matrix: drop it before the next brick
         # trains, so that two are never held at once
@@ -454,7 +470,19 @@ def _train_stack(
         last_training_state=v[:, -1],
         context=c,
     )
+    if reuse is None:
+        model.__dict__[_PREDICTIONS_KEY] = _raw_units(y, scaling, ns)
     return model, tuple(fits)
+
+
+_PREDICTIONS_KEY = "_training_predictions"  # instance-dict key, as in take_training_gram
+
+
+def take_training_predictions(model: StackedModel) -> np.ndarray | None:
+    """Detach the predictions over its training columns that a model fresh
+    from :func:`train_stack` carries (None for other models and once taken),
+    formed from the fit: the bits of ``predict_columns`` on those columns."""
+    return model.__dict__.pop(_PREDICTIONS_KEY, None)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ecocast.bricks import (
     Activation,
     KernelSpec,
+    _gaussian,
+    _scaled,
     activate,
     dsn_objective,
     dsn_objective_gradient,
@@ -552,6 +556,58 @@ class TestTrainingGram:
         assert take_training_gram(brick) is not None
         assert take_training_gram(brick) is None
         assert take_training_gram(train_linear_brick(u, v)) is None
+
+    @pytest.mark.parametrize("specs", [(0,), (0, 1), (1, 1)], ids=["kernel", "kt", "kt-equal"])
+    def test_seeded_scaled_inputs_equal_a_recomputed_scaling(self, specs):
+        u, v = self.data()
+        specs = tuple(self.SPECS[i] for i in specs)
+        brick = (train_kernel_brick(u, v, *specs, 1e-3) if len(specs) == 1
+                 else train_kt_brick(u, v, *specs, 1e-3))
+        # training seeds the cache: it is in the instance before any apply
+        seeded = brick.__dict__["_scaled_training_inputs"]
+        recomputed = _scaled(specs, brick.training_inputs)
+        assert [e is seeded[0] for e in seeded] == [e is recomputed[0] for e in recomputed]
+        for (s, n), (s_want, n_want) in zip(seeded, recomputed):
+            assert s.tobytes() == s_want.tobytes() and n.tobytes() == n_want.tobytes()
+        refit = refit_dual_brick(brick, v, 0.5, take_training_gram(brick))
+        assert refit.__dict__["_scaled_training_inputs"] is seeded
+
+
+class TestGaussianBuffer:
+    """``_gaussian`` finishes the kernel in the buffer of its one matrix
+    product, with the rounding of the one-expression formula."""
+
+    @pytest.mark.parametrize("n, m, k, gram", [
+        (1600, 1600, 2, True),
+        (1600, 1600, 4, True),
+        (1600, 2001, 4, False),
+        (400, 501, 403, False),
+        (192, 192, 102, True),
+    ])
+    def test_equals_the_one_expression_formula_bit_for_bit(self, n, m, k, gram):
+        rng = np.random.default_rng(n + m + k)
+        sa = rng.standard_normal((k, n))
+        # a Gram matrix's right-hand side is a copy of the left-hand side
+        sb = sa.copy() if gram else rng.standard_normal((k, m))
+        na, nb = np.sum(sa * sa, axis=0), np.sum(sb * sb, axis=0)
+        want = np.exp(-np.maximum(na[:, None] + nb[None, :] - 2.0 * (sa.T @ sb), 0))
+        assert _gaussian(sa, na, sb, nb).tobytes() == want.tobytes()
+
+    def test_a_cross_kernel_apply_holds_one_n_by_m_buffer(self):
+        n, m = 800, 600
+        rng = np.random.default_rng(27)
+        u, v = rng.standard_normal((4, n)), rng.standard_normal((2, n))
+        brick = train_kernel_brick(u, v, uniform_kernel_spec(4, 2.0), 1e-3)
+        take_training_gram(brick)
+        x = rng.standard_normal((4, m))
+        brick.apply_columns(x[:, :1])  # any lazy state is in place
+        tracemalloc.start()
+        try:
+            brick.apply_columns(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * n * m * 8
 
 
 CONTEXT = np.array([0.4, -1.3])

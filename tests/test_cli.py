@@ -4,7 +4,11 @@ import shutil
 import numpy as np
 import pytest
 
-from ecocast.cli import config_from_dict, main, run
+from ecocast.bricks import LinearBrick
+from ecocast.cli import _rmse, config_from_dict, main, run
+from ecocast.datasets import build_training_pairs, flatten_context
+from ecocast.io import load_model, read_ascii_grid, read_timeseries_csv, save_model
+from ecocast.stack import InputSchema, StackedModel
 
 GRID_2X2 = """ncols 2
 nrows 2
@@ -179,6 +183,22 @@ class TestTrain:
         assert 0 < search["rejected"] < search["evaluations"]
         assert np.isfinite(search["loss_trace"]).all()
 
+    @pytest.mark.parametrize("kind", ["linear", "dsn", "kernel", "tensor", "kernel-tensor"])
+    def test_training_rmse_is_that_of_the_saved_model(self, tmp_path, small_series, kind):
+        grid = write_grid(tmp_path / "ctx.asc")
+        model, report = tmp_path / "model.json", tmp_path / "train.json"
+        assert main([
+            "train", "--series", str(small_series), "--grid", grid, "--brick-kind", kind,
+            "--bricks", "2", "--ridge", "1e-6", "--hidden-size", "6",
+            "--model-out", str(model), "--report", str(report),
+        ]) == 0
+        maps = [read_ascii_grid(grid)]
+        inputs, targets, _ = build_training_pairs(read_timeseries_csv(small_series), maps)
+        predictions = load_model(model).predict_columns(inputs[:2], flatten_context(maps))
+        want = _rmse(predictions, targets)
+        assert read_report(report)["outputs"]["training_rmse"] == want
+
+
 class TestPredictRolloutHorizon:
     @pytest.fixture
     def trained(self, tmp_path, small_series):
@@ -231,6 +251,41 @@ class TestPredictRolloutHorizon:
         assert 1 <= out["horizon"] <= out["validation_points"]
         assert out["spectral_radius"] is None  # kernel stack: not applicable
         assert len(out["error_curve"]) >= 1
+
+    def test_reports_say_why_the_rollout_stopped(self, tmp_path, small_series, trained):
+        common = ["--series", str(small_series), "--model-in", str(trained)]
+        for flags, diagnostics in (
+            ([], {"stop_reason": "completed", "stopped_at": 20}),
+            (["--bound", "1e-3"], {"stop_reason": "bound", "stopped_at": 1}),
+        ):
+            report = tmp_path / "roll.json"
+            assert main(["rollout", *common, "--steps", "20", *flags,
+                         "--output", str(tmp_path / "roll.csv"), "--report", str(report)]) == 0
+            doc = read_report(report)
+            assert doc["diagnostics"] == diagnostics
+            assert doc["outputs"]["steps_completed"] == diagnostics["stopped_at"]
+        report = tmp_path / "horizon.json"
+        assert main(["horizon", *common, "--split-fraction", "0.8", "--report", str(report)]) == 0
+        doc = read_report(report)
+        points = doc["outputs"]["validation_points"]
+        assert doc["diagnostics"] == {"stop_reason": "completed", "stopped_at": points}
+
+    def test_a_rollout_with_no_completed_step_leaves_no_csv(self, tmp_path, small_series):
+        schema = InputSchema(series_names=("prey", "predators"))
+        overflowing = StackedModel(bricks=(LinearBrick(np.full((2, 2), 1e308)),), schema=schema)
+        save_model(overflowing, tmp_path / "model.json")
+        out = tmp_path / "roll.csv"
+        out.write_text("t,prey,predators\n1.0,2.0,3.0\n")  # an earlier run's forecast
+        report = tmp_path / "roll.json"
+        with np.errstate(over="ignore"):
+            assert main(["rollout", "--series", str(small_series),
+                         "--model-in", str(tmp_path / "model.json"), "--steps", "5",
+                         "--output", str(out), "--report", str(report)]) == 0
+        doc = read_report(report)
+        assert doc["outputs"]["csv"] is None
+        assert doc["outputs"]["steps_completed"] == 0 and doc["outputs"]["diverged"]
+        assert doc["diagnostics"] == {"stop_reason": "non-finite", "stopped_at": 1}
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, flags", [
         ("predict", ["--output", "p.csv"]),

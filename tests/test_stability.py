@@ -1,9 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from ecocast.bricks import LinearBrick
-from ecocast.datasets import TimeSeriesSet, build_training_pairs
+from ecocast.datasets import ContextMap, TimeSeriesSet, build_training_pairs, default_scaling
+from ecocast.io import load_model
 from ecocast.lotka import REFERENCE_PARAMS, simulate_lv
+from ecocast.scaling import ScalingSet
 from ecocast.stack import BrickConfig, InputSchema, StackedModel, train_stack
 from ecocast.stability import (
     estimate_horizon,
@@ -41,6 +45,9 @@ class ReplayModel:
         out = self.states[:, self.cursor % self.states.shape[1]]
         self.cursor += 1
         return out
+
+    def prepare(self, context_values=()):
+        return lambda columns: self.predict_one_step(columns[:, 0], context_values)[:, None]
 
 
 class TestRollout:
@@ -82,6 +89,84 @@ class TestRollout:
     def test_steps_validation(self):
         with pytest.raises(ValueError):
             rollout(linear_model(np.eye(2)), np.ones(2), steps=0)
+
+
+def one_step_loop(model, start, context, steps):
+    """A rollout's predictions from a plain predict_one_step loop."""
+    x, out = np.asarray(start, dtype=float), []
+    for _ in range(steps):
+        x = model.predict_one_step(x, context)
+        out.append(x)
+    return np.array(out).T
+
+
+def lv_with_map(n_points=80):
+    ts = lv_series(n_points)
+    return ts, ContextMap(name="dtm", values=np.array([[150.0, 250.0], [120.0, 310.0]]))
+
+
+class TestPreparedRollout:
+    """A rollout prepares the context once and then gives, step by step, the
+    bits of ``predict_one_step``."""
+
+    def check(self, model, start, context, steps=25):
+        result = rollout(model, start, context, steps=steps)
+        assert result.stop_reason == "completed"
+        want = one_step_loop(model, start, context, steps)
+        assert result.predictions.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("scaled", [False, True], ids=["unscaled", "scaled"])
+    @pytest.mark.parametrize("kind", ["linear", "dsn", "kernel", "tensor", "kernel-tensor"])
+    def test_trained_stack_equals_the_one_step_loop(self, kind, scaled):
+        ts, cmap = lv_with_map()
+        u, v, schema = build_training_pairs(ts, [cmap])
+        scaling = default_scaling(ts, [cmap]) if scaled else None
+        cfg = BrickConfig(kind=kind, ridge=1e-6, hidden_size=6, hidden_size_a=3, hidden_size_b=3)
+        model = train_stack(u, v, schema, cfg, n_bricks=2, seed=1, scaling=scaling)
+        self.check(model, ts.values[:, -1], cmap.values.ravel())
+
+    @pytest.mark.parametrize("name", ["linear", "dsn", "tensor"])
+    def test_full_width_v1_file_equals_the_one_step_loop(self, name):
+        model = load_model(Path(__file__).parent / "data" / f"model_{name}.json")
+        assert model.context is None
+        for context in ([0.25, 0.75], [0.3, 0.6]):
+            self.check(model, np.array([2.0, 3.5]), context)
+
+    @pytest.mark.parametrize("scaled", [False, True], ids=["unscaled", "scaled"])
+    def test_hand_built_model_without_a_context_equals_the_one_step_loop(self, scaled):
+        schema = InputSchema(series_names=("a", "b"), context_names=("m",), context_sizes=(3,))
+        rng = np.random.default_rng(3)
+        first = LinearBrick(0.3 * rng.standard_normal((2, 5)))
+        second = LinearBrick(0.3 * rng.standard_normal((2, 7)))
+        scaling = None
+        if scaled:
+            scaling = ScalingSet(offsets=np.array([1.0, -1.0, 0.5]), scales=np.array([2, 0.5, 4]))
+        model = StackedModel(bricks=(first, second), schema=schema, scaling=scaling)
+        self.check(model, np.array([0.5, -0.2]), np.array([0.1, 0.7, -0.4]))
+
+    def test_a_different_context_is_rejected_before_any_step(self):
+        ts, cmap = lv_with_map()
+        u, v, schema = build_training_pairs(ts, [cmap])
+        model = train_stack(u, v, schema, BrickConfig(kind="kernel", ridge=1e-6), n_bricks=2,
+                            scaling=default_scaling(ts, [cmap]))
+        other = cmap.values.ravel().copy()
+        other[2] += 1e-9
+        with pytest.raises(ValueError, match="trained on"):
+            rollout(model, ts.values[:, -1], other, steps=3)
+
+
+class TestStopReason:
+    @pytest.mark.parametrize("scale, reason, stopped_at, completed", [
+        (0.5, "completed", 30, 30),
+        (2.0, "bound", 20, 20),  # 10 * 2^20 is the first step over 1e6 * 10
+        (1e308, "non-finite", 1, 0),  # the first prediction overflows and is dropped
+    ])
+    def test_reason_and_step(self, scale, reason, stopped_at, completed):
+        with np.errstate(over="ignore"):
+            result = rollout(linear_model(scale * np.eye(2)), np.array([1.0, 10.0]), steps=30)
+        assert (result.stop_reason, result.stopped_at) == (reason, stopped_at)
+        assert result.steps_completed == completed
+        assert result.diverged == (reason != "completed")
 
 
 class TestSplit:
@@ -163,6 +248,9 @@ class TestHorizon:
             def predict_one_step(self, series_values, context_values=()):
                 self.seen.append(np.array(series_values))
                 return np.asarray(series_values) * 1.01
+
+            def prepare(self, context_values=()):
+                return lambda columns: self.predict_one_step(columns[:, 0])[:, None]
 
         spy = SpyModel()
         report = estimate_horizon(spy, val, epsilon=0.2, start=start)

@@ -25,6 +25,7 @@ from ecocast.stack import (
     StackedModel,
     _train_stack,
     count_free_parameters,
+    take_training_predictions,
     train_stack,
 )
 
@@ -266,6 +267,18 @@ class TestGramOutputs:
             assert not any(a is b for a, b in zip(refits[k:], fits[k:]))
             fresh = train_stack(u, v, schema, changed, seed=0, scaling=scaling)
             assert brick_bits(model) == brick_bits(fresh)
+
+    @pytest.mark.parametrize("context_size", [0, 3], ids=["no-context", "context"])
+    @pytest.mark.parametrize("n_bricks", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["linear", "dsn", "kernel", "tensor", "kernel-tensor"])
+    def test_training_predictions_are_those_of_predict_columns(self, kind, n_bricks, context_size):
+        u, v, schema, context = lv_like_pairs(n_pairs=40, context_size=context_size, seed=13)
+        scaling = scaling_from_columns(u, schema)
+        cfg = BrickConfig(kind=kind, ridge=1e-6, hidden_size=6, hidden_size_a=3, hidden_size_b=3)
+        model = train_stack(u, v, schema, cfg, n_bricks=n_bricks, seed=2, scaling=scaling)
+        got = take_training_predictions(model)
+        assert got.tobytes() == model.predict_columns(u[:2], context).tobytes()
+        assert take_training_predictions(model) is None
 
     def test_a_one_off_fit_keeps_no_gram(self):
         u, v, schema, _ = lv_like_pairs(n_pairs=30)
