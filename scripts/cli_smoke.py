@@ -1,0 +1,82 @@
+"""Run the installed ``ecocast`` console script end to end.
+
+simulate -> train --grid -> predict -> rollout -> horizon, one process per
+command, in a temporary directory.  Each command must exit 0 and write a
+report whose outputs make sense; the first failure stops the run with a
+nonzero exit status.
+
+Usage: python scripts/cli_smoke.py   (after ``pip install -e .``, which puts
+``ecocast`` on PATH)
+"""
+
+import json
+import math
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+GRID = """ncols 3
+nrows 2
+xllcorner 0.0
+yllcorner 0.0
+cellsize 10.0
+NODATA_value -9999.0
+120.0 180.0 240.0
+150.0 210.0 270.0
+"""
+
+
+def check(ok: bool, what: str) -> None:
+    if not ok:
+        sys.exit(f"cli_smoke: {what}")
+
+
+def ecocast(exe: str, workdir: Path, command: str, *args: str) -> dict:
+    """Run one command in its own process; returns its report's outputs."""
+    report = workdir / f"{command}.json"
+    proc = subprocess.run(
+        [exe, command, *args, "--report", str(report)], capture_output=True, text=True
+    )
+    check(proc.returncode == 0, f"ecocast {command} exited {proc.returncode}: {proc.stderr.strip()}")
+    doc = json.loads(report.read_text())
+    check(doc["command"] == command, f"the {command} report names command {doc['command']!r}")
+    print(f"ecocast {command}: exit 0, report written")
+    return doc["outputs"]
+
+
+def main() -> None:
+    exe = shutil.which("ecocast")
+    check(exe is not None, "no ecocast console script on PATH; run pip install -e . first")
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        series, grid, model = str(d / "series.csv"), str(d / "dtm.asc"), str(d / "model.json")
+        (d / "dtm.asc").write_text(GRID)
+        inputs = ["--series", series, "--grid", grid]
+
+        out = ecocast(exe, d, "simulate", "--dt", "0.05", "--steps", "200", "--output", series)
+        check(out["points"] == 201, f"simulate wrote {out['points']} points, not 201")
+
+        out = ecocast(
+            exe, d, "train", *inputs, "--brick-kind", "kernel", "--bricks", "3",
+            "--ridge", "1e-6", "--split-fraction", "0.8", "--model-out", model,
+        )  # fmt: skip
+        check(out["training_pairs"] == 160, f"train used {out['training_pairs']} pairs, not 160")
+        check(math.isfinite(out["validation_rmse"]), "train reports no finite validation RMSE")
+
+        out = ecocast(exe, d, "predict", *inputs, "--model-in", model,
+                      "--output", str(d / "predict.csv"))  # fmt: skip
+        check(out["points"] == 201, f"predict wrote {out['points']} points, not 201")
+
+        out = ecocast(exe, d, "rollout", *inputs, "--model-in", model, "--steps", "40",
+                      "--output", str(d / "rollout.csv"))  # fmt: skip
+        check(out["steps_completed"] == 40, f"rollout completed {out['steps_completed']} of 40 steps")
+
+        out = ecocast(exe, d, "horizon", *inputs, "--model-in", model, "--split-fraction", "0.8")
+        check(out["horizon"] >= 1, f"horizon is {out['horizon']}")
+    print("cli_smoke: all five commands passed")
+
+
+if __name__ == "__main__":
+    main()

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -301,11 +302,10 @@ def _cmd_train(cfg: RunConfig) -> dict:
     outputs["model"] = cfg.model_out
     outputs["training_pairs"] = int(inputs.shape[1])
     if val_ts is not None:
-        val_inputs, val_targets, _ = build_training_pairs(val_ts, maps)
         context = _context_for(model, maps)
-        predictions = model.predict_columns(val_inputs[: schema.n_series], context)
+        predictions = model.predict_columns(val_ts.values[:, :-1], context)
         outputs["validation_points"] = int(val_ts.n_points)
-        outputs["validation_rmse"] = _rmse(predictions, val_targets)
+        outputs["validation_rmse"] = _rmse(predictions, val_ts.values[:, 1:])
     return outputs
 
 
@@ -460,6 +460,7 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(",") if v.strip())
 
 
+@functools.cache  # built once per process; parse_args leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ecocast",

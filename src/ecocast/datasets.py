@@ -180,12 +180,10 @@ def build_training_pairs(
         raise ValueError("at least 2 time points are required to form pairs")
     maps = tuple(maps)
     context = flatten_context(maps)
-    n_pairs = ts.n_points - 1
-    series_part = ts.values[:, :-1]
-    if context.size:
-        inputs = np.vstack([series_part, np.repeat(context[:, None], n_pairs, axis=1)])
-    else:
-        inputs = np.array(series_part)
+    ns = ts.n_series
+    inputs = np.empty((ns + context.size, ts.n_points - 1))
+    inputs[:ns] = ts.values[:, :-1]
+    inputs[ns:] = context[:, None]
     targets = np.array(ts.values[:, 1:])
     schema = InputSchema(
         series_names=ts.names,

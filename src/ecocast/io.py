@@ -52,11 +52,10 @@ def _fmt(x: float) -> str:
 
 
 def write_timeseries_csv(ts: TimeSeriesSet, path) -> None:
+    table = np.column_stack([ts.times, ts.values.T]).tolist()
     with open(path, "w", newline="") as fh:
         fh.write("t," + ",".join(ts.names) + "\n")
-        for j in range(ts.n_points):
-            cells = [_fmt(ts.times[j])] + [_fmt(v) for v in ts.values[:, j]]
-            fh.write(",".join(cells) + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in table)
 
 
 def _parse_time_cell(cell: str, row: int):
@@ -69,6 +68,54 @@ def _parse_time_cell(cell: str, row: int):
         return None, datetime.fromisoformat(cell)
     except ValueError:
         raise ValueError(f"row {row}: cannot parse time value {cell!r}") from None
+
+
+def _parse_cells(rows: list[list[str]], names: list[str]):
+    """Times, values and epoch of the data rows, parsed cell by cell: blank
+    cells become NaN, and the first row in file order that cannot be read
+    is named in the error."""
+    header = rows[0]
+    n_points = len(rows) - 1
+    times = np.empty(n_points)
+    dates: list[datetime | None] = []
+    values = np.empty((len(names), n_points))
+    for j, row in enumerate(rows[1:]):
+        line_no = j + 2
+        if len(row) != len(header):
+            raise ValueError(f"row {line_no}: expected {len(header)} fields, got {len(row)}")
+        num, date = _parse_time_cell(row[0].strip(), line_no)
+        dates.append(date)
+        times[j] = np.nan if num is None else num
+        for i, cell in enumerate(row[1:]):
+            cell = cell.strip()
+            if cell == "":
+                values[i, j] = np.nan
+            else:
+                try:
+                    values[i, j] = float(cell)
+                except ValueError:
+                    raise ValueError(
+                        f"row {line_no}: cannot parse value {cell!r} for series {names[i]!r}"
+                    ) from None
+    epoch = None
+    if any(d is not None for d in dates):
+        if not all(d is not None for d in dates):
+            raise ValueError("time column mixes dates and plain numbers")
+        first = dates[0]
+        epoch = first.isoformat()
+        times = np.array([(d - first).total_seconds() / 86400.0 for d in dates])
+    return times, values, epoch
+
+
+def _reject_repeated_times(rows: list[list[str]], times: np.ndarray, order: np.ndarray) -> None:
+    """Raise naming the first row that repeats an earlier row's time stamp,
+    and that earlier row; ``order`` is the stable argsort of ``times``."""
+    repeats = np.nonzero(np.diff(times[order]) == 0.0)[0]
+    if repeats.size:
+        k = repeats[np.argmin(order[repeats + 1])]
+        earlier, later = int(order[k]) + 2, int(order[k + 1]) + 2  # file row numbers
+        stamp = rows[later - 1][0].strip()
+        raise ValueError(f"rows {earlier} and {later}: repeated time stamp {stamp!r}")
 
 
 def _interpolate_missing(values: np.ndarray, times: np.ndarray, name: str) -> np.ndarray:
@@ -103,39 +150,22 @@ def read_timeseries_csv(path, interpolate: bool = False) -> TimeSeriesSet:
     if len(rows) < 2:
         raise ValueError("at least one data row is required")
     n_points = len(rows) - 1
-    times = np.empty(n_points)
-    dates: list[datetime | None] = []
-    values = np.empty((len(names), n_points))
-    for j, row in enumerate(rows[1:]):
-        line_no = j + 2
-        if len(row) != len(header):
-            raise ValueError(f"row {line_no}: expected {len(header)} fields, got {len(row)}")
-        num, date = _parse_time_cell(row[0].strip(), line_no)
-        dates.append(date)
-        times[j] = np.nan if num is None else num
-        for i, cell in enumerate(row[1:]):
-            cell = cell.strip()
-            if cell == "":
-                values[i, j] = np.nan
-            else:
-                try:
-                    values[i, j] = float(cell)
-                except ValueError:
-                    raise ValueError(
-                        f"row {line_no}: cannot parse value {cell!r} for series {names[i]!r}"
-                    ) from None
-    epoch = None
-    if any(d is not None for d in dates):
-        if not all(d is not None for d in dates):
-            raise ValueError("time column mixes dates and plain numbers")
-        first = dates[0]
-        epoch = first.isoformat()
-        times = np.array([(d - first).total_seconds() / 86400.0 for d in dates])
+    try:
+        # numpy parses each str cell exactly as float() does
+        table = np.array(rows[1:], dtype=float)
+    except ValueError:  # ragged rows, blank cells, dates or bad cells
+        table = None
+    if table is not None and table.shape[1] == len(header):
+        times, values, epoch = table[:, 0], table[:, 1:].T, None
+    else:
+        times, values, epoch = _parse_cells(rows, names)
 
-    if interpolate and n_points >= 2 and np.any(np.diff(times) <= 0.0):
-        # gap-filling interpolates over the time axis, which must be sorted
+    if n_points >= 2 and np.any(np.diff(times) <= 0.0):
         order = np.argsort(times, kind="stable")
-        times, values = times[order], values[:, order]
+        _reject_repeated_times(rows, times, order)
+        if interpolate:
+            # gap-filling interpolates over the time axis, which must be sorted
+            times, values = times[order], values[:, order]
 
     if np.isnan(values).any():
         if not interpolate:
@@ -184,8 +214,25 @@ def write_ascii_grid(cmap: ContextMap, path) -> None:
     with open(path, "w", newline="") as fh:
         for label, value in zip(_GRID_LABELS, header_values):
             fh.write(f"{label} {value}\n")
-        for row in cmap.values:
-            fh.write(" ".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(" ".join(map(repr, row)) + "\n" for row in cmap.values.tolist())
+
+
+def _parse_grid_cells(data_lines: list[str], n_cols: int) -> np.ndarray:
+    """The cell table parsed cell by cell, naming the first data row that
+    cannot be read."""
+    values = np.empty((len(data_lines), n_cols))
+    for i, line in enumerate(data_lines):
+        cells = line.split()
+        if len(cells) != n_cols:
+            raise ValueError(
+                f"cell count mismatch on data row {i + 1}: expected {n_cols}, got {len(cells)}"
+            )
+        for j, cell in enumerate(cells):
+            try:
+                values[i, j] = float(cell)
+            except ValueError:
+                raise ValueError(f"non-numeric cell {cell!r} on data row {i + 1}") from None
+    return values
 
 
 def read_ascii_grid(path, nodata_fill=None) -> ContextMap:
@@ -228,18 +275,12 @@ def read_ascii_grid(path, nodata_fill=None) -> ContextMap:
     data_lines = [ln for ln in lines[6:] if ln.strip()]
     if len(data_lines) != n_rows:
         raise ValueError(f"cell count mismatch: expected {n_rows} data rows, got {len(data_lines)}")
-    values = np.empty((n_rows, n_cols))
-    for i, line in enumerate(data_lines):
-        cells = line.split()
-        if len(cells) != n_cols:
-            raise ValueError(
-                f"cell count mismatch on data row {i + 1}: expected {n_cols}, got {len(cells)}"
-            )
-        for j, cell in enumerate(cells):
-            try:
-                values[i, j] = float(cell)
-            except ValueError:
-                raise ValueError(f"non-numeric cell {cell!r} on data row {i + 1}") from None
+    try:
+        values = np.array([ln.split() for ln in data_lines], dtype=float)
+    except ValueError:  # ragged rows or bad cells
+        values = None
+    if values is None or values.shape != (n_rows, n_cols):
+        values = _parse_grid_cells(data_lines, n_cols)
 
     mask = values == nodata
     nodata_value: float | None = nodata

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import shutil
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from ecocast.bricks import LinearBrick
-from ecocast.cli import _rmse, config_from_dict, main, run
+from ecocast.cli import _apply_output_dir, _build_parser, _rmse, config_from_dict, main, run
 from ecocast.datasets import build_training_pairs, flatten_context
 from ecocast.io import load_model, read_ascii_grid, read_timeseries_csv, save_model
 from ecocast.stack import InputSchema, StackedModel
@@ -399,6 +400,32 @@ class TestErrorsAndEnv:
         assert (tmp_path / "traj.csv").exists()
         doc = read_report(tmp_path / "sim.json")
         assert doc["config"]["output"] == str(tmp_path / "traj.csv")
+
+    def test_parser_is_built_once_and_safe_to_reuse(self, tmp_path, small_series, monkeypatch):
+        assert _build_parser() is _build_parser()
+        grids = [write_grid(tmp_path / "a.asc"), write_grid(tmp_path / "b.asc")]
+        assert main([
+            "train", "--series", str(small_series), "--grid", grids[0], "--grid", grids[1],
+            "--brick-kind", "linear", "--bricks", "2", "--ridge", "1e-4", "--hidden-size", "5",
+            "--split-fraction", "0.8", "--model-out", str(tmp_path / "m1.json"),
+            "--report", str(tmp_path / "r1.json"),
+        ]) == 0
+        assert read_report(tmp_path / "r1.json")["config"]["grids"] == grids
+
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        monkeypatch.setenv("ECOCAST_OUTPUT_DIR", str(out_dir))
+        argv = ["train", "--series", str(small_series), "--model-out", "m2.json",
+                "--report", "r2.json"]
+        assert main(argv) == 0
+        config = read_report(out_dir / "r2.json")["config"]
+        args = _build_parser.__wrapped__().parse_args(argv)  # a parser never used before
+        fresh = _apply_output_dir(config_from_dict({k: v for k, v in vars(args).items()
+                                                    if v is not None}))
+        assert config == json.loads(json.dumps(dataclasses.asdict(fresh)))
+        assert config["grids"] == [] and config["bricks"] == 1 and config["brick_kind"] == "kernel"
+        assert config["model_out"] == str(out_dir / "m2.json")
+        assert (out_dir / "m2.json").exists()
 
     def test_verbose_env_logs_to_stderr(self, tmp_path, small_series, monkeypatch, capsys):
         monkeypatch.setenv("ECOCAST_VERBOSE", "1")

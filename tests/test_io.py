@@ -1,4 +1,5 @@
 import base64
+import csv
 import json
 from pathlib import Path
 
@@ -15,6 +16,8 @@ from ecocast.datasets import (
 )
 from ecocast.cli import main
 from ecocast.io import (
+    _parse_cells,
+    _parse_grid_cells,
     load_model,
     model_from_json,
     model_to_json,
@@ -85,6 +88,85 @@ class TestTimeseriesCSV:
         assert ts.epoch == "2020-01-01T00:00:00"
         assert np.array_equal(ts.times, [0.0, 1.0, 2.0])
 
+    @pytest.mark.parametrize("interpolate", [False, True])
+    @pytest.mark.parametrize(
+        "text, rows, stamp",
+        [
+            ("t,a\n0,0\n1,1\n1,5\n2,3\n", "rows 3 and 4", "'1'"),
+            ("t,a\n0,0\n2,1\n1,1\n2,3\n3,4\n", "rows 3 and 5", "'2'"),
+            ("date,x\n2020-01-01,1\n2020-01-02,2\n2020-01-02,3\n", "rows 3 and 4", "'2020-01-02'"),
+        ],
+    )
+    def test_repeated_time_stamp_rejected_naming_both_rows(
+        self, tmp_path, text, rows, stamp, interpolate
+    ):
+        path = tmp_path / "repeat.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{rows}: repeated time stamp {stamp}$"):
+            read_timeseries_csv(path, interpolate=interpolate)
+
+    def test_blank_cells_are_missing_values(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("t,a,b\n0,1,10\n1,2,20\n2, , \n3,4,40\n")
+        with pytest.raises(ValueError, match="^row 4: missing value"):
+            read_timeseries_csv(path)
+        ts = read_timeseries_csv(path, interpolate=True)
+        assert np.array_equal(ts.values, [[1.0, 2.0, 3.0, 4.0], [10.0, 20.0, 30.0, 40.0]])
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("t,a,b\n0,1,2\n1,3,x\n2,5,6\n", "row 3: cannot parse value 'x' for series 'b'"),
+            ("t,a,b\n0,1,2\n1,x,4\n2,5\n", "row 3: cannot parse value 'x' for series 'a'"),
+            ("t,a,b\n0,1,2\n1,3\n2,x,6\n", "row 3: expected 3 fields, got 2"),
+            ("t,a,b\n0,1\n1,2\n", "row 2: expected 3 fields, got 2"),
+            ("t,a\n0,1\nnoon,2\n", "row 3: cannot parse time value 'noon'"),
+        ],
+    )
+    def test_first_bad_row_in_file_order_is_named(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            read_timeseries_csv(path, interpolate=True)
+
+    def test_cells_are_read_as_float_reads_them(self, tmp_path):
+        cells = [" 1.5 ", "1_000", "\uff11\uff12", "5e-324", "-0", "\u20034\u2003", "+.5", "1e-400"]
+        path = tmp_path / "odd.csv"
+        path.write_text("t,a\n" + "".join(f"{j},{c}\n" for j, c in enumerate(cells)))
+        values = read_timeseries_csv(path).values[0]
+        want = [float(c) for c in cells]
+        assert values.tobytes() == np.array(want).tobytes()
+
+    def test_writer_prints_shortest_round_trip_decimals(self, tmp_path):
+        ts = TimeSeriesSet(names=("a",), times=np.arange(6.0), values=[PINNED_VALUES])
+        path = tmp_path / "pinned.csv"
+        write_timeseries_csv(ts, path)
+        assert path.read_text() == (
+            "t,a\n0.0,5e-324\n1.0,-0.0\n2.0,1e+16\n3.0,1e-05\n"
+            "4.0,0.30000000000000004\n5.0,1.7976931348623157e+308\n"
+        )
+        assert read_timeseries_csv(path).values.tobytes() == np.array([PINNED_VALUES]).tobytes()
+
+    def test_paper_scale_round_trip_bit_exact(self, tmp_path):
+        rng = np.random.default_rng(11)
+        ts = TimeSeriesSet(
+            names=tuple(f"s{i}" for i in range(40)),
+            times=np.arange(3650.0),
+            values=rng.standard_normal((40, 3650)) * 10.0 ** rng.integers(-8, 8, (40, 1)),
+        )
+        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_timeseries_csv(ts, p1)
+        back = read_timeseries_csv(p1)
+        assert back.values.tobytes() == ts.values.tobytes()
+        assert back.times.tobytes() == ts.times.tobytes()
+        with open(p1, newline="") as fh:
+            rows = list(csv.reader(fh))
+        times, values, epoch = _parse_cells(rows, list(ts.names))  # the cell-by-cell reference
+        assert times.tobytes() == ts.times.tobytes() and epoch is None
+        assert values.tobytes() == ts.values.tobytes()
+        write_timeseries_csv(back, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
     def test_simulated_trajectory_round_trip(self, tmp_path):
         traj = simulate_lv(REFERENCE_PARAMS, 10.0, 5.0, 0.01, 500)
         ts = TimeSeriesSet(
@@ -123,6 +205,9 @@ class TestTimeseriesCSV:
         write_timeseries_csv(back, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+
+# values whose shortest round-trip form is easy to get wrong
+PINNED_VALUES = [5e-324, -0.0, 1e16, 1e-05, 0.1 + 0.2, 1.7976931348623157e308]
 
 GRID_TEXT = """ncols 2
 nrows 2
@@ -182,6 +267,43 @@ class TestAsciiGrid:
         path.write_text(GRID_TEXT.replace("1.0 1.0\n1.0 1.0", "1.0 x\n1.0 1.0"))
         with pytest.raises(ValueError, match="non-numeric"):
             read_ascii_grid(path)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("1.0 1.0\n1.0 x", "non-numeric cell 'x' on data row 2"),
+            ("1.0 x\n1.0", "non-numeric cell 'x' on data row 1"),
+            ("1.0\n1.0 x", "cell count mismatch on data row 1: expected 2, got 1"),
+            ("1.0\n1.0", "cell count mismatch on data row 1: expected 2, got 1"),
+        ],
+    )
+    def test_first_bad_data_row_is_named(self, tmp_path, rows, message):
+        path = tmp_path / "bad.asc"
+        path.write_text(GRID_TEXT.replace("1.0 1.0\n1.0 1.0", rows))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            read_ascii_grid(path)
+
+    def test_writer_prints_shortest_round_trip_decimals(self, tmp_path):
+        cmap = ContextMap(name="pinned", values=np.reshape(PINNED_VALUES, (2, 3)))
+        path = tmp_path / "pinned.asc"
+        write_ascii_grid(cmap, path)
+        assert path.read_text().splitlines()[6:] == [
+            "5e-324 -0.0 1e+16",
+            "1e-05 0.30000000000000004 1.7976931348623157e+308",
+        ]
+        assert read_ascii_grid(path).values.tobytes() == cmap.values.tobytes()
+
+    def test_paper_scale_round_trip_bit_exact(self, tmp_path):
+        rng = np.random.default_rng(12)
+        cmap = ContextMap(name="dtm", values=rng.standard_normal((100, 100)) * 1e3)
+        p1, p2 = tmp_path / "a.asc", tmp_path / "b.asc"
+        write_ascii_grid(cmap, p1)
+        back = read_ascii_grid(p1)
+        assert back.values.tobytes() == cmap.values.tobytes()
+        lines = p1.read_text().splitlines()[6:]
+        assert _parse_grid_cells(lines, 100).tobytes() == cmap.values.tobytes()  # the reference
+        write_ascii_grid(back, p2)
+        assert p1.read_bytes() == p2.read_bytes()
 
     def test_case_insensitive_keys(self, tmp_path):
         path = tmp_path / "case.asc"
