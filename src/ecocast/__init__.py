@@ -40,9 +40,7 @@ from .linalg import (
     EXACT_SVD,
     InverseConfig,
     SpectralEstimate,
-    finite_difference,
     pseudo_inverse,
-    solve_ridge,
     spectral_radius,
     tikhonov,
     truncated,
@@ -56,7 +54,7 @@ from .lotka import (
     fit_lv,
     simulate_lv,
 )
-from .scaling import ScalingSet, adimensionalize, undo_adimensionalize
+from .scaling import ScalingSet, adimensionalize
 from .stability import (
     RolloutResult,
     StabilityReport,

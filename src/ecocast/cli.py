@@ -261,6 +261,8 @@ def _rmse(predictions, targets) -> float:
 
 def _cmd_train(cfg: RunConfig) -> dict:
     _require(cfg, series=cfg.series, model_out=cfg.model_out)
+    if not 0.0 < cfg.split_fraction <= 1.0:
+        raise ValueError("train needs --split-fraction in (0, 1]")
     ts = read_timeseries_csv(cfg.series, interpolate=cfg.interpolate)
     maps = _read_maps(cfg)
     if cfg.split_fraction >= 1.0:

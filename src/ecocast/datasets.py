@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linalg import NonFiniteError, readonly
-from .scaling import ScalingSet, adimensionalize, undo_adimensionalize
+from .scaling import ScalingSet, adimensionalize
 from .stack import BrickTrainingError, InputSchema, _train_stack, brick_config_list
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "flatten_context",
     "optimize_scaling",
     "scaling_from_columns",
-    "undo_adimensionalize",
     "usle_soil_loss",
 ]
 

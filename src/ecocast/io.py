@@ -134,7 +134,8 @@ def read_timeseries_csv(path, interpolate: bool = False) -> TimeSeriesSet:
     become days since the first date with that date recorded as the epoch).
     Without ``interpolate``, missing cells and non-uniform cadence are errors
     naming the offending row; with it, gaps are filled linearly and
-    non-uniform times are resampled onto a uniform grid.
+    non-uniform times are resampled onto a uniform grid.  An infinite cell is
+    an error naming its row and series either way.
     """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -159,6 +160,11 @@ def read_timeseries_csv(path, interpolate: bool = False) -> TimeSeriesSet:
         times, values, epoch = table[:, 0], table[:, 1:].T, None
     else:
         times, values, epoch = _parse_cells(rows, names)
+    infinite = np.argwhere(np.isinf(values.T))  # (point, series), in file order
+    if infinite.size:
+        j, i = infinite[0]
+        cell = rows[j + 1][i + 1].strip()
+        raise ValueError(f"row {j + 2}: value {cell!r} for series {names[i]!r} is not finite")
 
     if n_points >= 2 and np.any(np.diff(times) <= 0.0):
         order = np.argsort(times, kind="stable")
@@ -283,6 +289,11 @@ def read_ascii_grid(path, nodata_fill=None) -> ContextMap:
         values = _parse_grid_cells(data_lines, n_cols)
 
     mask = values == nodata
+    bad = np.argwhere(~(np.isfinite(values) | mask))
+    if bad.size:
+        i, j = bad[0]
+        cell = data_lines[i].split()[j]
+        raise ValueError(f"non-finite cell {cell!r} on data row {i + 1}")
     nodata_value: float | None = nodata
     if mask.any():
         if nodata_fill is None:

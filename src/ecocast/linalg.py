@@ -15,9 +15,7 @@ __all__ = [
     "InverseConfig",
     "NonFiniteError",
     "SpectralEstimate",
-    "finite_difference",
     "pseudo_inverse",
-    "solve_ridge",
     "spectral_radius",
     "tikhonov",
     "truncated",
@@ -87,11 +85,10 @@ def truncated(rank_or_threshold: int | float) -> InverseConfig:
 
 @dataclass(frozen=True)
 class SpectralEstimate:
-    """Spectral-radius estimate with iteration diagnostics."""
+    """Spectral radius with the number of eigensolves that produced it."""
 
     radius: float
     iterations_used: int
-    converged: bool
 
     def __post_init__(self) -> None:
         if self.radius < 0.0:
@@ -137,77 +134,10 @@ def pseudo_inverse(a, cfg: InverseConfig = EXACT_SVD) -> np.ndarray:
     return (vt.T * filt) @ u.T
 
 
-def solve_ridge(u, d, lam: float) -> np.ndarray:
-    """Ridge solution of ``u @ coef = d`` with samples along the first axis.
-
-    ``lam = 0`` on a full-column-rank design matrix reproduces the exact
-    least-squares solution.
-    """
-    u = _as_matrix(u, "u")
-    d = np.asarray(d, dtype=float)
-    if not np.all(np.isfinite(d)):
-        raise NonFiniteError("d contains non-finite entries")
-    if d.shape[0] != u.shape[0]:
-        raise ValueError(
-            f"sample dimension mismatch: {u.shape[0]} design rows vs {d.shape[0]} target rows"
-        )
-    if not lam >= 0.0:
-        raise ValueError("lam must be >= 0")
-    cfg = tikhonov(lam) if lam > 0.0 else EXACT_SVD
-    return pseudo_inverse(u, cfg) @ d
-
-
-def spectral_radius(m, tol: float = 1e-9, max_iter: int = 1000, seed: int = 0) -> SpectralEstimate:
-    """Largest eigenvalue magnitude of a square matrix by power iteration.
-
-    The radius is read off a small Krylov projection rebuilt from the current
-    iterate each step, which keeps the estimate convergent when the dominant
-    eigenvalues form a complex pair or are nearly tied in modulus.  Stopping
-    is deflation-free, on radius change below ``tol``.
-    """
+def spectral_radius(m) -> SpectralEstimate:
+    """Largest eigenvalue magnitude of a square matrix, from one dense
+    eigensolve."""
     m = _as_matrix(m, "m")
     if m.shape[0] != m.shape[1]:
         raise ValueError("m must be square")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    n = m.shape[0]
-    depth = min(6, n)
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(n)
-    x /= np.linalg.norm(x)
-    radius = -1.0
-    for it in range(1, max_iter + 1):
-        block = np.empty((n, depth + 1))
-        block[:, 0] = x
-        cols = depth + 1
-        for j in range(depth):
-            v = m @ block[:, j]
-            nv = np.linalg.norm(v)
-            if nv == 0.0:
-                cols = j + 1
-                break
-            block[:, j + 1] = v / nv
-        q, _ = np.linalg.qr(block[:, :cols])
-        cand = float(np.max(np.abs(np.linalg.eigvals(q.T @ m @ q))))
-        if radius >= 0.0 and abs(cand - radius) < tol:
-            return SpectralEstimate(cand, it, True)
-        radius = cand
-        y = m @ x
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            # Iterate fell in the nullspace; the projected estimate is final.
-            return SpectralEstimate(cand, it, True)
-        x = y / ny
-    return SpectralEstimate(max(radius, 0.0), max_iter, False)
-
-
-def finite_difference(series, dt: float) -> np.ndarray:
-    """Forward differences ``(x[i+1] - x[i]) / dt`` along the first axis."""
-    s = np.asarray(series, dtype=float)
-    if s.shape[0] < 2:
-        raise ValueError("need at least 2 samples")
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
-    return np.diff(s, axis=0) / dt
+    return SpectralEstimate(float(np.max(np.abs(np.linalg.eigvals(m)))), 1)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import TimeSeriesSet
-from .linalg import EXACT_SVD, InverseConfig, finite_difference, pseudo_inverse
+from .linalg import EXACT_SVD, InverseConfig, pseudo_inverse
 
 __all__ = [
     "DegenerateFitError",
@@ -151,8 +151,8 @@ def fit_lv(
     r = traj.prey[:-1]
     f = traj.predators[:-1]
     if derivatives is None:
-        drdt = finite_difference(traj.prey, traj.dt)
-        dfdt = finite_difference(traj.predators, traj.dt)
+        drdt = np.diff(traj.prey) / traj.dt
+        dfdt = np.diff(traj.predators) / traj.dt
     else:
         drdt = np.asarray(derivatives[0], dtype=float)
         dfdt = np.asarray(derivatives[1], dtype=float)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .linalg import readonly
 
-__all__ = ["ScalingSet", "adimensionalize", "adimensionalize_split", "undo_adimensionalize"]
+__all__ = ["ScalingSet", "adimensionalize", "adimensionalize_split"]
 
 
 @dataclass(frozen=True)
@@ -47,35 +47,22 @@ class ScalingSet:
         return ScalingSet(offsets=self.offsets, scales=scales)
 
 
-def _apply(x, scaling: ScalingSet, schema, forward: bool) -> np.ndarray:
-    """Per input row, the offset and scale of the dataset that owns the row,
-    applied in one broadcast: the same operations per element as a loop over
-    the dataset segments."""
-    x = np.asarray(x, dtype=float)
-    slices, dataset_of = schema.dataset_slices(1)
-    dim = slices[-1][1] if slices else 0
-    if x.shape[0] != dim:
-        raise ValueError(f"expected input dimension {dim}, got {x.shape[0]}")
-    owner = np.repeat(dataset_of, [b - a for a, b in slices])
-    shape = (dim,) + (1,) * (x.ndim - 1)
-    offsets = scaling.offsets[owner].reshape(shape)
-    scales = scaling.scales[owner].reshape(shape)
-    return (x - offsets) / scales if forward else x * scales + offsets
-
-
 def adimensionalize(x, scaling: ScalingSet, schema) -> np.ndarray:
     """Per-dataset ``(x_d - offset_d) / scale_d`` over the first-brick input
     layout ``(series, context)``; accepts a vector or a column-sample matrix."""
-    if scaling.n_datasets != schema.n_datasets:
-        raise ValueError("scaling set does not match the schema's dataset count")
-    return _apply(x, scaling, schema, forward=True)
+    x = np.asarray(x, dtype=float)
+    ns, dim = schema.n_series, schema.input_dim(1)
+    if x.shape[0] != dim:
+        raise ValueError(f"expected input dimension {dim}, got {x.shape[0]}")
+    cols = x.reshape(dim, -1)
+    series, context = adimensionalize_split(cols[:ns], cols[ns:].T, scaling, schema)
+    return np.vstack([series, context.T]).reshape(x.shape)
 
 
 def adimensionalize_split(series, context, scaling: ScalingSet, schema):
     """:func:`adimensionalize` of the first-brick layout given as its series
-    rows (column samples) and the context vector that every column holds:
-    the same bits as the matching rows of the full result, with the context
-    scaled once."""
+    rows (column samples) and the context that every column holds, as one
+    vector or as one row per column; each element is scaled on its own."""
     if scaling.n_datasets != schema.n_datasets:
         raise ValueError("scaling set does not match the schema's dataset count")
     ns = schema.n_series
@@ -87,10 +74,3 @@ def adimensionalize_split(series, context, scaling: ScalingSet, schema):
         (series - scaling.offsets[:ns, None]) / scaling.scales[:ns, None],
         (context - offsets) / scales,
     )
-
-
-def undo_adimensionalize(x, scaling: ScalingSet, schema) -> np.ndarray:
-    """Inverse of :func:`adimensionalize` given the same factors."""
-    if scaling.n_datasets != schema.n_datasets:
-        raise ValueError("scaling set does not match the schema's dataset count")
-    return _apply(x, scaling, schema, forward=False)

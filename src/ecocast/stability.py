@@ -68,10 +68,13 @@ def rollout(
     ``model.prepare`` checks, scales and lays out the context once; each step
     predicts one column with what it returns.  The default divergence bound
     is 1e6 times the model's largest absolute training value (falling back to
-    the start vector's scale for hand-built models without training metadata).
+    the start vector's scale for hand-built models without training metadata);
+    an explicit ``bound`` must be positive, and ``inf`` turns the check off.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if bound is not None and not bound > 0.0:
+        raise ValueError("bound must be positive")
     x = np.asarray(start, dtype=float)
     if x.ndim != 1 or not np.all(np.isfinite(x)):
         raise ValueError("start must be a finite 1-d series vector")

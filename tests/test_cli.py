@@ -171,6 +171,18 @@ class TestTrain:
         assert "grid multipliers must be positive and finite" in message and "inf" in message
         assert not model.exists()
 
+    @pytest.mark.parametrize("fraction", ["1.5", "0", "-0.2", "nan"])
+    def test_split_fraction_outside_the_unit_interval_fails(self, tmp_path, small_series, capsys,
+                                                            fraction):
+        model = tmp_path / "model.json"
+        assert main([
+            "train", "--series", str(small_series), "--brick-kind", "linear",
+            "--split-fraction", fraction, "--model-out", str(model),
+        ]) == 1
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert message == "train needs --split-fraction in (0, 1]"
+        assert not model.exists()
+
 
     def test_overflowing_scale_search_candidates_are_rejected(self, tmp_path, small_series):
         report = tmp_path / "train.json"
@@ -270,6 +282,15 @@ class TestPredictRolloutHorizon:
         doc = read_report(report)
         points = doc["outputs"]["validation_points"]
         assert doc["diagnostics"] == {"stop_reason": "completed", "stopped_at": points}
+
+    @pytest.mark.parametrize("bound", ["-1", "0", "nan"])
+    def test_bound_must_be_positive(self, tmp_path, small_series, trained, capsys, bound):
+        out = tmp_path / "roll.csv"
+        assert main(["rollout", "--series", str(small_series), "--model-in", str(trained),
+                     "--steps", "5", "--bound", bound, "--output", str(out)]) == 1
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert message == "bound must be positive"
+        assert not out.exists()
 
     def test_a_rollout_with_no_completed_step_leaves_no_csv(self, tmp_path, small_series):
         schema = InputSchema(series_names=("prey", "predators"))

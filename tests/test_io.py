@@ -129,6 +129,21 @@ class TestTimeseriesCSV:
         with pytest.raises(ValueError, match=f"^{message}$"):
             read_timeseries_csv(path, interpolate=True)
 
+    @pytest.mark.parametrize("interpolate", [False, True])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("t,a\n0,1\n1,1e400\n2,3\n", "row 3: value '1e400' for series 'a' is not finite"),
+            ("t,a,b\n0,1,2\n1,3,\n2,-inf,6\n", "row 4: value '-inf' for series 'a' is not finite"),
+            ("t,a,b\n0,1,x\n1,inf,2\n", "row 2: cannot parse value 'x' for series 'b'"),
+        ],
+    )
+    def test_infinite_cell_is_named(self, tmp_path, text, message, interpolate):
+        path = tmp_path / "inf.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            read_timeseries_csv(path, interpolate=interpolate)
+
     def test_cells_are_read_as_float_reads_them(self, tmp_path):
         cells = [" 1.5 ", "1_000", "\uff11\uff12", "5e-324", "-0", "\u20034\u2003", "+.5", "1e-400"]
         path = tmp_path / "odd.csv"
@@ -275,6 +290,8 @@ class TestAsciiGrid:
             ("1.0 x\n1.0", "non-numeric cell 'x' on data row 1"),
             ("1.0\n1.0 x", "cell count mismatch on data row 1: expected 2, got 1"),
             ("1.0\n1.0", "cell count mismatch on data row 1: expected 2, got 1"),
+            ("1.0 1.0\n1.0 1e999", "non-finite cell '1e999' on data row 2"),
+            ("1.0 -inf\n1.0 nan", "non-finite cell '-inf' on data row 1"),
         ],
     )
     def test_first_bad_data_row_is_named(self, tmp_path, rows, message):

@@ -1,13 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from ecocast.linalg import (
     EXACT_SVD,
     InverseConfig,
-    finite_difference,
     pseudo_inverse,
-    solve_ridge,
     spectral_radius,
     tikhonov,
     truncated,
@@ -114,55 +111,30 @@ class TestPseudoInverse:
             InverseConfig(mode="tikhonov")
 
 
-class TestSolveRidge:
-    def test_identity_design(self):
-        d = np.arange(12.0).reshape(4, 3)
-        assert np.allclose(solve_ridge(np.eye(4), d, 0.0), d, atol=1e-12)
-
-    def test_large_lam_shrinks_monotonically(self):
-        rng = np.random.default_rng(2)
-        u = rng.standard_normal((30, 6))
-        d = rng.standard_normal((30, 2))
-        norms = [np.linalg.norm(solve_ridge(u, d, lam)) for lam in (1e2, 1e4, 1e6, 1e8)]
-        assert all(n1 > n2 for n1, n2 in zip(norms, norms[1:]))
-        assert norms[-1] < 1e-5
-
-    def test_matches_dense_normal_equations_oracle(self):
-        rng = np.random.default_rng(42)
-        u = rng.standard_normal((50, 8))
-        d = rng.standard_normal((50, 3))
-        lam = 0.1
-        oracle = np.linalg.solve(u.T @ u + lam * np.eye(8), u.T @ d)
-        got = solve_ridge(u, d, lam)
-        assert np.linalg.norm(got - oracle) / np.linalg.norm(oracle) < 1e-8
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            solve_ridge(np.eye(4), np.ones(3), 0.0)
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            solve_ridge(np.eye(2), np.array([np.inf, 1.0]), 0.0)
-
-
 class TestSpectralRadius:
     def test_diagonal(self):
-        est = spectral_radius(np.diag([0.5, -0.9]), tol=1e-10)
-        assert est.converged
-        assert est.radius == pytest.approx(0.9, abs=1e-9)
+        est = spectral_radius(np.diag([0.5, -0.9]))
+        assert est.radius == pytest.approx(0.9, abs=1e-15)
+        assert est.iterations_used == 1
 
     def test_identity(self):
-        est = spectral_radius(np.eye(4))
-        assert est.converged and est.radius == pytest.approx(1.0, abs=1e-9)
+        assert spectral_radius(np.eye(4)).radius == pytest.approx(1.0, abs=1e-15)
 
     def test_random_matches_dense_eigenvalue_oracle(self):
         rng = np.random.default_rng(8)
         for trial in range(20):
             m = rng.standard_normal((10, 10))
             oracle = float(np.max(np.abs(np.linalg.eigvals(m))))
-            est = spectral_radius(m, tol=1e-10, max_iter=2000, seed=trial)
-            assert est.converged
-            assert abs(est.radius - oracle) < 1e-6 * max(oracle, 1.0)
+            assert abs(spectral_radius(m).radius - oracle) < 1e-12 * max(oracle, 1.0)
+
+    def test_known_spectrum_with_near_tied_runner_up(self):
+        # radius 0.95 and a runner-up of modulus 0.949, behind an orthogonal
+        # similarity; iterating on m converges too slowly to resolve the pair
+        rng = np.random.default_rng(0)
+        spectrum = np.concatenate([[0.95, -0.949], rng.uniform(-0.9, 0.9, 38)])
+        q, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+        est = spectral_radius((q * spectrum) @ q.T)
+        assert abs(est.radius - 0.95) < 1e-12 * 0.95
 
     def test_zero_matrix(self):
         assert spectral_radius(np.zeros((3, 3))).radius == 0.0
@@ -170,45 +142,3 @@ class TestSpectralRadius:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             spectral_radius(np.ones((2, 3)))
-
-
-class TestFiniteDifference:
-    def test_linear_series_gives_exact_slope(self):
-        t = np.linspace(0.0, 3.0, 31)
-        out = finite_difference(t, t[1] - t[0])
-        assert np.allclose(out, 1.0, atol=1e-12)
-
-    def test_constant_series_gives_zeros(self):
-        out = finite_difference(np.full(10, 4.2), 0.5)
-        assert np.all(out == 0.0)
-
-    def test_sine_against_analytic_derivative(self):
-        dt = 1e-3
-        t = np.arange(0.0, 1.0 + dt, dt)
-        out = finite_difference(np.sin(t), dt)
-        assert np.max(np.abs(out - np.cos(t[:-1]))) <= 1e-3
-
-    def test_output_length(self):
-        assert finite_difference(np.arange(5.0), 1.0).shape == (4,)
-
-    @given(
-        st.integers(2, 20),
-        st.floats(-3.0, 3.0, allow_nan=False),
-        st.floats(-3.0, 3.0, allow_nan=False),
-        st.integers(0, 2**32 - 1),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_linearity(self, n, a, b, seed):
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal(n)
-        y = rng.standard_normal(n)
-        dt = 0.25
-        lhs = finite_difference(a * x + b * y, dt)
-        rhs = a * finite_difference(x, dt) + b * finite_difference(y, dt)
-        assert np.allclose(lhs, rhs, atol=1e-9, rtol=1e-9)
-
-    def test_too_short_and_bad_dt(self):
-        with pytest.raises(ValueError):
-            finite_difference(np.array([1.0]), 0.1)
-        with pytest.raises(ValueError):
-            finite_difference(np.arange(3.0), 0.0)

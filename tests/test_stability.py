@@ -168,6 +168,16 @@ class TestStopReason:
         assert result.steps_completed == completed
         assert result.diverged == (reason != "completed")
 
+    @pytest.mark.parametrize("bound", [-1.0, 0.0, float("nan")])
+    def test_bound_must_be_positive(self, bound):
+        with pytest.raises(ValueError, match="bound must be positive"):
+            rollout(linear_model(0.5 * np.eye(2)), np.array([1.0, 10.0]), steps=5, bound=bound)
+
+    def test_infinite_bound_turns_the_check_off(self):
+        result = rollout(linear_model(2.0 * np.eye(2)), np.array([1.0, 10.0]), steps=30,
+                         bound=float("inf"))
+        assert (result.stop_reason, result.steps_completed) == ("completed", 30)
+
 
 class TestSplit:
     def test_eighty_twenty(self):

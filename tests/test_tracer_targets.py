@@ -1,6 +1,7 @@
 """The benchmark tracer (perfbench/tracer.py) names ecocast functions and
 methods by string; every name must resolve the way ``Tracer.install`` looks
-it up, or the traced benchmark run fails."""
+it up, and every counter must read what its target returns, or the traced
+benchmark run fails."""
 
 import importlib
 import importlib.util
@@ -9,17 +10,20 @@ from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+from ecocast import cli
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
-def tracer_targets():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TARGETS
+    return module
 
 
-TARGETS = tracer_targets()
+TRACER = load_tracer()
+TARGETS = TRACER.TARGETS
 
 
 @pytest.mark.parametrize("module_name, attr", [t[:2] for t in TARGETS], ids=[t[2] for t in TARGETS])
@@ -31,3 +35,34 @@ def test_target_resolves(module_name, attr):
         assert inspect.isfunction(vars(getattr(owner, cls_name)).get(method))
     else:
         assert inspect.isfunction(getattr(owner, attr))
+
+
+def test_every_counted_span_carries_its_counts(tmp_path):
+    series, model = tmp_path / "series.csv", tmp_path / "model.json"
+    chain = [
+        ["simulate", "--dt", "0.05", "--steps", "60", "--output", series],
+        ["train", "--series", series, "--brick-kind", "linear", "--model-out", model],
+        ["horizon", "--series", series, "--model-in", model, "--split-fraction", "0.8"],
+        ["train", "--series", series, "--ridge", "1e-3", "--split-fraction", "0.8",
+         "--rho-grid", "0.5,2", "--model-out", model],
+        ["rollout", "--series", series, "--model-in", model, "--steps", "5",
+         "--output", tmp_path / "roll.csv"],
+    ]
+    tracer = TRACER.Tracer("test")
+    tracer.install()
+    try:
+        # a counter that raises turns into a failed command with error JSON
+        codes = [cli.main([str(a) for a in argv] + ["--report", str(tmp_path / "report.json")])
+                 for argv in chain]
+    finally:
+        tracer.uninstall()
+    assert codes == [0] * len(chain)
+    counted = {name for _, _, name, counter in TARGETS if counter is not None}
+    seen = set()
+    for span in tracer.spans:
+        name, counts = span[2], span[6]
+        if name in counted:
+            seen.add(name)
+            assert counts and all(isinstance(v, (int, float)) for v in counts.values()), name
+    # the pipeline evaluates kernels without calling kernel_matrix
+    assert seen == counted - {"bricks.kernel_matrix"}
