@@ -323,11 +323,11 @@ class _DualBrick(_Brick):
     """Dual-form ridge over the product of the Gaussian kernels in ``specs``.
 
     Retains exactly the training inputs seen at fit time; prediction is
-    ``dual_coefficients @ prod_s k_s(training_inputs, x)``.  The scaled
-    training inputs and their squared column norms are those that training
-    formed the Gram matrix from (a loaded brick computes them on first use),
-    so each apply scales only its new columns and evaluates each kernel in
-    one n x m buffer; the arithmetic is that of ``kernel_matrix``, bit for bit.
+    ``dual_coefficients @ prod_s k_s(training_inputs, x)``.  The first apply
+    scales the training inputs and keeps them with their squared column
+    norms, so each apply scales only its new columns and evaluates each
+    kernel in one n x m buffer; the arithmetic is that of ``kernel_matrix``,
+    bit for bit.
     """
 
     training_inputs: np.ndarray
@@ -730,67 +730,43 @@ def _train_dual(v: np.ndarray, lam: float, gram: np.ndarray) -> tuple[np.ndarray
     return v @ pseudo_inverse(gram, EXACT_SVD), lam
 
 
-# Instance-dict key under which a freshly trained dual brick carries the Gram
-# matrix of its solve, read-only like every array a brick holds, until
-# ``take_training_gram`` detaches it.
-_GRAM_KEY = "_training_gram"
-
-
-def _fit_dual(cls, inputs, targets, lam: float, **specs) -> _DualBrick:
-    """A dual brick of class ``cls`` with the kernel ``specs``, trained on
-    inputs scaled once: it keeps them as its scaled training inputs and
-    carries the Gram matrix until :func:`take_training_gram` detaches it."""
+def _fit_dual(cls, inputs, targets, lam: float, gram: np.ndarray | None, **specs) -> _DualBrick:
+    """A dual brick of class ``cls`` with the kernel ``specs``, solved against
+    ``gram``, the ridge-free Gram matrix of the inputs (evaluated here when
+    None), which comes back as it went in."""
     u, v = _as_pairs(inputs, targets)
     if any(spec.dim != u.shape[0] for spec in specs.values()):
         raise ValueError("kernel spec does not match the input dimension")
-    scaled = _scaled(tuple(specs.values()), u)
-    # the right-hand side is a copy: for ``s.T @ s`` on one buffer numpy
-    # switches to a symmetric product that rounds differently
-    rhs = {id(e): (e[0].copy(), e[1]) for e in scaled}
-    gram = _product_gaussian(scaled, [rhs[id(e)] for e in scaled])
+    if gram is None:
+        # two scalings, so two buffers: for ``s.T @ s`` on one buffer numpy
+        # switches to a symmetric product that rounds differently
+        gram = _product_gaussian(_scaled(specs.values(), u), _scaled(specs.values(), u))
+    elif gram.shape != (u.shape[1], u.shape[1]):
+        raise ValueError(f"the Gram matrix must be {u.shape[1]} x {u.shape[1]}, got {gram.shape}")
     dual, lam = _train_dual(v, lam, gram)
-    brick = cls(training_inputs=u, dual_coefficients=dual, ridge=lam, **specs)
-    brick.__dict__["_scaled_training_inputs"] = scaled
-    gram.setflags(write=False)
-    brick.__dict__[_GRAM_KEY] = gram
-    return brick
+    return cls(training_inputs=u, dual_coefficients=dual, ridge=lam, **specs)
 
 
-def take_training_gram(brick: Brick) -> np.ndarray | None:
-    """Detach the ridge-free Gram matrix that a dual brick was just trained
-    with, so that the model does not hold it, and hand it over writable; None
-    for the other kinds, for loaded bricks and once taken.  The brick's
-    training outputs are ``brick.dual_coefficients @ gram``, the same bits as
-    ``brick.apply_columns`` on its training inputs."""
-    gram = brick.__dict__.pop(_GRAM_KEY, None)
-    if gram is not None:
-        gram.setflags(write=True)
-    return gram
-
-
-def refit_dual_brick(brick: _DualBrick, targets, lam: float, gram: np.ndarray) -> _DualBrick:
-    """``brick`` re-solved at ridge ``lam`` on its training inputs from their
-    ridge-free Gram matrix ``gram`` (and scaled training inputs): the same
-    bits as training afresh at ``lam``, without the kernel evaluation."""
-    dual, lam = _train_dual(_as_pairs(brick.training_inputs, targets)[1], lam, gram)
-    refit = replace(brick, dual_coefficients=dual, ridge=lam)
-    refit.__dict__["_scaled_training_inputs"] = brick._scaled_training_inputs
-    return refit
-
-
-def train_kernel_brick(inputs, targets, spec: KernelSpec, lam: float) -> KernelBrick:
+def train_kernel_brick(
+    inputs, targets, spec: KernelSpec, lam: float, gram: np.ndarray | None = None
+) -> KernelBrick:
     """Kernel ridge in dual form: coefficients ``targets @ (K + lam I)^-1``.
-    The brick carries K until :func:`take_training_gram` detaches it."""
-    return _fit_dual(KernelBrick, inputs, targets, lam, spec=spec)
+    ``gram`` is K when the caller has it: a writable n x n matrix, whose
+    diagonal the solve changes and then restores."""
+    return _fit_dual(KernelBrick, inputs, targets, lam, gram, spec=spec)
 
 
 def train_kt_brick(
-    inputs, targets, spec_a: KernelSpec, spec_b: KernelSpec, lam: float
+    inputs,
+    targets,
+    spec_a: KernelSpec,
+    spec_b: KernelSpec,
+    lam: float,
+    gram: np.ndarray | None = None,
 ) -> KernelTensorBrick:
-    """Kernel-tensor brick: dual-form ridge on the product kernel ``K_a * K_b``.
-    The brick carries that Gram matrix until :func:`take_training_gram`
-    detaches it."""
-    return _fit_dual(KernelTensorBrick, inputs, targets, lam, spec_a=spec_a, spec_b=spec_b)
+    """Kernel-tensor brick: dual-form ridge on the product kernel ``K_a * K_b``,
+    given as ``gram`` as in :func:`train_kernel_brick`."""
+    return _fit_dual(KernelTensorBrick, inputs, targets, lam, gram, spec_a=spec_a, spec_b=spec_b)
 
 
 def train_tensor_brick(

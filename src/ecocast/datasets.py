@@ -217,7 +217,7 @@ def default_scaling(ts: TimeSeriesSet, maps=()) -> ScalingSet:
 def scaling_from_columns(inputs, schema: InputSchema) -> ScalingSet:
     """Unit-variance initialization measured on first-brick input columns."""
     u = np.asarray(inputs, dtype=float)
-    slices, _ = schema.dataset_slices(1)
+    slices = schema.dataset_slices(1)
     return _unit_variance([u[a:b] for a, b in slices])
 
 
@@ -326,6 +326,8 @@ def optimize_scaling(
     n_train = int(round(n * split_fraction))
     if n_train < 1 or n - n_train < 1:
         raise ValueError("the split leaves an empty training or validation part")
+    # every candidate is scored with this context on the validation columns
+    context = schema.column_context(u)
     u_train, u_val = u[:, :n_train], u[:, n_train:]
     v_train, v_val = v[:, :n_train], v[:, n_train:]
 
@@ -338,7 +340,6 @@ def optimize_scaling(
     norm = np.std(v_train, axis=1)
     norm[norm <= 0.0] = 1.0
 
-    context = u[ns:, 0] if u.shape[0] > ns else np.empty(0)
     evaluations = rejected = 0
     scored: dict[tuple, float] = {}
 

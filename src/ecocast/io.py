@@ -70,10 +70,14 @@ def _parse_time_cell(cell: str, row: int):
         raise ValueError(f"row {row}: cannot parse time value {cell!r}") from None
 
 
+def _infinite_cell(row: int, cell: str, name: str) -> ValueError:
+    return ValueError(f"row {row}: value {cell!r} for series {name!r} is not finite")
+
+
 def _parse_cells(rows: list[list[str]], names: list[str]):
     """Times, values and epoch of the data rows, parsed cell by cell: blank
     cells become NaN, and the first row in file order that cannot be read
-    is named in the error."""
+    or holds an infinite value is named in the error."""
     header = rows[0]
     n_points = len(rows) - 1
     times = np.empty(n_points)
@@ -97,6 +101,8 @@ def _parse_cells(rows: list[list[str]], names: list[str]):
                     raise ValueError(
                         f"row {line_no}: cannot parse value {cell!r} for series {names[i]!r}"
                     ) from None
+                if math.isinf(values[i, j]):
+                    raise _infinite_cell(line_no, cell, names[i])
     epoch = None
     if any(d is not None for d in dates):
         if not all(d is not None for d in dates):
@@ -163,8 +169,7 @@ def read_timeseries_csv(path, interpolate: bool = False) -> TimeSeriesSet:
     infinite = np.argwhere(np.isinf(values.T))  # (point, series), in file order
     if infinite.size:
         j, i = infinite[0]
-        cell = rows[j + 1][i + 1].strip()
-        raise ValueError(f"row {j + 2}: value {cell!r} for series {names[i]!r} is not finite")
+        raise _infinite_cell(j + 2, rows[j + 1][i + 1].strip(), names[i])
 
     if n_points >= 2 and np.any(np.diff(times) <= 0.0):
         order = np.argsort(times, kind="stable")
@@ -223,9 +228,13 @@ def write_ascii_grid(cmap: ContextMap, path) -> None:
         fh.writelines(" ".join(map(repr, row)) + "\n" for row in cmap.values.tolist())
 
 
-def _parse_grid_cells(data_lines: list[str], n_cols: int) -> np.ndarray:
+def _non_finite_cell(cell: str, row: int) -> ValueError:
+    return ValueError(f"non-finite cell {cell!r} on data row {row}")
+
+
+def _parse_grid_cells(data_lines: list[str], n_cols: int, nodata: float) -> np.ndarray:
     """The cell table parsed cell by cell, naming the first data row that
-    cannot be read."""
+    cannot be read or holds a non-finite value other than ``nodata``."""
     values = np.empty((len(data_lines), n_cols))
     for i, line in enumerate(data_lines):
         cells = line.split()
@@ -238,6 +247,8 @@ def _parse_grid_cells(data_lines: list[str], n_cols: int) -> np.ndarray:
                 values[i, j] = float(cell)
             except ValueError:
                 raise ValueError(f"non-numeric cell {cell!r} on data row {i + 1}") from None
+            if not (math.isfinite(values[i, j]) or values[i, j] == nodata):
+                raise _non_finite_cell(cell, i + 1)
     return values
 
 
@@ -286,14 +297,13 @@ def read_ascii_grid(path, nodata_fill=None) -> ContextMap:
     except ValueError:  # ragged rows or bad cells
         values = None
     if values is None or values.shape != (n_rows, n_cols):
-        values = _parse_grid_cells(data_lines, n_cols)
+        values = _parse_grid_cells(data_lines, n_cols, nodata)
 
     mask = values == nodata
     bad = np.argwhere(~(np.isfinite(values) | mask))
     if bad.size:
         i, j = bad[0]
-        cell = data_lines[i].split()[j]
-        raise ValueError(f"non-finite cell {cell!r} on data row {i + 1}")
+        raise _non_finite_cell(data_lines[i].split()[j], i + 1)
     nodata_value: float | None = nodata
     if mask.any():
         if nodata_fill is None:

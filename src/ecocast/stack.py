@@ -21,8 +21,7 @@ from .bricks import (
     Activation,
     Brick,
     KernelSpec,
-    refit_dual_brick,
-    take_training_gram,
+    kernel_matrix,
     train_dsn_brick,
     train_kernel_brick,
     train_kt_brick,
@@ -101,6 +100,14 @@ class InputSchema:
         """Rows of every brick input that hold the context."""
         return slice(self.n_series, self.n_series + self.context_total)
 
+    def column_context(self, inputs: np.ndarray) -> np.ndarray:
+        """The context vector that every column of the first-brick ``inputs``
+        holds; an error when a context row varies between columns."""
+        context = inputs[self.context_rows]
+        if np.any(context != context[:, :1]):
+            raise ValueError("context rows must hold the same value in every training column")
+        return context[:, 0]
+
     def input_dim(self, brick_index: int) -> int:
         """Full-layout input length for the given 1-based brick index."""
         if brick_index < 1:
@@ -116,36 +123,21 @@ class InputSchema:
         block = np.repeat(context[:, None], rows.shape[1], axis=1)
         return np.vstack([rows[: self.n_series], block, rows[self.n_series :]])
 
-    def dataset_slices(
-        self, brick_index: int = 1
-    ) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
-        """Contiguous dataset segments of the brick input, with the dataset
-        index that owns each segment (the previous-output segment maps back
-        to the series datasets)."""
+    def dataset_slices(self, brick_index: int = 1) -> tuple[tuple[int, int], ...]:
+        """Contiguous dataset segments of the brick input: one per series, one
+        per context dataset and, from brick 2 on, one per previous output."""
         if brick_index < 1:
             raise ValueError("brick indices are 1-based")
-        slices: list[tuple[int, int]] = []
-        owners: list[int] = []
-        pos = 0
-        for i in range(self.n_series):
-            slices.append((pos, pos + 1))
-            owners.append(i)
-            pos += 1
-        for j, size in enumerate(self.context_sizes):
-            slices.append((pos, pos + size))
-            owners.append(self.n_series + j)
-            pos += size
+        sizes = [1] * self.n_series + list(self.context_sizes)
         if brick_index >= 2:
-            for i in range(self.n_series):
-                slices.append((pos, pos + 1))
-                owners.append(i)
-                pos += 1
-        return tuple(slices), tuple(owners)
+            sizes += [1] * self.n_series
+        ends = np.cumsum(sizes).tolist()
+        return tuple(zip([0] + ends[:-1], ends))
 
     def kernel_spec(self, brick_index: int) -> KernelSpec:
         """Unit-scale kernel spec over the brick's dataset segments: the
         scaling set, not the spec, carries the distance scales."""
-        slices, _ = self.dataset_slices(brick_index)
+        slices = self.dataset_slices(brick_index)
         return KernelSpec(scales=(1.0,) * len(slices), slices=slices)
 
 
@@ -319,15 +311,18 @@ def _train_one(
     schema: InputSchema,
     brick_index: int,
     seed: int,
-) -> Brick:
+    gram: np.ndarray | None = None,
+) -> tuple[Brick, np.ndarray | None]:
     """One brick on folded-layout ``inputs`` whose full layout holds
-    ``context`` in every column: the feature kinds fold it out, the kernel
-    kinds read the full layout."""
+    ``context`` in every column, with the ridge-free Gram matrix of its solve
+    (None for the feature kinds): the feature kinds fold the context out, the
+    kernel kinds read the full layout.  ``gram`` is that matrix kept from an
+    earlier fit of a dual brick on the same inputs."""
     ns = schema.n_series
     if cfg.kind == "linear":
-        return train_linear_brick(inputs, targets, cfg.solve_config(), context=context)
+        return train_linear_brick(inputs, targets, cfg.solve_config(), context=context), None
     if cfg.kind == "dsn":
-        return train_dsn_brick(
+        brick = train_dsn_brick(
             inputs,
             targets,
             hidden_size=cfg.hidden_size,
@@ -338,8 +333,9 @@ def _train_one(
             context=context,
             context_row=ns,
         )
+        return brick, None
     if cfg.kind == "tensor":
-        return train_tensor_brick(
+        brick = train_tensor_brick(
             inputs,
             targets,
             hidden_size_a=cfg.hidden_size_a,
@@ -350,11 +346,17 @@ def _train_one(
             context=context,
             context_row=ns,
         )
+        return brick, None
     full = schema.full_input(inputs, context)
     spec = schema.kernel_spec(brick_index)
+    if gram is None:
+        gram = kernel_matrix(spec, full, full)
+        if cfg.kind == "kernel-tensor":
+            # both kernels have this spec: K_a * K_b is K squared
+            np.multiply(gram, gram, out=gram)
     if cfg.kind == "kernel":
-        return train_kernel_brick(full, targets, spec, cfg.ridge)
-    return train_kt_brick(full, targets, spec, spec, cfg.ridge)
+        return train_kernel_brick(full, targets, spec, cfg.ridge, gram), gram
+    return train_kt_brick(full, targets, spec, spec, cfg.ridge, gram), gram
 
 
 def train_stack(
@@ -424,13 +426,10 @@ def _train_stack(
         raise ValueError(f"inputs have {u.shape[0]} rows, schema expects {schema.input_dim(1)}")
     if v.shape[0] != schema.n_series:
         raise ValueError(f"targets have {v.shape[0]} rows, schema expects {schema.n_series}")
-    context = u[schema.context_rows]
-    if np.any(context != context[:, :1]):
-        raise ValueError("context rows must hold the same value in every training column")
 
     # the series rows and the context vector, as the bricks see them
     ns = schema.n_series
-    us, c, vs = u[:ns], context[:, 0], v
+    us, c, vs = u[:ns], schema.column_context(u), v
     if scaling is not None:
         us, c = adimensionalize_split(us, c, scaling, schema)
         vs = (v - scaling.offsets[:ns, None]) / scaling.scales[:ns, None]
@@ -443,14 +442,12 @@ def _train_stack(
     x = fits[-1].next_input if fits else us
     for k in range(n_kept + 1, len(config_list) + 1):
         cfg = config_list[k - 1]
-        # only the first changed brick still trains on its earlier input
+        # only the first changed brick still trains on its earlier input; a
+        # dual brick that differs only in its ridge solves against its kept Gram
         old = earlier[k - 1] if k == n_kept + 1 and k <= len(earlier) else None
+        kept = old.gram if old is not None and replace(old.cfg, ridge=cfg.ridge) == cfg else None
         try:
-            if old is not None and old.gram is not None and replace(old.cfg, ridge=cfg.ridge) == cfg:
-                brick, gram = refit_dual_brick(old.brick, vs, cfg.ridge, old.gram), old.gram
-            else:
-                brick = _train_one(cfg, x, c, vs, schema, k, seed + k)
-                gram = take_training_gram(brick)
+            brick, gram = _train_one(cfg, x, c, vs, schema, k, seed + k, kept)
         except Exception as exc:
             raise BrickTrainingError(k, str(exc)) from exc
         # a dual brick's outputs on its own training inputs from its Gram
@@ -475,7 +472,7 @@ def _train_stack(
     return model, tuple(fits)
 
 
-_PREDICTIONS_KEY = "_training_predictions"  # instance-dict key, as in take_training_gram
+_PREDICTIONS_KEY = "_training_predictions"  # instance-dict key
 
 
 def take_training_predictions(model: StackedModel) -> np.ndarray | None:

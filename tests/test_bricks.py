@@ -7,15 +7,12 @@ from ecocast.bricks import (
     Activation,
     KernelSpec,
     _gaussian,
-    _scaled,
     activate,
     dsn_objective,
     dsn_objective_gradient,
     fold_context,
     gaussian_kernel,
     kernel_matrix,
-    refit_dual_brick,
-    take_training_gram,
     train_dsn_brick,
     train_kernel_brick,
     train_kt_brick,
@@ -384,7 +381,8 @@ class TestKernelTensorBrick:
         spec = KernelSpec(scales=(0.8, 1.3), slices=((0, 1), (1, 3)))
         brick = train_kt_brick(u, v, spec, spec, lam=1e-3)
         gram, cross = kernel_matrix(spec, u, u), kernel_matrix(spec, u, x)
-        assert take_training_gram(brick).tobytes() == (gram * gram).tobytes()
+        given = train_kt_brick(u, v, spec, spec, lam=1e-3, gram=gram * gram)
+        assert brick.dual_coefficients.tobytes() == given.dual_coefficients.tobytes()
         want = brick.dual_coefficients @ (cross * cross)
         assert brick.apply_columns(x).tobytes() == want.tobytes()
 
@@ -501,76 +499,61 @@ class TestCachedDualApply:
 
 
 class TestTrainingGram:
-    """A trained dual brick hands out the ridge-free Gram matrix of its solve."""
+    """A dual brick trains on the ridge-free Gram matrix it is given."""
 
     SPECS = (
         KernelSpec(scales=(1.5, 40.0), slices=((0, 2), (2, 5))),
         KernelSpec(scales=(0.7, 3.0), slices=((0, 2), (2, 5))),
     )
 
-    def train(self, n_specs, u, v, lam):
+    def train(self, n_specs, u, v, lam, gram=None):
         if n_specs == 1:
-            return train_kernel_brick(u, v, self.SPECS[0], lam)
-        return train_kt_brick(u, v, *self.SPECS, lam)
+            return train_kernel_brick(u, v, self.SPECS[0], lam, gram)
+        return train_kt_brick(u, v, *self.SPECS, lam, gram)
 
     def data(self):
         rng = np.random.default_rng(26)
         return rng.standard_normal((5, 30)) * 3.0 + 100.0, rng.standard_normal((2, 30))
 
+    def gram(self, n_specs, u):
+        gram = kernel_matrix(self.SPECS[0], u, u)
+        for spec in self.SPECS[1:n_specs]:
+            gram *= kernel_matrix(spec, u, u)
+        return gram
+
     @pytest.mark.parametrize("lam", [1e-3, 0.0], ids=["ridge", "pseudo-inverse"])
     @pytest.mark.parametrize("n_specs", [1, 2])
     def test_gram_outputs_equal_apply_columns_bit_for_bit(self, n_specs, lam):
         u, v = self.data()
-        brick = self.train(n_specs, u, v, lam)
-        gram = take_training_gram(brick)
-        assert gram.flags.writeable
+        gram = self.gram(n_specs, u)
+        brick = self.train(n_specs, u, v, lam, gram)
         want = brick.apply_columns(u)
         assert (brick.dual_coefficients @ gram).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n_specs", [1, 2])
     def test_gram_comes_back_with_its_diagonal_restored(self, n_specs):
         u, v = self.data()
-        gram = take_training_gram(self.train(n_specs, u, v, 0.5))
-        want = kernel_matrix(self.SPECS[0], u, u)
-        for spec in self.SPECS[1:n_specs]:
-            want *= kernel_matrix(spec, u, u)
-        assert gram.tobytes() == want.tobytes()
+        gram = self.gram(n_specs, u)
+        before = gram.copy()
+        self.train(n_specs, u, v, 0.5, gram)
+        assert gram.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("n_specs", [1, 2])
-    def test_refit_equals_training_afresh_and_keeps_the_gram(self, n_specs):
+    def test_a_new_ridge_from_a_kept_gram_equals_training_afresh(self, n_specs):
         u, v = self.data()
-        brick = self.train(n_specs, u, v, 1e-3)
-        gram = take_training_gram(brick)
-        before = gram.copy()
+        gram = self.gram(n_specs, u)
+        self.train(n_specs, u, v, 1e-3, gram)
         for lam in (0.25, 1e-6, 0.0):
-            refit = refit_dual_brick(brick, v, lam, gram)
+            kept = self.train(n_specs, u, v, lam, gram)
             fresh = self.train(n_specs, u, v, lam)
-            assert type(refit) is type(fresh) and refit.ridge == fresh.ridge
-            assert refit.training_inputs.tobytes() == fresh.training_inputs.tobytes()
-            assert refit.dual_coefficients.tobytes() == fresh.dual_coefficients.tobytes()
-            assert gram.tobytes() == before.tobytes()
+            assert type(kept) is type(fresh) and kept.ridge == fresh.ridge
+            assert kept.training_inputs.tobytes() == fresh.training_inputs.tobytes()
+            assert kept.dual_coefficients.tobytes() == fresh.dual_coefficients.tobytes()
 
-    def test_gram_is_handed_out_once_and_only_by_dual_bricks(self):
+    def test_a_gram_of_the_wrong_shape_is_rejected(self):
         u, v = self.data()
-        brick = train_kernel_brick(u, v, self.SPECS[0], 1e-3)
-        assert take_training_gram(brick) is not None
-        assert take_training_gram(brick) is None
-        assert take_training_gram(train_linear_brick(u, v)) is None
-
-    @pytest.mark.parametrize("specs", [(0,), (0, 1), (1, 1)], ids=["kernel", "kt", "kt-equal"])
-    def test_seeded_scaled_inputs_equal_a_recomputed_scaling(self, specs):
-        u, v = self.data()
-        specs = tuple(self.SPECS[i] for i in specs)
-        brick = (train_kernel_brick(u, v, *specs, 1e-3) if len(specs) == 1
-                 else train_kt_brick(u, v, *specs, 1e-3))
-        # training seeds the cache: it is in the instance before any apply
-        seeded = brick.__dict__["_scaled_training_inputs"]
-        recomputed = _scaled(specs, brick.training_inputs)
-        assert [e is seeded[0] for e in seeded] == [e is recomputed[0] for e in recomputed]
-        for (s, n), (s_want, n_want) in zip(seeded, recomputed):
-            assert s.tobytes() == s_want.tobytes() and n.tobytes() == n_want.tobytes()
-        refit = refit_dual_brick(brick, v, 0.5, take_training_gram(brick))
-        assert refit.__dict__["_scaled_training_inputs"] is seeded
+        with pytest.raises(ValueError, match="Gram matrix must be 30 x 30"):
+            self.train(1, u, v, 1e-3, self.gram(1, u[:, :29]))
 
 
 class TestGaussianBuffer:
@@ -598,7 +581,6 @@ class TestGaussianBuffer:
         rng = np.random.default_rng(27)
         u, v = rng.standard_normal((4, n)), rng.standard_normal((2, n))
         brick = train_kernel_brick(u, v, uniform_kernel_spec(4, 2.0), 1e-3)
-        take_training_gram(brick)
         x = rng.standard_normal((4, m))
         brick.apply_columns(x[:, :1])  # any lazy state is in place
         tracemalloc.start()

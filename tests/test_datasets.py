@@ -164,11 +164,11 @@ class TestAdimensionalize:
             series_names=("a", "b"), context_names=("m1", "m2"), context_sizes=(4, 3)
         )
         s = ScalingSet(offsets=rng.standard_normal(4) * 50.0, scales=rng.uniform(0.01, 30.0, 4))
-        slices, owners = schema.dataset_slices(1)
+        slices = schema.dataset_slices(1)
         dim = slices[-1][1]
         for x in (rng.standard_normal(dim) * 100.0, rng.standard_normal((dim, 6)) * 100.0):
             forward = np.empty_like(x)
-            for (a, b), d in zip(slices, owners):
+            for d, (a, b) in enumerate(slices):
                 forward[a:b] = (x[a:b] - s.offsets[d]) / s.scales[d]
             got = adimensionalize(x, s, schema)
             assert got.shape == x.shape and got.tobytes() == forward.tobytes()
@@ -346,6 +346,21 @@ class TestOptimizeScaling:
         with pytest.raises(ValueError, match="grid multipliers must be positive and finite"):
             optimize_scaling(u, v, schema, BrickConfig(kind="kernel", ridge=1e-3),
                              grid=(0.5, bad), split_fraction=0.75, n_bricks=1)
+
+    @pytest.mark.parametrize("columns", [slice(-5, None), slice(0, 1)], ids=["validation", "training"])
+    def test_context_varying_between_columns_is_rejected_before_any_evaluation(
+        self, monkeypatch, columns
+    ):
+        u, v, schema = lv_pairs(points=61, maps=[make_map("dtm", 1, 2, seed=1)])
+        u[schema.context_rows, columns] += 100.0
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a candidate was trained")
+
+        monkeypatch.setattr(datasets, "_train_stack", no_training)
+        with pytest.raises(ValueError, match="context rows must hold the same value"):
+            optimize_scaling(u, v, schema, BrickConfig(kind="kernel", ridge=1e-3),
+                             grid=(0.5, 2.0), n_bricks=1)
 
     def test_reports_a_search_cut_by_max_passes(self):
         u, v, schema = lv_pairs(points=121)

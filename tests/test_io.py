@@ -136,6 +136,8 @@ class TestTimeseriesCSV:
             ("t,a\n0,1\n1,1e400\n2,3\n", "row 3: value '1e400' for series 'a' is not finite"),
             ("t,a,b\n0,1,2\n1,3,\n2,-inf,6\n", "row 4: value '-inf' for series 'a' is not finite"),
             ("t,a,b\n0,1,x\n1,inf,2\n", "row 2: cannot parse value 'x' for series 'b'"),
+            ("t,a\n0,inf\n1,x\n", "row 2: value 'inf' for series 'a' is not finite"),
+            ("t,a,b\n0,1,-inf\n1,2\n", "row 2: value '-inf' for series 'b' is not finite"),
         ],
     )
     def test_infinite_cell_is_named(self, tmp_path, text, message, interpolate):
@@ -292,6 +294,8 @@ class TestAsciiGrid:
             ("1.0\n1.0", "cell count mismatch on data row 1: expected 2, got 1"),
             ("1.0 1.0\n1.0 1e999", "non-finite cell '1e999' on data row 2"),
             ("1.0 -inf\n1.0 nan", "non-finite cell '-inf' on data row 1"),
+            ("inf 1.0\n2.0 x", "non-finite cell 'inf' on data row 1"),
+            ("1.0 nan\n2.0", "non-finite cell 'nan' on data row 1"),
         ],
     )
     def test_first_bad_data_row_is_named(self, tmp_path, rows, message):
@@ -318,7 +322,7 @@ class TestAsciiGrid:
         back = read_ascii_grid(p1)
         assert back.values.tobytes() == cmap.values.tobytes()
         lines = p1.read_text().splitlines()[6:]
-        assert _parse_grid_cells(lines, 100).tobytes() == cmap.values.tobytes()  # the reference
+        assert _parse_grid_cells(lines, 100, -9999.0).tobytes() == cmap.values.tobytes()  # the reference
         write_ascii_grid(back, p2)
         assert p1.read_bytes() == p2.read_bytes()
 

@@ -64,5 +64,4 @@ def test_every_counted_span_carries_its_counts(tmp_path):
         if name in counted:
             seen.add(name)
             assert counts and all(isinstance(v, (int, float)) for v in counts.values()), name
-    # the pipeline evaluates kernels without calling kernel_matrix
-    assert seen == counted - {"bricks.kernel_matrix"}
+    assert seen == counted
