@@ -1,7 +1,8 @@
 """Run the installed ``ecocast`` console script end to end.
 
-simulate -> train --grid -> predict -> rollout -> horizon, one process per
-command, in a temporary directory.  Each command must exit 0 and write a
+simulate -> train --grid -> predict -> rollout -> horizon, then a DSN train
+and a scale-search train on the same grid, one process per command, in a
+temporary directory.  Each command must exit 0 and write a
 report whose outputs make sense; the first failure stops the run with a
 nonzero exit status.
 
@@ -75,7 +76,31 @@ def main() -> None:
 
         out = ecocast(exe, d, "horizon", *inputs, "--model-in", model, "--split-fraction", "0.8")
         check(out["horizon"] >= 1, f"horizon is {out['horizon']}")
-    print("cli_smoke: all five commands passed")
+
+        # the feature-kind and scale-search training paths, on the same grid
+        dsn_model, searched = str(d / "dsn.model.json"), str(d / "searched.model.json")
+        out = ecocast(
+            exe, d, "train", *inputs, "--brick-kind", "dsn", "--bricks", "2",
+            "--hidden-size", "16", "--ridge", "1e-6", "--split-fraction", "0.8",
+            "--model-out", dsn_model,
+        )  # fmt: skip
+        check(out["training_pairs"] == 160, f"dsn train used {out['training_pairs']} pairs")
+        check(math.isfinite(out["validation_rmse"]), "dsn train reports no finite RMSE")
+        check(Path(dsn_model).stat().st_size > 0, "dsn train wrote no model")
+
+        out = ecocast(
+            exe, d, "train", *inputs, "--brick-kind", "kernel", "--bricks", "2",
+            "--ridge", "1e-3", "--split-fraction", "0.8", "--rho-grid", "0.5,2",
+            "--model-out", searched,
+        )  # fmt: skip
+        search = out["scale_search"]
+        check(search["evaluations"] > 1, f"the scale search ran {search['evaluations']} times")
+        trace = search["loss_trace"]
+        check(all(math.isfinite(x) for x in trace), "the scale search loss trace is not finite")
+        check(all(a >= b for a, b in zip(trace, trace[1:])), "the scale search loss trace rises")
+        check(math.isfinite(out["validation_rmse"]), "searched train reports no finite RMSE")
+        check(Path(searched).stat().st_size > 0, "searched train wrote no model")
+    print("cli_smoke: all seven commands passed")
 
 
 if __name__ == "__main__":

@@ -83,9 +83,13 @@ def activate(a: Activation, x) -> np.ndarray:
     if a is Activation.STEP:
         return (x >= 0.0).astype(float)
     if a is Activation.SIGMOID:
-        # exp of a nonpositive argument only, so large |x| cannot overflow
-        z = np.exp(-np.abs(x))
-        return np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
+        # in place; exp of a nonpositive argument only, so large |x| cannot overflow
+        z = np.abs(x, out=np.empty_like(x))
+        np.exp(np.negative(z, out=z), out=z)
+        d = np.add(1.0, z, out=np.empty_like(x))
+        np.divide(z, d, out=z)
+        np.copyto(z, np.divide(1.0, d, out=d), where=x >= 0.0)
+        return z
     if a is Activation.RELU:
         return np.maximum(x, 0.0)
     return np.array(x, dtype=float)

@@ -31,6 +31,7 @@ from .datasets import (
     default_scaling,
     flatten_context,
     optimize_scaling,
+    training_schema,
     usle_soil_loss,
 )
 from .io import (
@@ -269,7 +270,8 @@ def _cmd_train(cfg: RunConfig) -> dict:
         train_ts, val_ts = ts, None
     else:
         train_ts, val_ts = split_train_validate(ts, cfg.split_fraction)
-    inputs, targets, schema = build_training_pairs(train_ts, maps)
+    inputs, targets, _ = build_training_pairs(train_ts)
+    schema, context = training_schema(train_ts, maps), flatten_context(maps)
     configs = _brick_configs(cfg)
     scaling = default_scaling(train_ts, maps)
     outputs: dict = {}
@@ -284,6 +286,7 @@ def _cmd_train(cfg: RunConfig) -> dict:
             split_fraction=min(cfg.split_fraction, 0.8),
             seed=cfg.seed,
             initial=scaling,
+            context=context,
         )
         scaling = search.scaling
         configs = [dataclasses.replace(c, ridge=r) for c, r in zip(configs, search.ridges)]
@@ -296,15 +299,13 @@ def _cmd_train(cfg: RunConfig) -> dict:
             "rejected": search.rejected,
         }
     _log(f"training {cfg.bricks} brick(s) on {inputs.shape[1]} pairs")
-    model = train_stack(
-        inputs, targets, schema, configs, n_bricks=cfg.bricks, seed=cfg.seed, scaling=scaling
-    )
+    model = train_stack(inputs, targets, schema, configs, n_bricks=cfg.bricks, seed=cfg.seed,
+                        scaling=scaling, context=context)
     outputs["training_rmse"] = _rmse(take_training_predictions(model), targets)
     save_model(model, cfg.model_out)
     outputs["model"] = cfg.model_out
     outputs["training_pairs"] = int(inputs.shape[1])
     if val_ts is not None:
-        context = _context_for(model, maps)
         predictions = model.predict_columns(val_ts.values[:, :-1], context)
         outputs["validation_points"] = int(val_ts.n_points)
         outputs["validation_rmse"] = _rmse(predictions, val_ts.values[:, 1:])

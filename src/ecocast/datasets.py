@@ -26,6 +26,7 @@ __all__ = [
     "flatten_context",
     "optimize_scaling",
     "scaling_from_columns",
+    "training_schema",
     "usle_soil_loss",
 ]
 
@@ -170,11 +171,21 @@ def flatten_context(maps) -> np.ndarray:
     return np.concatenate(parts) if parts else np.empty(0)
 
 
+def training_schema(ts: TimeSeriesSet, maps=()) -> InputSchema:
+    """The input schema of ``ts``'s series with ``maps`` as the context."""
+    return InputSchema(
+        series_names=ts.names,
+        context_names=tuple(m.name for m in maps),
+        context_sizes=tuple(m.pixel_count for m in maps),
+    )
+
+
 def build_training_pairs(
     ts: TimeSeriesSet, maps=()
 ) -> tuple[np.ndarray, np.ndarray, InputSchema]:
     """Supervised one-step pairs: column j is ``(T(t_j), context)`` with
-    target ``T(t_{j+1})``; N time points give N - 1 pairs."""
+    target ``T(t_{j+1})``; N time points give N - 1 pairs.  Without maps
+    the columns hold the series rows only."""
     if ts.n_points < 2:
         raise ValueError("at least 2 time points are required to form pairs")
     maps = tuple(maps)
@@ -184,12 +195,7 @@ def build_training_pairs(
     inputs[:ns] = ts.values[:, :-1]
     inputs[ns:] = context[:, None]
     targets = np.array(ts.values[:, 1:])
-    schema = InputSchema(
-        series_names=ts.names,
-        context_names=tuple(m.name for m in maps),
-        context_sizes=tuple(m.pixel_count for m in maps),
-    )
-    return inputs, targets, schema
+    return inputs, targets, training_schema(ts, maps)
 
 
 def _unit_variance(segments) -> ScalingSet:
@@ -289,9 +295,12 @@ def optimize_scaling(
     seed: int = 0,
     initial: ScalingSet | None = None,
     max_passes: int = 20,
+    context=None,
 ) -> ScalingSearchResult:
     """Coordinate descent over per-dataset scales and per-brick ridges.
 
+    ``inputs`` and ``context`` are read as :func:`~ecocast.stack.train_stack`
+    reads them, and the context is checked once, before anything trains.
     Pairs are split consecutively; each candidate is a stack trained on the
     leading split and scored by one-step RMSE on the trailing split
     (per-series, normalized by the training-segment standard deviation so
@@ -326,17 +335,19 @@ def optimize_scaling(
     n_train = int(round(n * split_fraction))
     if n_train < 1 or n - n_train < 1:
         raise ValueError("the split leaves an empty training or validation part")
-    # every candidate is scored with this context on the validation columns
-    context = schema.column_context(u)
-    u_train, u_val = u[:, :n_train], u[:, n_train:]
+    # every candidate trains on the series rows and this context
+    series, c = schema.split_context(u, context)
+    u_train, u_val = series[:, :n_train], series[:, n_train:]
     v_train, v_val = v[:, :n_train], v[:, n_train:]
 
     config_list = brick_config_list(configs, n_bricks)
 
-    scaling = initial if initial is not None else scaling_from_columns(u_train, schema)
-    ridges = [c.ridge for c in config_list]
+    if initial is None:  # measured on the full layout, whichever layout came in
+        full = u if context is None else schema.full_input(series, c)
+        initial = scaling_from_columns(full[:, :n_train], schema)
+    scaling = initial
+    ridges = [cfg.ridge for cfg in config_list]
 
-    ns = schema.n_series
     norm = np.std(v_train, axis=1)
     norm[norm <= 0.0] = 1.0
 
@@ -348,14 +359,14 @@ def optimize_scaling(
         training meets non-finite values or its loss is not finite, except for
         the initial configuration, which raises."""
         initial = not scored
-        cfgs = [replace(c, ridge=r) for c, r in zip(config_list, cand_ridges)]
+        cfgs = [replace(cfg, ridge=r) for cfg, r in zip(config_list, cand_ridges)]
         try:
-            model, fits = _train_stack(u_train, v_train, schema, cfgs, seed, cand_scaling, reuse)
+            model, fits = _train_stack(u_train, v_train, schema, cfgs, seed, cand_scaling, reuse, c)
         except BrickTrainingError as exc:
             if initial or not isinstance(exc.__cause__, NonFiniteError):
                 raise
             return math.inf, ()
-        pred = model.predict_columns(u_val[:ns], context)
+        pred = model.predict_columns(u_val, c)
         err = (pred - v_val) / norm[:, None]
         loss = float(np.sqrt(np.mean(err * err)))
         if math.isfinite(loss):

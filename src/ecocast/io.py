@@ -70,14 +70,16 @@ def _parse_time_cell(cell: str, row: int):
         raise ValueError(f"row {row}: cannot parse time value {cell!r}") from None
 
 
-def _infinite_cell(row: int, cell: str, name: str) -> ValueError:
-    return ValueError(f"row {row}: value {cell!r} for series {name!r} is not finite")
+def _nonfinite_cell(row: int, cell: str, name: str) -> ValueError:
+    if cell and math.isinf(float(cell)):
+        return ValueError(f"row {row}: value {cell!r} for series {name!r} is not finite")
+    return ValueError(f"row {row}: missing value (pass interpolate to gap-fill)")
 
 
-def _parse_cells(rows: list[list[str]], names: list[str]):
+def _parse_cells(rows: list[list[str]], names: list[str], interpolate: bool = False):
     """Times, values and epoch of the data rows, parsed cell by cell: blank
-    cells become NaN, and the first row in file order that cannot be read
-    or holds an infinite value is named in the error."""
+    cells become NaN, and the first bad cell in file order (unparsable,
+    infinite or, without ``interpolate``, missing) is named in the error."""
     header = rows[0]
     n_points = len(rows) - 1
     times = np.empty(n_points)
@@ -92,17 +94,14 @@ def _parse_cells(rows: list[list[str]], names: list[str]):
         times[j] = np.nan if num is None else num
         for i, cell in enumerate(row[1:]):
             cell = cell.strip()
-            if cell == "":
-                values[i, j] = np.nan
-            else:
-                try:
-                    values[i, j] = float(cell)
-                except ValueError:
-                    raise ValueError(
-                        f"row {line_no}: cannot parse value {cell!r} for series {names[i]!r}"
-                    ) from None
-                if math.isinf(values[i, j]):
-                    raise _infinite_cell(line_no, cell, names[i])
+            try:
+                values[i, j] = float(cell) if cell else np.nan
+            except ValueError:
+                raise ValueError(
+                    f"row {line_no}: cannot parse value {cell!r} for series {names[i]!r}"
+                ) from None
+            if math.isinf(values[i, j]) or (math.isnan(values[i, j]) and not interpolate):
+                raise _nonfinite_cell(line_no, cell, names[i])
     epoch = None
     if any(d is not None for d in dates):
         if not all(d is not None for d in dates):
@@ -141,7 +140,7 @@ def read_timeseries_csv(path, interpolate: bool = False) -> TimeSeriesSet:
     Without ``interpolate``, missing cells and non-uniform cadence are errors
     naming the offending row; with it, gaps are filled linearly and
     non-uniform times are resampled onto a uniform grid.  An infinite cell is
-    an error naming its row and series either way.
+    an error either way, and the first bad cell in file order is named.
     """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -165,11 +164,11 @@ def read_timeseries_csv(path, interpolate: bool = False) -> TimeSeriesSet:
     if table is not None and table.shape[1] == len(header):
         times, values, epoch = table[:, 0], table[:, 1:].T, None
     else:
-        times, values, epoch = _parse_cells(rows, names)
-    infinite = np.argwhere(np.isinf(values.T))  # (point, series), in file order
-    if infinite.size:
-        j, i = infinite[0]
-        raise _infinite_cell(j + 2, rows[j + 1][i + 1].strip(), names[i])
+        times, values, epoch = _parse_cells(rows, names, interpolate)
+    bad = np.argwhere(np.isinf(values.T) if interpolate else ~np.isfinite(values.T))
+    if bad.size:
+        j, i = bad[0]  # (point, series), in file order
+        raise _nonfinite_cell(j + 2, rows[j + 1][i + 1].strip(), names[i])
 
     if n_points >= 2 and np.any(np.diff(times) <= 0.0):
         order = np.argsort(times, kind="stable")
@@ -178,10 +177,7 @@ def read_timeseries_csv(path, interpolate: bool = False) -> TimeSeriesSet:
             # gap-filling interpolates over the time axis, which must be sorted
             times, values = times[order], values[:, order]
 
-    if np.isnan(values).any():
-        if not interpolate:
-            bad = int(np.where(np.isnan(values).any(axis=0))[0][0])
-            raise ValueError(f"row {bad + 2}: missing value (pass interpolate to gap-fill)")
+    if interpolate and np.isnan(values).any():
         for i in range(len(names)):
             values[i] = _interpolate_missing(values[i], times, names[i])
 

@@ -100,13 +100,24 @@ class InputSchema:
         """Rows of every brick input that hold the context."""
         return slice(self.n_series, self.n_series + self.context_total)
 
-    def column_context(self, inputs: np.ndarray) -> np.ndarray:
-        """The context vector that every column of the first-brick ``inputs``
-        holds; an error when a context row varies between columns."""
-        context = inputs[self.context_rows]
-        if np.any(context != context[:, :1]):
-            raise ValueError("context rows must hold the same value in every training column")
-        return context[:, 0]
+    def split_context(self, inputs: np.ndarray, context=None) -> tuple[np.ndarray, np.ndarray]:
+        """The series rows of first-brick ``inputs`` and the context vector,
+        given apart or read from the full layout, whose context rows must hold
+        the same value in every column."""
+        if inputs.shape[0] != (self.input_dim(1) if context is None else self.n_series):
+            raise ValueError(
+                f"inputs have {inputs.shape[0]} rows; the schema expects {self.input_dim(1)},"
+                f" or {self.n_series} with the context given apart"
+            )
+        if context is None:
+            context = inputs[self.context_rows]
+            if np.any(context != context[:, :1]):
+                raise ValueError("context rows must hold the same value in every training column")
+            context = context[:, 0]
+        context = np.asarray(context, dtype=float).reshape(-1)
+        if context.size != self.context_total:
+            raise ValueError(f"the context has {context.size} entries, not {self.context_total}")
+        return inputs[: self.n_series], context
 
     def input_dim(self, brick_index: int) -> int:
         """Full-layout input length for the given 1-based brick index."""
@@ -367,20 +378,22 @@ def train_stack(
     n_bricks: int | None = None,
     seed: int = 0,
     scaling: ScalingSet | None = None,
+    context=None,
 ) -> StackedModel:
     """Train bricks in order on ``(input, next-step target)`` column pairs.
 
-    ``inputs`` columns follow the first-brick layout ``(series, context)``;
-    ``targets`` columns are the raw next-step series.  Brick k >= 2 trains on
-    the raw input plus brick k-1's predictions over the training set (its own
-    outputs, not the targets).  The context rows must hold one value across
-    all columns; the model records that context once.  ``configs`` is one
+    ``inputs`` columns hold the series rows and ``context`` the vector they
+    share, or, without ``context``, the first-brick layout ``(series,
+    context)`` with one value across all columns in each context row: the
+    same bits either way.  ``targets`` columns are the raw next-step series.
+    Brick k >= 2 trains on the raw input plus brick k-1's predictions over the
+    training set (its own outputs, not the targets).  ``configs`` is one
     BrickConfig applied to all bricks or a sequence of per-brick configs;
     per-brick seeds derive from ``seed`` so identical calls give
     bit-identical models.
     """
     config_list = brick_config_list(configs, n_bricks)
-    return _train_stack(inputs, targets, schema, config_list, seed, scaling)[0]
+    return _train_stack(inputs, targets, schema, config_list, seed, scaling, context=context)[0]
 
 
 @dataclass(frozen=True)
@@ -404,9 +417,10 @@ def _train_stack(
     seed: int,
     scaling: ScalingSet | None,
     reuse: tuple[_Fit, ...] | None = None,
+    context=None,
 ) -> tuple[StackedModel, tuple[_Fit, ...]]:
     """:func:`train_stack` on a config list, returning the model with its
-    per-brick fits.
+    per-brick fits; ``inputs`` and ``context`` are read as there.
 
     ``reuse`` is None for a one-off fit.  Otherwise it holds the fits of an
     earlier call on the same pairs, schema, seed and scaling (empty when there
@@ -422,14 +436,12 @@ def _train_stack(
         raise ValueError("inputs and targets must be column-sample matrices of equal width")
     if u.shape[1] == 0:
         raise ValueError("at least one training pair is required")
-    if u.shape[0] != schema.input_dim(1):
-        raise ValueError(f"inputs have {u.shape[0]} rows, schema expects {schema.input_dim(1)}")
     if v.shape[0] != schema.n_series:
         raise ValueError(f"targets have {v.shape[0]} rows, schema expects {schema.n_series}")
 
     # the series rows and the context vector, as the bricks see them
     ns = schema.n_series
-    us, c, vs = u[:ns], schema.column_context(u), v
+    (us, c), vs = schema.split_context(u, context), v
     if scaling is not None:
         us, c = adimensionalize_split(us, c, scaling, schema)
         vs = (v - scaling.offsets[:ns, None]) / scaling.scales[:ns, None]

@@ -1,14 +1,21 @@
 import dataclasses
 import json
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ecocast.bricks import LinearBrick
 from ecocast.cli import _apply_output_dir, _build_parser, _rmse, config_from_dict, main, run
-from ecocast.datasets import build_training_pairs, flatten_context
-from ecocast.io import load_model, read_ascii_grid, read_timeseries_csv, save_model
+from ecocast.datasets import ContextMap, build_training_pairs, flatten_context
+from ecocast.io import (
+    load_model,
+    read_ascii_grid,
+    read_timeseries_csv,
+    save_model,
+    write_ascii_grid,
+)
 from ecocast.stack import InputSchema, StackedModel
 
 GRID_2X2 = """ncols 2
@@ -210,6 +217,25 @@ class TestTrain:
         predictions = load_model(model).predict_columns(inputs[:2], flatten_context(maps))
         want = _rmse(predictions, targets)
         assert read_report(report)["outputs"]["training_rmse"] == want
+
+    def test_train_copies_no_context_into_the_training_columns(self, tmp_path):
+        """A 201-point series with a 40 x 40 grid gives 160 pairs; the context
+        copied into each would make a 1 602 x 160 float64 block (2.05 MB)."""
+        series, model, report = (tmp_path / name for name in ("s.csv", "m.json", "r.json"))
+        assert main(["simulate", "--dt", "0.05", "--steps", "200", "--output", str(series)]) == 0
+        grid = tmp_path / "dtm.asc"
+        values = np.random.default_rng(5).uniform(100.0, 300.0, (40, 40))
+        write_ascii_grid(ContextMap(name="dtm", values=values), grid)
+        argv = ["train", "--series", str(series), "--grid", str(grid), "--brick-kind", "linear",
+                "--split-fraction", "0.8", "--model-out", str(model), "--report", str(report)]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert read_report(report)["outputs"]["training_pairs"] == 160
+        assert peak < 1602 * 160 * 8
 
 
 class TestPredictRolloutHorizon:

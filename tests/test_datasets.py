@@ -17,6 +17,7 @@ from ecocast.datasets import (
     flatten_context,
     optimize_scaling,
     scaling_from_columns,
+    training_schema,
     usle_soil_loss,
 )
 from ecocast.lotka import REFERENCE_PARAMS, simulate_lv
@@ -97,6 +98,15 @@ class TestTrainingPairs:
         u, _, schema = build_training_pairs(ts, [shot])
         assert schema.context_sizes == (1,)
         assert np.all(u[2, :] == 3.25)
+
+    def test_series_pairs_with_the_map_schema_are_the_full_pairs_split(self):
+        ts = make_ts(n_points=6)
+        maps = [make_map("dtm", rows=2, cols=3), make_map("shot", rows=1, cols=1, seed=4)]
+        u, v, schema = build_training_pairs(ts, maps)
+        series, targets, bare = build_training_pairs(ts)
+        assert training_schema(ts, maps) == schema and training_schema(ts) == bare
+        assert series.tobytes() == u[:2].tobytes() and targets.tobytes() == v.tobytes()
+        assert np.array_equal(schema.split_context(u)[1], flatten_context(maps))
 
 
 class TestFlattenContext:
@@ -444,6 +454,32 @@ class TestOptimizeScaling:
         assert result.loss_trace == trace
         assert result.evaluations == evaluations
         assert len(trace) > 2 and len(trainings) < evaluations
+
+    @pytest.mark.parametrize("measured", [True, False], ids=["measured", "given"])
+    def test_context_apart_searches_as_the_full_layout(self, measured):
+        u, v, schema = lv_pairs(maps=[make_map("dtm", 2, 2, seed=1)])
+        context = u[schema.context_rows, 0]
+        initial = None if measured else scaling_from_columns(u, schema)
+        configs = [BrickConfig(kind="dsn", ridge=1e-3, hidden_size=6),
+                   BrickConfig(kind="kernel", ridge=1e-3)]
+        full = optimize_scaling(u, v, schema, configs, grid=(0.5, 2.0), seed=3, initial=initial)
+        apart = optimize_scaling(np.array(u[:2]), v, schema, configs, grid=(0.5, 2.0), seed=3,
+                                 initial=initial, context=context)
+        assert (apart.evaluations, apart.loss_trace) == (full.evaluations, full.loss_trace)
+        assert apart.scaling.offsets.tobytes() == full.scaling.offsets.tobytes()
+        assert apart.scaling.scales.tobytes() == full.scaling.scales.tobytes()
+        assert apart.ridges == full.ridges and len(full.loss_trace) > 2
+
+    def test_context_of_another_length_is_rejected_before_any_evaluation(self, monkeypatch):
+        u, v, schema = lv_pairs(maps=[make_map("dtm", 2, 2, seed=1)])
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a candidate was trained")
+
+        monkeypatch.setattr(datasets, "_train_stack", no_training)
+        with pytest.raises(ValueError, match="^the context has 3 entries, not 4$"):
+            optimize_scaling(u[:2], v, schema, BrickConfig(kind="kernel", ridge=1e-3),
+                             grid=(0.5, 2.0), n_bricks=1, context=u[2:5, 0])
 
     def test_keeps_at_most_one_gram_per_brick(self, monkeypatch):
         u, v, schema = lv_pairs(maps=[make_map("dtm", 2, 2, seed=1)])

@@ -134,7 +134,6 @@ class TestTimeseriesCSV:
         "text, message",
         [
             ("t,a\n0,1\n1,1e400\n2,3\n", "row 3: value '1e400' for series 'a' is not finite"),
-            ("t,a,b\n0,1,2\n1,3,\n2,-inf,6\n", "row 4: value '-inf' for series 'a' is not finite"),
             ("t,a,b\n0,1,x\n1,inf,2\n", "row 2: cannot parse value 'x' for series 'b'"),
             ("t,a\n0,inf\n1,x\n", "row 2: value 'inf' for series 'a' is not finite"),
             ("t,a,b\n0,1,-inf\n1,2\n", "row 2: value '-inf' for series 'b' is not finite"),
@@ -145,6 +144,25 @@ class TestTimeseriesCSV:
         path.write_text(text)
         with pytest.raises(ValueError, match=f"^{message}$"):
             read_timeseries_csv(path, interpolate=interpolate)
+
+    @pytest.mark.parametrize(
+        "text, filled_error",
+        [
+            ("t,a\n0,1\n1,\n2,inf\n3,4\n", "row 4: value 'inf' for series 'a' is not finite"),
+            ("t,a,b\n0,1,2\n1,3,\n2,-inf,6\n", "row 4: value '-inf' for series 'a' is not finite"),
+            ("t,a\n0,1\n1,nan\n2,1e400\n", "row 4: value '1e400' for series 'a' is not finite"),
+            ("t,a\n0,1\n1,\n2,x\n3,4\n", "row 4: cannot parse value 'x' for series 'a'"),
+        ],
+    )
+    def test_missing_cell_is_named_before_a_later_bad_one(self, tmp_path, text, filled_error):
+        """Without interpolate the earlier missing cell is the error; with it
+        the gap is filled and the later cell stays the error."""
+        path = tmp_path / "gap.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="^row 3: missing value"):
+            read_timeseries_csv(path)
+        with pytest.raises(ValueError, match=f"^{filled_error}$"):
+            read_timeseries_csv(path, interpolate=True)
 
     def test_cells_are_read_as_float_reads_them(self, tmp_path):
         cells = [" 1.5 ", "1_000", "\uff11\uff12", "5e-324", "-0", "\u20034\u2003", "+.5", "1e-400"]

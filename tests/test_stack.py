@@ -218,6 +218,45 @@ class TestTrainStack:
             assert out.shape == (2,) and np.all(np.isfinite(out))
 
 
+class TestInputLayouts:
+    """The series rows with the context vector apart train the model that the
+    full first-brick layout trains, bit for bit."""
+
+    @pytest.mark.parametrize("scaled", [False, True], ids=["raw", "scaled"])
+    @pytest.mark.parametrize("kind", ["linear", "dsn", "kernel", "tensor", "kernel-tensor"])
+    def test_context_apart_trains_the_full_layout_model(self, kind, scaled):
+        u, v, schema, context = lv_like_pairs(n_pairs=40, context_size=5, seed=21)
+        scaling = scaling_from_columns(u, schema) if scaled else None
+        cfg = BrickConfig(kind=kind, ridge=1e-6, hidden_size=6, hidden_size_a=3, hidden_size_b=2)
+        full = train_stack(u, v, schema, cfg, n_bricks=2, seed=4, scaling=scaling)
+        apart = train_stack(np.array(u[:2]), v, schema, cfg, n_bricks=2, seed=4, scaling=scaling,
+                            context=context)
+        probe = u[:2, ::3] + 0.05
+        want = full.predict_columns(probe, context)
+        assert apart.predict_columns(probe, context).tobytes() == want.tobytes()
+        assert brick_bits(apart) == brick_bits(full)
+        assert apart.context.tobytes() == full.context.tobytes()
+        want = take_training_predictions(full)
+        assert take_training_predictions(apart).tobytes() == want.tobytes()
+
+    def test_context_of_another_length_is_rejected(self):
+        u, v, schema, context = lv_like_pairs(n_pairs=20, context_size=5, seed=2)
+        with pytest.raises(ValueError, match="^the context has 4 entries, not 5$"):
+            train_stack(u[:2], v, schema, BrickConfig(kind="linear"), n_bricks=1,
+                        context=context[:4])
+
+    @pytest.mark.parametrize("rows, apart", [
+        (1, False), (2, False), (8, False), (1, True), (3, True), (7, True),
+    ])
+    def test_inputs_whose_rows_fit_neither_layout_are_rejected(self, rows, apart):
+        _, v, schema, context = lv_like_pairs(n_pairs=20, context_size=5, seed=2)
+        inputs = np.ones((rows, v.shape[1]))
+        message = f"^inputs have {rows} rows; the schema expects 7, or 2 with the context given"
+        with pytest.raises(ValueError, match=message):
+            train_stack(inputs, v, schema, BrickConfig(kind="linear"), n_bricks=1,
+                        context=context if apart else None)
+
+
 def brick_bits(model):
     return [
         (type(b), getattr(b, "ridge", None), *(getattr(b, f).tobytes() for f in vars(b)
