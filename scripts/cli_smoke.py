@@ -1,8 +1,8 @@
 """Run the installed ``ecocast`` console script end to end.
 
-simulate -> train --grid -> predict -> rollout -> horizon, then a DSN train
-and a scale-search train on the same grid, one process per command, in a
-temporary directory.  Each command must exit 0 and write a
+simulate -> fit-lv -> train --grid -> predict -> rollout -> horizon, then a
+DSN train and a scale-search train on the same grid, one process per
+command, in a temporary directory.  Each command must exit 0 and write a
 report whose outputs make sense; the first failure stops the run with a
 nonzero exit status.
 
@@ -59,6 +59,13 @@ def main() -> None:
         out = ecocast(exe, d, "simulate", "--dt", "0.05", "--steps", "200", "--output", series)
         check(out["points"] == 201, f"simulate wrote {out['points']} points, not 201")
 
+        # the simulator's default rate constants, recovered from its own series
+        out = ecocast(exe, d, "fit-lv", "--series", series)
+        for name, truth in (("alpha", 1.1), ("beta", 0.4), ("gamma", 0.4), ("delta", 0.1)):
+            check(abs(out[name] - truth) <= 0.05 * truth,
+                  f"fit-lv {name} = {out[name]}, not within 5 % of {truth}")
+        check(out["clamped"] is False, "fit-lv clamped an estimate")
+
         out = ecocast(
             exe, d, "train", *inputs, "--brick-kind", "kernel", "--bricks", "3",
             "--ridge", "1e-6", "--split-fraction", "0.8", "--model-out", model,
@@ -100,7 +107,7 @@ def main() -> None:
         check(all(a >= b for a, b in zip(trace, trace[1:])), "the scale search loss trace rises")
         check(math.isfinite(out["validation_rmse"]), "searched train reports no finite RMSE")
         check(Path(searched).stat().st_size > 0, "searched train wrote no model")
-    print("cli_smoke: all seven commands passed")
+    print("cli_smoke: all eight commands passed")
 
 
 if __name__ == "__main__":

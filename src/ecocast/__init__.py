@@ -43,7 +43,6 @@ from .linalg import (
     pseudo_inverse,
     spectral_radius,
     tikhonov,
-    truncated,
 )
 from .lotka import (
     DegenerateFitError,

@@ -565,13 +565,12 @@ def _output_solve_loss(
     cfg: InverseConfig,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Closed-form output weights for hidden weights ``w`` and bias ``b``
-    plus the refined objective value (data residual plus the ridge term when
-    cfg carries one)."""
+    plus the refined objective value (data residual plus the ridge term,
+    zero for the exact solve)."""
     h = activate(a, _affine(w, b, u))
     out = v @ pseudo_inverse(h, cfg)
     resid = out @ h - v
-    lam = cfg.lam if (cfg.mode == "tikhonov" and cfg.lam) else 0.0
-    loss = float(np.sum(resid * resid) + lam * np.sum(out * out))
+    loss = float(np.sum(resid * resid) + cfg.lam * np.sum(out * out))
     return out, h, loss
 
 

@@ -42,7 +42,6 @@ from .io import (
     write_ascii_grid,
     write_timeseries_csv,
 )
-from .linalg import EXACT_SVD, InverseConfig, tikhonov, truncated
 from .lotka import LVParams, PopulationTrajectory, first_integral, fit_lv, simulate_lv
 from .stack import (
     BrickConfig,
@@ -84,10 +83,6 @@ class RunConfig:
     dt: float = 1e-3
     steps: int = 1000
     clamp_nonneg: bool = False
-    inverse_mode: str = "exact-svd"
-    truncation_rank: int | None = None
-    truncation_threshold: float | None = None
-    tikhonov_lam: float = 0.0
     # stack
     brick_kind: str = "kernel"
     bricks: int = 1
@@ -146,20 +141,6 @@ def _emit_report(cfg: RunConfig, outputs: dict, diagnostics: dict | None = None)
     else:
         sys.stdout.write(text)
     return doc
-
-
-def _inverse_config(cfg: RunConfig) -> InverseConfig:
-    if cfg.inverse_mode == "exact-svd":
-        return EXACT_SVD
-    if cfg.inverse_mode == "truncated-svd":
-        if cfg.truncation_rank is not None:
-            return truncated(int(cfg.truncation_rank))
-        if cfg.truncation_threshold is not None:
-            return truncated(float(cfg.truncation_threshold))
-        raise ValueError("truncated-svd needs --truncation-rank or --truncation-threshold")
-    if cfg.inverse_mode == "tikhonov":
-        return tikhonov(cfg.tikhonov_lam)
-    raise ValueError(f"unknown inverse mode {cfg.inverse_mode!r}")
 
 
 def _nodata_fill(cfg: RunConfig):
@@ -245,7 +226,7 @@ def _traj_from_csv(cfg: RunConfig) -> PopulationTrajectory:
 def _cmd_fit_lv(cfg: RunConfig) -> dict:
     _require(cfg, series=cfg.series)
     traj = _traj_from_csv(cfg)
-    params = fit_lv(traj, clamp_nonneg=cfg.clamp_nonneg, cfg=_inverse_config(cfg))
+    params = fit_lv(traj, clamp_nonneg=cfg.clamp_nonneg)
     return {
         "alpha": params.alpha,
         "beta": params.beta,
@@ -500,11 +481,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--series", required=True, help="CSV with prey and predator columns")
     p.add_argument("--clamp-nonneg", action="store_true")
     p.add_argument("--interpolate", action="store_true")
-    p.add_argument("--inverse-mode", default="exact-svd",
-                   choices=["exact-svd", "truncated-svd", "tikhonov"])
-    p.add_argument("--truncation-rank", type=int)
-    p.add_argument("--truncation-threshold", type=float)
-    p.add_argument("--tikhonov-lam", type=float, default=0.0)
 
     p = sub.add_parser("train", help="train a stacked one-step predictor")
     add_common(p)

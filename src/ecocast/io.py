@@ -433,10 +433,7 @@ def _brick_from(d: dict, index: int, schema: InputSchema, context: np.ndarray | 
             decode = _CODECS.get(f.type, _PLAIN)[1]
             kwargs[f.name] = _decoded(decode, d[key], f"brick {index} field {key!r}")
     if context is not None and "training_inputs" in kwargs:
-        u = kwargs["training_inputs"]
-        ns = schema.n_series
-        block = np.repeat(context[:, None], u.shape[1], axis=1)
-        kwargs["training_inputs"] = np.vstack([u[:ns], block, u[ns:]])
+        kwargs["training_inputs"] = schema.full_input(kwargs["training_inputs"], context)
     return cls(**kwargs)
 
 

@@ -1,7 +1,7 @@
 """Regularized linear algebra shared by every learner in the package.
 
-A single SVD backbone drives the exact, truncated, and ridge pseudo-inverses;
-the three modes differ only in how singular values are filtered.
+A single SVD backbone drives the exact and ridge pseudo-inverses; they
+differ only in how singular values are filtered.
 """
 
 from __future__ import annotations
@@ -18,45 +18,23 @@ __all__ = [
     "pseudo_inverse",
     "spectral_radius",
     "tikhonov",
-    "truncated",
 ]
 
 # Singular values below RANK_CUTOFF * sigma_max count as zero (numerical rank).
 RANK_CUTOFF = 1e-12
 
-_MODES = ("exact-svd", "truncated-svd", "tikhonov")
-
 
 @dataclass(frozen=True)
 class InverseConfig:
-    """Pseudo-inverse policy.
+    """Pseudo-inverse policy: ``lam`` is the ridge parameter; ``lam = 0``
+    gives the exact inverse to numerical rank instead of failing on
+    rank-deficient input."""
 
-    ``truncated-svd`` reads ``rank_or_threshold``: an integer keeps that many
-    leading singular values, a real zeroes singular values below
-    ``rank_or_threshold * sigma_max``.  ``tikhonov`` reads ``lam``, the ridge
-    parameter; ``lam = 0`` behaves like ``exact-svd`` instead of failing on
-    rank-deficient input.  Each mode reads only its own fields.
-    """
-
-    mode: str = "exact-svd"
-    rank_or_threshold: int | float | None = None
-    lam: float | None = None
+    lam: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.mode not in _MODES:
-            raise ValueError(f"unknown inverse mode {self.mode!r}; expected one of {_MODES}")
-        if self.mode == "truncated-svd":
-            t = self.rank_or_threshold
-            if t is None or isinstance(t, bool):
-                raise ValueError("truncated-svd requires rank_or_threshold")
-            if isinstance(t, (int, np.integer)):
-                if t < 1:
-                    raise ValueError("truncation rank must be a positive integer")
-            elif not (np.isfinite(t) and t >= 0.0):
-                raise ValueError("truncation threshold must be a nonnegative real")
-        elif self.mode == "tikhonov":
-            if self.lam is None or not (np.isfinite(self.lam) and self.lam >= 0.0):
-                raise ValueError("tikhonov requires lam >= 0")
+        if not (np.isfinite(self.lam) and self.lam >= 0.0):
+            raise ValueError("lam must be finite and >= 0")
 
 
 EXACT_SVD = InverseConfig()
@@ -75,12 +53,7 @@ def readonly(a) -> np.ndarray:
 
 def tikhonov(lam: float) -> InverseConfig:
     """Ridge pseudo-inverse configuration with parameter ``lam``."""
-    return InverseConfig(mode="tikhonov", lam=float(lam))
-
-
-def truncated(rank_or_threshold: int | float) -> InverseConfig:
-    """Truncated-SVD configuration (integer rank or relative threshold)."""
-    return InverseConfig(mode="truncated-svd", rank_or_threshold=rank_or_threshold)
+    return InverseConfig(float(lam))
 
 
 @dataclass(frozen=True)
@@ -112,24 +85,16 @@ def _as_matrix(a, name: str) -> np.ndarray:
 def pseudo_inverse(a, cfg: InverseConfig = EXACT_SVD) -> np.ndarray:
     """Regularized Moore-Penrose inverse of ``a``.
 
-    ``exact-svd`` satisfies the four Penrose identities to numerical rank.
-    ``tikhonov`` with ``lam > 0`` equals ``(a.T a + lam I)^-1 a.T`` through
-    the singular-value filter ``s / (s^2 + lam)``.
+    With ``lam = 0`` it satisfies the four Penrose identities to numerical
+    rank.  With ``lam > 0`` it equals ``(a.T a + lam I)^-1 a.T`` through the
+    singular-value filter ``s / (s^2 + lam)``.
     """
     a = _as_matrix(a, "a")
     u, s, vt = np.linalg.svd(a, full_matrices=False)
-    if cfg.mode == "tikhonov" and cfg.lam > 0.0:
+    if cfg.lam > 0.0:
         filt = s / (s * s + cfg.lam)
     else:
         keep = s > RANK_CUTOFF * s[0]
-        if cfg.mode == "truncated-svd":
-            t = cfg.rank_or_threshold
-            if isinstance(t, (int, np.integer)):
-                if t > min(a.shape):
-                    raise ValueError("truncation rank exceeds min(rows, cols)")
-                keep &= np.arange(s.size) < t
-            else:
-                keep &= s >= t * s[0]
         filt = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
     return (vt.T * filt) @ u.T
 

@@ -28,7 +28,7 @@ from .bricks import (
     train_linear_brick,
     train_tensor_brick,
 )
-from .linalg import EXACT_SVD, InverseConfig, readonly, tikhonov
+from .linalg import InverseConfig, readonly, tikhonov
 from .scaling import ScalingSet, adimensionalize_split
 
 __all__ = [
@@ -131,8 +131,12 @@ class InputSchema:
         ``context`` vector repeated in every column after the series rows."""
         if not context.size:
             return rows
-        block = np.repeat(context[:, None], rows.shape[1], axis=1)
-        return np.vstack([rows[: self.n_series], block, rows[self.n_series :]])
+        ns, end = self.n_series, self.n_series + context.size
+        full = np.empty((rows.shape[0] + context.size, rows.shape[1]))
+        full[:ns] = rows[:ns]
+        full[ns:end] = context[:, None]
+        full[end:] = rows[ns:]
+        return full
 
     def dataset_slices(self, brick_index: int = 1) -> tuple[tuple[int, int], ...]:
         """Contiguous dataset segments of the brick input: one per series, one
@@ -175,7 +179,7 @@ class BrickConfig:
             raise ValueError("ridge must be >= 0")
 
     def solve_config(self) -> InverseConfig:
-        return tikhonov(self.ridge) if self.ridge > 0.0 else EXACT_SVD
+        return tikhonov(self.ridge)
 
 
 @dataclass(frozen=True)
@@ -247,9 +251,6 @@ class StackedModel:
         """The one-step map for one context, from series columns to their
         predictions: the context is checked, scaled, compared with the
         recorded one and laid out here, once, and each call does the rest."""
-        return self._prepare(context_values, compare=True)
-
-    def _prepare(self, context_values, compare: bool) -> Callable[[np.ndarray], np.ndarray]:
         schema, scaling = self.schema, self.scaling
         ns = schema.n_series
         context = np.array(context_values, dtype=float).reshape(-1)  # a copy: it is kept
@@ -259,7 +260,7 @@ class StackedModel:
             _, context = adimensionalize_split(np.empty((ns, 0)), context, scaling, schema)
             # the series rows of adimensionalize_split
             offsets, scales = scaling.offsets[:ns, None], scaling.scales[:ns, None]
-        if compare and self.context is not None and np.any(context != self.context):
+        if self.context is not None and np.any(context != self.context):
             raise ValueError("context values differ from the context the model was trained on")
         reads_full = [b.input_dim == schema.input_dim(k) for k, b in enumerate(self.bricks, 1)]
 
@@ -279,9 +280,7 @@ class StackedModel:
 
     def predict_columns(self, series_columns, context_values=()) -> np.ndarray:
         """One-step predictions for many present states at once (columns)."""
-        series = np.asarray(series_columns, dtype=float)
-        # a model with nothing to predict compares no context
-        return self._prepare(context_values, compare=series.size > 0)(series)
+        return self.prepare(context_values)(series_columns)
 
     def predict_one_step(self, series_values, context_values=()) -> np.ndarray:
         """Predict the next series vector from the present one."""

@@ -111,6 +111,35 @@ class TestSimulateFit:
         assert main(["fit-lv", "--series", str(csv)]) == 1
         assert "'prey'" in json.loads(capsys.readouterr().err)["error"]["message"]
 
+    @pytest.mark.parametrize("flag", [
+        ["--inverse-mode", "exact-svd"],
+        ["--truncation-rank", "2"],
+        ["--truncation-threshold", "0.1"],
+        ["--tikhonov-lam", "0"],
+    ], ids=["inverse-mode", "truncation-rank", "truncation-threshold", "tikhonov-lam"])
+    def test_fit_lv_takes_no_solver_flags(self, tmp_path, capsys, flag):
+        # fit-lv always solves exact; a solver flag is a usage error
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fit-lv", "--series", str(tmp_path / "lv.csv"), *flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_a_report_with_the_old_solver_keys_replays(self, tmp_path):
+        csv = tmp_path / "lv.csv"
+        main(["simulate", "--dt", "1e-2", "--steps", "2000", "--output", str(csv),
+              "--report", str(tmp_path / "sim.json")])
+        report = tmp_path / "fit.json"
+        assert main(["fit-lv", "--series", str(csv), "--report", str(report)]) == 0
+        doc = read_report(report)
+        # the solver keys, with their values, as reports of earlier versions hold them
+        old_keys = {"inverse_mode": "exact-svd", "truncation_rank": None,
+                    "truncation_threshold": None, "tikhonov_lam": 0.0}
+        assert not old_keys.keys() & doc["config"].keys()
+        replay = config_from_dict({**doc["config"], **old_keys})
+        assert replay == config_from_dict(doc["config"])
+        run(replay)
+        assert read_report(report)["outputs"] == doc["outputs"]
+
 
 @pytest.fixture
 def small_series(tmp_path):

@@ -7,7 +7,6 @@ from ecocast.linalg import (
     pseudo_inverse,
     spectral_radius,
     tikhonov,
-    truncated,
 )
 
 
@@ -66,6 +65,9 @@ class TestPseudoInverse:
         a = random_matrix(rng, 8, 6, rank=3)
         got = pseudo_inverse(a, tikhonov(0.0))
         assert max(penrose_residuals(a, got)) < 1e-8
+        # a zero ridge is the exact inverse, bit for bit
+        assert tikhonov(0.0) == EXACT_SVD == InverseConfig()
+        assert np.array_equal(got, pseudo_inverse(a, EXACT_SVD))
 
     def test_tikhonov_continuity(self):
         rng = np.random.default_rng(5)
@@ -78,37 +80,18 @@ class TestPseudoInverse:
         assert all(g1 > g2 for g1, g2 in zip(gaps, gaps[1:]))
         assert gaps[-1] < 1e-6 * np.linalg.norm(exact)
 
-    def test_truncated_rank(self):
-        a = np.diag([4.0, 2.0, 1.0])
-        got = pseudo_inverse(a, truncated(2))
-        assert np.allclose(got, np.diag([0.25, 0.5, 0.0]), atol=1e-14)
-
-    def test_truncated_threshold_relative(self):
-        a = np.diag([4.0, 2.0, 1.0])
-        got = pseudo_inverse(a, truncated(0.3))  # keeps sigma >= 1.2
-        assert np.allclose(got, np.diag([0.25, 0.5, 0.0]), atol=1e-14)
-
-    def test_truncated_rank_too_large(self):
-        with pytest.raises(ValueError):
-            pseudo_inverse(np.eye(2), truncated(3))
-
     def test_rejects_empty_and_nonfinite(self):
         with pytest.raises(ValueError):
             pseudo_inverse(np.empty((0, 3)))
         with pytest.raises(ValueError):
             pseudo_inverse(np.array([[1.0, np.nan]]))
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            InverseConfig(mode="nope")
-        with pytest.raises(ValueError):
-            InverseConfig(mode="truncated-svd")
-        with pytest.raises(ValueError):
-            InverseConfig(mode="truncated-svd", rank_or_threshold=0)
-        with pytest.raises(ValueError):
-            InverseConfig(mode="tikhonov", lam=-1.0)
-        with pytest.raises(ValueError):
-            InverseConfig(mode="tikhonov")
+    @pytest.mark.parametrize("lam", [-1.0, -1e-300, np.nan, np.inf, -np.inf])
+    def test_config_rejects_a_negative_or_non_finite_ridge(self, lam):
+        with pytest.raises(ValueError, match="lam"):
+            InverseConfig(lam)
+        with pytest.raises(ValueError, match="lam"):
+            tikhonov(lam)
 
 
 class TestSpectralRadius:

@@ -366,7 +366,8 @@ class TestPredict:
                                 seed=0, scaling=scaling)
             assert np.array_equal(model.context, (context - 0.5) / 2.0)
             model.predict_columns(u[:2], context)
-            model.predict_columns(np.empty((2, 0)), context + 1.0)  # nothing to predict
+            with pytest.raises(ValueError, match="trained on"):
+                model.predict_columns(np.empty((2, 0)), context + 1.0)  # nothing to predict
             other = np.array(context)
             other[1] += 1e-9
             with pytest.raises(ValueError, match="trained on"):
