@@ -221,6 +221,11 @@ def kernel_matrix(spec: KernelSpec, a, b) -> np.ndarray:
 # annotations of the array fields; the optional ones are the biases
 _ARRAY_TYPES = ("np.ndarray", "np.ndarray | None")
 
+# Gradient refinement stops after this many descent steps, or once a step
+# improves the objective by less than this fraction of it.
+_MAX_REFINE_STEPS = 200
+_REFINE_TOL = 1e-8
+
 
 def _affine(w: np.ndarray, bias: np.ndarray | None, x: np.ndarray) -> np.ndarray:
     """``w @ x``, plus ``bias`` in every column when there is one."""
@@ -563,15 +568,17 @@ def _output_solve_loss(
     v: np.ndarray,
     a: Activation,
     cfg: InverseConfig,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Closed-form output weights for hidden weights ``w`` and bias ``b``
-    plus the refined objective value (data residual plus the ridge term,
-    zero for the exact solve)."""
-    h = activate(a, _affine(w, b, u))
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Closed-form output weights for hidden weights ``w`` and bias ``b``,
+    the hidden pre-activation and the output residual they give, plus the
+    refined objective value (data residual plus the ridge term, zero for the
+    exact solve)."""
+    pre = _affine(w, b, u)
+    h = activate(a, pre)
     out = v @ pseudo_inverse(h, cfg)
     resid = out @ h - v
     loss = float(np.sum(resid * resid) + cfg.lam * np.sum(out * out))
-    return out, h, loss
+    return out, pre, resid, loss
 
 
 def _refine_hidden_weights(
@@ -582,8 +589,6 @@ def _refine_hidden_weights(
     v: np.ndarray,
     a: Activation,
     cfg: InverseConfig,
-    max_steps: int,
-    rel_tol: float,
 ) -> tuple[np.ndarray, np.ndarray | None, tuple[float, ...], bool]:
     """Gradient descent on the reduced objective Q(w) with the output weights
     re-solved in closed form each step.
@@ -599,12 +604,12 @@ def _refine_hidden_weights(
     bias by ``cc`` times ``g_b`` and the step's squared norm gains
     ``cc * ||g_b||^2``: the full-width descent in exact arithmetic.
     """
-    out, h, loss = _output_solve_loss(w, b, u, v, a, cfg)
+    out, pre, resid, loss = _output_solve_loss(w, b, u, v, a, cfg)
     trace = [loss]
     step = 1.0
     converged = False
-    for _ in range(max_steps):
-        d = 2.0 * ((out.T @ (out @ h - v)) * activation_derivative(a, _affine(w, b, u)))
+    for _ in range(_MAX_REFINE_STEPS):
+        d = 2.0 * ((out.T @ resid) * activation_derivative(a, pre))
         grad = d @ u.T
         gnorm2 = float(np.sum(grad * grad))
         grad_b = None
@@ -618,7 +623,7 @@ def _refine_hidden_weights(
         while step > 1e-16:
             w_new = w - step * grad
             b_new = None if b is None else b - (step * cc) * grad_b
-            out_new, h_new, loss_new = _output_solve_loss(w_new, b_new, u, v, a, cfg)
+            out_new, pre_new, resid_new, loss_new = _output_solve_loss(w_new, b_new, u, v, a, cfg)
             if loss_new <= loss - 1e-4 * step * gnorm2:
                 accepted = True
                 break
@@ -626,10 +631,10 @@ def _refine_hidden_weights(
         if not accepted:
             break
         improvement = loss - loss_new
-        w, b, out, h, loss = w_new, b_new, out_new, h_new, loss_new
+        w, b, out, pre, resid, loss = w_new, b_new, out_new, pre_new, resid_new, loss_new
         trace.append(loss)
         step *= 2.0
-        if improvement < rel_tol * max(abs(loss), 1e-300):
+        if improvement < _REFINE_TOL * max(abs(loss), 1e-300):
             converged = True
             break
     return w, b, tuple(trace), converged
@@ -644,8 +649,6 @@ def train_dsn_brick(
     cfg: InverseConfig = EXACT_SVD,
     seed: int = 0,
     hidden_weights=None,
-    max_refine_steps: int = 200,
-    refine_tol: float = 1e-8,
     context=None,
     context_row: int = 0,
 ) -> DSNBrick:
@@ -677,9 +680,9 @@ def train_dsn_brick(
     if mode == "gradient-refined":
         cc = 0.0 if b is None else float(c @ c)
         w, b, refine_trace, refine_converged = _refine_hidden_weights(
-            w, b, cc, u, v, activation, cfg, max_refine_steps, refine_tol
+            w, b, cc, u, v, activation, cfg
         )
-    out, _, _ = _output_solve_loss(w, b, u, v, activation, cfg)
+    out = _output_solve_loss(w, b, u, v, activation, cfg)[0]
     return DSNBrick(
         hidden_weights=w,
         output_weights=out,
@@ -698,15 +701,15 @@ def dsn_objective_gradient(
     checking against finite differences."""
     u, v = _as_pairs(inputs, targets)
     w = np.asarray(weights, dtype=float)
-    out, h, _ = _output_solve_loss(w, None, u, v, activation, cfg)
-    return 2.0 * ((out.T @ (out @ h - v)) * activation_derivative(activation, w @ u)) @ u.T
+    out, pre, resid, _ = _output_solve_loss(w, None, u, v, activation, cfg)
+    return 2.0 * ((out.T @ resid) * activation_derivative(activation, pre)) @ u.T
 
 
 def dsn_objective(weights, inputs, targets, activation: Activation, cfg: InverseConfig = EXACT_SVD) -> float:
     """Refined DSN objective Q(w) with output weights re-solved in closed form."""
     u, v = _as_pairs(inputs, targets)
     w = np.asarray(weights, dtype=float)
-    return _output_solve_loss(w, None, u, v, activation, cfg)[2]
+    return _output_solve_loss(w, None, u, v, activation, cfg)[3]
 
 
 def _train_dual(v: np.ndarray, lam: float, gram: np.ndarray) -> tuple[np.ndarray, float]:

@@ -107,16 +107,25 @@ class RunConfig:
     per_brick_scaling: bool = False
 
 
+# fit-lv's retired solver keys, which older reports hold, with the one value
+# of each that the exact solve honours
+_RETIRED_KEYS = {"inverse_mode": "exact-svd", "truncation_rank": None,
+                 "truncation_threshold": None, "tikhonov_lam": 0.0}
+
+
 def config_from_dict(d: dict) -> RunConfig:
-    """Rebuild a RunConfig from the ``config`` block of an emitted report."""
+    """Rebuild a RunConfig from the ``config`` block of an emitted report.
+    A key that RunConfig lacks raises ``ValueError``, unless it is a retired
+    key at its old default, which changes nothing."""
+    names = {f.name for f in dataclasses.fields(RunConfig)}
     kwargs = {}
-    for f in dataclasses.fields(RunConfig):
-        if f.name not in d:
-            continue
-        value = d[f.name]
-        if isinstance(value, list):
-            value = tuple(value)
-        kwargs[f.name] = value
+    for key, value in d.items():
+        if key in names:
+            kwargs[key] = tuple(value) if isinstance(value, list) else value
+        elif key not in _RETIRED_KEYS:
+            raise ValueError(f"unknown config key {key!r}")
+        elif value != _RETIRED_KEYS[key]:
+            raise ValueError(f"retired config key {key!r} replays only as {_RETIRED_KEYS[key]!r}")
     return RunConfig(**kwargs)
 
 
@@ -203,7 +212,7 @@ def _cmd_simulate(cfg: RunConfig) -> dict:
     params = LVParams(cfg.alpha, cfg.beta, cfg.gamma, cfg.delta)
     traj = simulate_lv(params, cfg.prey0, cfg.predators0, cfg.dt, cfg.steps)
     write_timeseries_csv(traj, cfg.output)
-    outputs: dict = {"csv": cfg.output, "points": len(traj)}
+    outputs: dict = {"csv": cfg.output, "points": traj.n_points}
     if np.all(traj.prey > 0.0) and np.all(traj.predators > 0.0):
         h = first_integral(params, traj.prey, traj.predators)
         outputs["first_integral_drift"] = float((h.max() - h.min()) / abs(h[0]))

@@ -12,15 +12,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linalg import NonFiniteError, readonly
-from .scaling import ScalingSet, adimensionalize
+from .scaling import ScalingSet
 from .stack import BrickTrainingError, InputSchema, _train_stack, brick_config_list
 
 __all__ = [
     "ContextMap",
     "ScalingSearchResult",
-    "ScalingSet",
     "TimeSeriesSet",
-    "adimensionalize",
     "build_training_pairs",
     "default_scaling",
     "flatten_context",
@@ -32,6 +30,9 @@ __all__ = [
 
 # Relative spacing jitter tolerated on a time axis.
 _UNIFORM_RTOL = 1e-9
+
+# Sweeps after which the scale search stops, converged or not.
+_MAX_PASSES = 20
 
 
 @dataclass(frozen=True)
@@ -94,9 +95,6 @@ class TimeSeriesSet:
 
     def series(self, name: str) -> np.ndarray:
         return self.values[self.names.index(name)]
-
-    def state(self, i: int) -> np.ndarray:
-        return np.array(self.values[:, i])
 
     def window(self, start: int, stop: int) -> "TimeSeriesSet":
         """Consecutive sub-range [start, stop) with the same names."""
@@ -233,9 +231,8 @@ def usle_soil_loss(
     slope: ContextMap,
     cover: ContextMap,
     practice: ContextMap,
-    name: str = "soil-loss",
 ) -> ContextMap:
-    """Pointwise product of the five factor maps; nodata propagates."""
+    """Pointwise product of the five factor maps, named soil-loss; nodata propagates."""
     maps = (rainfall, erodibility, slope, cover, practice)
     base = maps[0]
     for m in maps[1:]:
@@ -252,7 +249,7 @@ def usle_soil_loss(
         product = np.array(product)
         product[mask] = nodata
     return ContextMap(
-        name=name,
+        name="soil-loss",
         values=product,
         cell_size=base.cell_size,
         x_origin=base.x_origin,
@@ -265,7 +262,7 @@ def usle_soil_loss(
 class ScalingSearchResult:
     """Outcome of the coordinate-descent scale search.  ``passes`` counts the
     sweeps over all coordinates; ``converged`` is False when the search
-    stopped at ``max_passes`` with the last sweep still improving;
+    stopped at ``_MAX_PASSES`` sweeps with the last sweep still improving;
     ``rejected`` counts the evaluations that scored +inf because training met
     non-finite values or the validation loss was not finite."""
 
@@ -294,7 +291,6 @@ def optimize_scaling(
     n_bricks: int | None = None,
     seed: int = 0,
     initial: ScalingSet | None = None,
-    max_passes: int = 20,
     context=None,
 ) -> ScalingSearchResult:
     """Coordinate descent over per-dataset scales and per-brick ridges.
@@ -408,7 +404,7 @@ def optimize_scaling(
 
     passes = 0
     converged = False
-    while passes < max_passes and not converged:
+    while passes < _MAX_PASSES and not converged:
         passes += 1
         converged = True
         for d in range(schema.n_datasets):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import TimeSeriesSet
-from .linalg import EXACT_SVD, InverseConfig, pseudo_inverse
+from .linalg import pseudo_inverse
 
 __all__ = [
     "DegenerateFitError",
@@ -65,11 +65,6 @@ class LVParams:
     def as_array(self) -> np.ndarray:
         return np.array([self.alpha, self.beta, self.gamma, self.delta])
 
-    @property
-    def equilibrium(self) -> tuple[float, float]:
-        """Stationary (prey, predators) point; requires beta, delta > 0."""
-        return self.gamma / self.delta, self.alpha / self.beta
-
 
 REFERENCE_PARAMS = LVParams(alpha=1.1, beta=0.4, gamma=0.4, delta=0.1)
 
@@ -80,9 +75,6 @@ class PopulationTrajectory(TimeSeriesSet):
 
     def __init__(self, times, prey, predators) -> None:
         super().__init__(names=("prey", "predators"), times=times, values=np.vstack([prey, predators]))
-
-    def __len__(self) -> int:
-        return self.n_points
 
     @property
     def prey(self) -> np.ndarray:
@@ -132,7 +124,6 @@ def simulate_lv(p: LVParams, r0: float, f0: float, dt: float, steps: int) -> Pop
 def fit_lv(
     traj: PopulationTrajectory,
     clamp_nonneg: bool = False,
-    cfg: InverseConfig = EXACT_SVD,
     derivatives: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> LVParams:
     """Least-squares estimate of the four rate constants from a trajectory.
@@ -145,7 +136,7 @@ def fit_lv(
     With ``clamp_nonneg`` negative estimates are clamped to zero and the
     result's ``clamped`` flag is set.
     """
-    n = len(traj)
+    n = traj.n_points
     if n < 3:
         raise ValueError("trajectory must have at least 3 samples")
     r = traj.prey[:-1]
@@ -172,7 +163,7 @@ def fit_lv(
             "stacked regression matrix is rank-deficient; "
             "the trajectory carries no parameter information"
         )
-    p = pseudo_inverse(g_mat, cfg) @ rhs
+    p = pseudo_inverse(g_mat) @ rhs
     clamped = bool(clamp_nonneg and np.any(p < 0.0))
     if clamp_nonneg:
         p = np.maximum(p, 0.0)

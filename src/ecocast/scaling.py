@@ -14,7 +14,7 @@ import numpy as np
 
 from .linalg import readonly
 
-__all__ = ["ScalingSet", "adimensionalize", "adimensionalize_split"]
+__all__ = ["ScalingSet", "adimensionalize"]
 
 
 @dataclass(frozen=True)
@@ -47,22 +47,10 @@ class ScalingSet:
         return ScalingSet(offsets=self.offsets, scales=scales)
 
 
-def adimensionalize(x, scaling: ScalingSet, schema) -> np.ndarray:
-    """Per-dataset ``(x_d - offset_d) / scale_d`` over the first-brick input
-    layout ``(series, context)``; accepts a vector or a column-sample matrix."""
-    x = np.asarray(x, dtype=float)
-    ns, dim = schema.n_series, schema.input_dim(1)
-    if x.shape[0] != dim:
-        raise ValueError(f"expected input dimension {dim}, got {x.shape[0]}")
-    cols = x.reshape(dim, -1)
-    series, context = adimensionalize_split(cols[:ns], cols[ns:].T, scaling, schema)
-    return np.vstack([series, context.T]).reshape(x.shape)
-
-
-def adimensionalize_split(series, context, scaling: ScalingSet, schema):
-    """:func:`adimensionalize` of the first-brick layout given as its series
-    rows (column samples) and the context that every column holds, as one
-    vector or as one row per column; each element is scaled on its own."""
+def adimensionalize(series, context, scaling: ScalingSet, schema):
+    """Per-dataset ``(x_d - offset_d) / scale_d`` of the first-brick layout,
+    given as its series rows (column samples) and the context vector that
+    every column holds; returns the two scaled apart."""
     if scaling.n_datasets != schema.n_datasets:
         raise ValueError("scaling set does not match the schema's dataset count")
     ns = schema.n_series

@@ -29,7 +29,7 @@ from .bricks import (
     train_tensor_brick,
 )
 from .linalg import InverseConfig, readonly, tikhonov
-from .scaling import ScalingSet, adimensionalize_split
+from .scaling import ScalingSet, adimensionalize
 
 __all__ = [
     "BrickConfig",
@@ -257,8 +257,8 @@ class StackedModel:
         if context.size != schema.context_total:
             raise ValueError(f"expected {schema.context_total} context entries, got {context.size}")
         if scaling is not None:
-            _, context = adimensionalize_split(np.empty((ns, 0)), context, scaling, schema)
-            # the series rows of adimensionalize_split
+            _, context = adimensionalize(np.empty((ns, 0)), context, scaling, schema)
+            # the series rows of adimensionalize
             offsets, scales = scaling.offsets[:ns, None], scaling.scales[:ns, None]
         if self.context is not None and np.any(context != self.context):
             raise ValueError("context values differ from the context the model was trained on")
@@ -442,7 +442,7 @@ def _train_stack(
     ns = schema.n_series
     (us, c), vs = schema.split_context(u, context), v
     if scaling is not None:
-        us, c = adimensionalize_split(us, c, scaling, schema)
+        us, c = adimensionalize(us, c, scaling, schema)
         vs = (v - scaling.offsets[:ns, None]) / scaling.scales[:ns, None]
 
     earlier = reuse or ()

@@ -4,6 +4,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from ecocast import bricks
 from ecocast.bricks import (
     Activation,
     KernelSpec,
@@ -168,14 +169,13 @@ class TestDSNBrick:
         assert a.hidden_weights.tobytes() == b.hidden_weights.tobytes()
         assert a.output_weights.tobytes() == b.output_weights.tobytes()
 
-    def test_stalled_refinement_keeps_best_weights_and_reports(self):
+    def test_stalled_refinement_keeps_best_weights_and_reports(self, monkeypatch):
         rng = np.random.default_rng(10)
         u = rng.standard_normal((5, 30))
         v = rng.standard_normal((2, 30))
-        brick = train_dsn_brick(
-            u, v, hidden_size=4, mode="gradient-refined", seed=5,
-            max_refine_steps=1, refine_tol=0.0,
-        )
+        monkeypatch.setattr(bricks, "_MAX_REFINE_STEPS", 1)
+        monkeypatch.setattr(bricks, "_REFINE_TOL", 0.0)
+        brick = train_dsn_brick(u, v, hidden_size=4, mode="gradient-refined", seed=5)
         assert brick.refine_converged is False
         assert brick.refine_trace is not None
         # the retained weights are the best seen: objective equals the trace end
@@ -661,10 +661,11 @@ class TestZeroRidgeIsExact:
         lambda u, v, cfg: train_linear_brick(u, v, cfg),
         lambda u, v, cfg: train_dsn_brick(u, v, hidden_size=6, cfg=cfg, seed=2),
         lambda u, v, cfg: train_dsn_brick(u, v, hidden_size=6, mode="gradient-refined",
-                                          cfg=cfg, seed=2, max_refine_steps=5),
+                                          cfg=cfg, seed=2),
         lambda u, v, cfg: train_tensor_brick(u, v, 2, 3, cfg=cfg, seed=2),
     ], ids=["linear", "dsn", "dsn-refined", "tensor"])
-    def test_zero_ridge_trains_the_exact_brick_bit_for_bit(self, train):
+    def test_zero_ridge_trains_the_exact_brick_bit_for_bit(self, train, monkeypatch):
+        monkeypatch.setattr(bricks, "_MAX_REFINE_STEPS", 5)  # a few steps show the refined path
         rng = np.random.default_rng(41)
         u = rng.standard_normal((3, 2)) @ rng.standard_normal((2, 30))
         v = rng.standard_normal((2, 30))

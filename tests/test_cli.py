@@ -140,6 +140,20 @@ class TestSimulateFit:
         run(replay)
         assert read_report(report)["outputs"] == doc["outputs"]
 
+    def test_a_retired_solver_key_off_its_old_default_is_refused(self):
+        # an earlier version fitted this config with a ridge; the exact solve
+        # would replay it with other rate constants
+        probe = {"command": "fit-lv", "series": "lv.csv", "inverse_mode": "tikhonov",
+                 "tikhonov_lam": 50.0}
+        with pytest.raises(ValueError, match="'inverse_mode'"):
+            config_from_dict(probe)
+        with pytest.raises(ValueError, match="'tikhonov_lam'"):
+            config_from_dict({**probe, "inverse_mode": "exact-svd"})
+
+    def test_an_unknown_config_key_is_refused(self):
+        with pytest.raises(ValueError, match="'ridgee'"):
+            config_from_dict({"command": "train", "series": "s.csv", "ridgee": 1e-3})
+
 
 @pytest.fixture
 def small_series(tmp_path):

@@ -9,9 +9,7 @@ from ecocast import datasets
 from ecocast.bricks import gaussian_kernel, uniform_kernel_spec
 from ecocast.datasets import (
     ContextMap,
-    ScalingSet,
     TimeSeriesSet,
-    adimensionalize,
     build_training_pairs,
     default_scaling,
     flatten_context,
@@ -21,6 +19,7 @@ from ecocast.datasets import (
     usle_soil_loss,
 )
 from ecocast.lotka import REFERENCE_PARAMS, simulate_lv
+from ecocast.scaling import ScalingSet, adimensionalize
 from ecocast.stack import BrickConfig, BrickTrainingError, InputSchema, train_stack
 
 
@@ -142,13 +141,14 @@ class TestAdimensionalize:
     def test_simple_scale(self):
         schema = InputSchema(series_names=("a",))
         s = ScalingSet(offsets=np.array([0.0]), scales=np.array([2.0]))
-        assert adimensionalize(np.array([4.0]), s, schema)[0] == 2.0
+        series, context = adimensionalize(np.array([[4.0]]), np.empty(0), s, schema)
+        assert series[0, 0] == 2.0 and context.size == 0
 
     def test_mean_offset_centers_training_data(self):
         ts = make_ts(n_points=50, seed=3)
         u, _, schema = build_training_pairs(ts)
         s = scaling_from_columns(u, schema)
-        scaled = adimensionalize(u, s, schema)
+        scaled, _ = adimensionalize(u, np.empty(0), s, schema)
         assert np.allclose(scaled.mean(axis=1), 0.0, atol=1e-12)
         assert np.allclose(scaled.std(axis=1), 1.0, atol=1e-12)
 
@@ -160,12 +160,11 @@ class TestAdimensionalize:
         from ecocast.bricks import KernelSpec
 
         spec_scaled = KernelSpec(scales=(2.0, 0.5, 3.0), slices=((0, 1), (1, 2), (2, 3)))
+        scaled = lambda y: adimensionalize(y[:, None], np.empty(0), s, schema)[0][:, 0]
         for _ in range(20):
             x, z = rng.standard_normal(3), rng.standard_normal(3)
             raw = gaussian_kernel(x, z, spec_scaled)
-            flat = gaussian_kernel(
-                adimensionalize(x, s, schema), adimensionalize(z, s, schema), spec_raw
-            )
+            flat = gaussian_kernel(scaled(x), scaled(z), spec_raw)
             assert abs(raw - flat) < 1e-12
 
     def test_broadcast_equals_the_per_slice_formula_bit_for_bit(self):
@@ -174,14 +173,14 @@ class TestAdimensionalize:
             series_names=("a", "b"), context_names=("m1", "m2"), context_sizes=(4, 3)
         )
         s = ScalingSet(offsets=rng.standard_normal(4) * 50.0, scales=rng.uniform(0.01, 30.0, 4))
-        slices = schema.dataset_slices(1)
-        dim = slices[-1][1]
-        for x in (rng.standard_normal(dim) * 100.0, rng.standard_normal((dim, 6)) * 100.0):
-            forward = np.empty_like(x)
-            for d, (a, b) in enumerate(slices):
-                forward[a:b] = (x[a:b] - s.offsets[d]) / s.scales[d]
-            got = adimensionalize(x, s, schema)
-            assert got.shape == x.shape and got.tobytes() == forward.tobytes()
+        series, context = rng.standard_normal((2, 6)) * 100.0, rng.standard_normal(7) * 100.0
+        x = schema.full_input(series, context)
+        forward = np.empty_like(x)
+        for d, (a, b) in enumerate(schema.dataset_slices(1)):
+            forward[a:b] = (x[a:b] - s.offsets[d]) / s.scales[d]
+        got_series, got_context = adimensionalize(series, context, s, schema)
+        assert got_series.tobytes() == forward[:2].tobytes()
+        assert got_context.tobytes() == forward[2:, 0].tobytes()
 
     def test_scale_validation(self):
         with pytest.raises(ValueError):
@@ -372,10 +371,12 @@ class TestOptimizeScaling:
             optimize_scaling(u, v, schema, BrickConfig(kind="kernel", ridge=1e-3),
                              grid=(0.5, 2.0), n_bricks=1)
 
-    def test_reports_a_search_cut_by_max_passes(self):
+    def test_reports_a_search_cut_by_max_passes(self, monkeypatch):
         u, v, schema = lv_pairs(points=121)
         cfg = BrickConfig(kind="kernel", ridge=1e-3)
-        cut = optimize_scaling(u, v, schema, cfg, grid=(0.5, 1e300), n_bricks=1, max_passes=1)
+        with monkeypatch.context() as patch:
+            patch.setattr(datasets, "_MAX_PASSES", 1)
+            cut = optimize_scaling(u, v, schema, cfg, grid=(0.5, 1e300), n_bricks=1)
         assert (cut.passes, cut.converged) == (1, False)
         assert len(cut.loss_trace) > 1
         done = optimize_scaling(u, v, schema, cfg, grid=(0.5, 2.0), n_bricks=1)

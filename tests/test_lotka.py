@@ -3,7 +3,6 @@ import pytest
 
 from ecocast.datasets import TimeSeriesSet
 from ecocast.io import write_timeseries_csv
-from ecocast.linalg import tikhonov
 from ecocast.lotka import (
     DegenerateFitError,
     LVParams,
@@ -30,7 +29,7 @@ class TestSimulate:
         assert np.all(traj.predators == 0.0)
 
     def test_equilibrium_is_stationary(self):
-        r_eq, f_eq = P.equilibrium
+        r_eq, f_eq = P.gamma / P.delta, P.alpha / P.beta  # the stationary point
         traj = simulate_lv(P, r_eq, f_eq, 1e-2, 2000)
         assert np.max(np.abs(traj.prey - r_eq)) < 1e-9 * r_eq
         assert np.max(np.abs(traj.predators - f_eq)) < 1e-9 * f_eq
@@ -61,7 +60,7 @@ class TestSimulate:
         # leaves the start, then returns within 1% of it inside a window
         # covering the orbital period (about 10.8 time units here)
         traj = simulate_lv(P, 10.0, 5.0, 1e-3, 20000)
-        start = traj.state(0)
+        start = traj.values[:, 0]
         dist = np.hypot(traj.prey - start[0], traj.predators - start[1])
         dist /= np.linalg.norm(start)
         left = int(np.argmax(dist > 0.05))
@@ -80,7 +79,7 @@ class TestSimulate:
         traj = simulate_lv(P, 10.0, 5.0, 0.05, 200)
         assert isinstance(traj, TimeSeriesSet)
         assert traj.names == ("prey", "predators")
-        assert len(traj) == traj.n_points == 201
+        assert traj.n_points == 201
         # the set the simulate command wrote before trajectories were series sets
         rebuilt = TimeSeriesSet(
             names=("prey", "predators"),
@@ -113,7 +112,7 @@ class TestFit:
         assert np.max(rel) < 0.02
 
     def test_equilibrium_trajectory_is_degenerate(self):
-        r_eq, f_eq = P.equilibrium
+        r_eq, f_eq = P.gamma / P.delta, P.alpha / P.beta
         traj = simulate_lv(P, r_eq, f_eq, 1e-2, 50)
         with pytest.raises(DegenerateFitError):
             fit_lv(traj)
@@ -132,9 +131,9 @@ class TestFit:
         prey = 5.0 + rng.uniform(0.0, 0.05, 40)
         preds = 3.0 + rng.uniform(0.0, 0.05, 40)
         traj = PopulationTrajectory(times, prey, preds)
-        free = fit_lv(traj, cfg=tikhonov(1e-8))
+        free = fit_lv(traj)
         if np.any(free.as_array() < 0.0):
-            clamped = fit_lv(traj, clamp_nonneg=True, cfg=tikhonov(1e-8))
+            clamped = fit_lv(traj, clamp_nonneg=True)
             assert clamped.clamped
             assert np.all(clamped.as_array() >= 0.0)
 
@@ -147,7 +146,7 @@ class TestFit:
 class TestPredict:
     def test_zero_steps_returns_initial_state(self):
         traj = simulate_lv(P, 4.0, 2.0, 0.1, 0)
-        assert len(traj) == 1
+        assert traj.n_points == 1
         assert traj.prey[0] == 4.0 and traj.predators[0] == 2.0
 
     def test_forecast_with_fitted_parameters(self):

@@ -188,7 +188,8 @@ class TestTrainStack:
         scaling = scaling_from_columns(u, schema)
         cfg = BrickConfig(kind="dsn", hidden_size=4, mode="gradient-refined", ridge=1e-6)
         folded = train_stack(u, v, schema, cfg, n_bricks=1, seed=2, scaling=scaling).bricks[0]
-        full = train_dsn_brick(adimensionalize(u, scaling, schema), (v - scaling.offsets[:2, None])
+        scaled = schema.full_input(*adimensionalize(*schema.split_context(u), scaling, schema))
+        full = train_dsn_brick(scaled, (v - scaling.offsets[:2, None])
                                / scaling.scales[:2, None], 4, Activation.SIGMOID,
                                "gradient-refined", cfg.solve_config(), seed=3)
         assert full.input_dim == folded.input_dim + 3 and folded.hidden_bias is not None
@@ -276,7 +277,7 @@ class TestGramOutputs:
         scaling = ScalingSet(offsets=np.array([2.0, 2.0, 0.0]), scales=np.array([0.5, 0.7, 1.0]))
         model = train_stack(u, v, schema, BrickConfig(kind=kind, ridge=ridge), n_bricks=3,
                             scaling=scaling)
-        us = adimensionalize(u, scaling, schema)
+        us = schema.full_input(*adimensionalize(*schema.split_context(u), scaling, schema))
         vs = (v - 2.0) / np.array([[0.5], [0.7]])
         x = us
         for k, brick in enumerate(model.bricks, start=1):

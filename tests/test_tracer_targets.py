@@ -65,3 +65,18 @@ def test_every_counted_span_carries_its_counts(tmp_path):
             seen.add(name)
             assert counts and all(isinstance(v, (int, float)) for v in counts.values()), name
     assert seen == counted
+
+
+def test_a_traced_train_times_the_scaling_transform(tmp_path):
+    series, model = tmp_path / "series.csv", tmp_path / "model.json"
+    report = ["--report", str(tmp_path / "report.json")]
+    assert cli.main(["simulate", "--dt", "0.05", "--steps", "60", "--output", str(series)]
+                    + report) == 0
+    tracer = TRACER.Tracer("test")
+    tracer.install()
+    try:
+        code = cli.main(["train", "--series", str(series), "--model-out", str(model)] + report)
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert any(span[2] == "scaling.adimensionalize" for span in tracer.spans)
