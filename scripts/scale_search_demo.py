@@ -9,7 +9,7 @@ import argparse
 
 import numpy as np
 
-from ecocast.datasets import build_training_pairs, optimize_scaling, scaling_from_columns
+from ecocast.datasets import build_training_pairs, default_scaling, optimize_scaling
 from ecocast.lotka import REFERENCE_PARAMS, simulate_lv
 from ecocast.stack import BrickConfig
 
@@ -24,7 +24,7 @@ def main() -> None:
 
     traj = simulate_lv(REFERENCE_PARAMS, 10.0, 5.0, 0.05, args.points - 1)
     inputs, targets, schema = build_training_pairs(traj)
-    initial = scaling_from_columns(inputs, schema)
+    initial = default_scaling(traj)
     broken = initial.with_scale(0, float(initial.scales[0]) * 100.0)
     print("initial scales:", np.round(broken.scales, 4))
 

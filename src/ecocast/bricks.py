@@ -41,6 +41,7 @@ import numpy as np
 from .linalg import EXACT_SVD, InverseConfig, NonFiniteError, pseudo_inverse, readonly
 
 __all__ = [
+    "DSN_MODES",
     "Activation",
     "Brick",
     "DSNBrick",
@@ -75,6 +76,10 @@ class Activation(enum.Enum):
     SIGMOID = "sigmoid"
     RELU = "relu"
     IDENTITY = "identity"
+
+
+# train_dsn_brick's hidden layer: drawn at random, or drawn and then refined
+DSN_MODES = ("fixed-random", "gradient-refined")
 
 
 def activate(a: Activation, x) -> np.ndarray:
@@ -670,7 +675,7 @@ def train_dsn_brick(
     c = _as_context(context)
     if hidden_size < 1:
         raise ValueError("hidden_size must be >= 1")
-    if mode not in ("fixed-random", "gradient-refined"):
+    if mode not in DSN_MODES:
         raise ValueError(f"unknown dsn training mode {mode!r}")
     rng = np.random.default_rng(seed)
     width = u.shape[0] + (0 if c is None else c.size)

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bricks import Activation
+from .bricks import DSN_MODES, Activation
 from .datasets import (
     TimeSeriesSet,
     build_training_pairs,
@@ -42,8 +42,16 @@ from .io import (
     write_ascii_grid,
     write_timeseries_csv,
 )
-from .lotka import LVParams, PopulationTrajectory, first_integral, fit_lv, simulate_lv
+from .lotka import (
+    REFERENCE_PARAMS,
+    LVParams,
+    PopulationTrajectory,
+    first_integral,
+    fit_lv,
+    simulate_lv,
+)
 from .stack import (
+    _BRICK_KINDS,
     BrickConfig,
     InputSchema,
     count_free_parameters,
@@ -60,7 +68,9 @@ _VERBOSE_ENV = "ECOCAST_VERBOSE"
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved run configuration; mirrored 1:1 by the CLI flags."""
+    """Fully resolved run configuration; mirrored 1:1 by the CLI flags, whose
+    defaults all live here.  ``steps`` (100 for rollout, else 1000) and
+    ``split_fraction`` (0.8 for horizon, else 1.0) resolve from the command."""
 
     command: str
     seed: int = 0
@@ -74,27 +84,26 @@ class RunConfig:
     report: str | None = None
     reference: str | None = None
     # simulator / fit
-    alpha: float = 1.1
-    beta: float = 0.4
-    gamma: float = 0.4
-    delta: float = 0.1
+    alpha: float = REFERENCE_PARAMS.alpha
+    beta: float = REFERENCE_PARAMS.beta
+    gamma: float = REFERENCE_PARAMS.gamma
+    delta: float = REFERENCE_PARAMS.delta
     prey0: float = 10.0
     predators0: float = 5.0
     dt: float = 1e-3
-    steps: int = 1000
+    steps: int | None = None
     clamp_nonneg: bool = False
     # stack
-    brick_kind: str = "kernel"
+    brick_kind: str = BrickConfig.kind
     bricks: int = 1
-    ridge: float = 0.0
-    ridges: tuple[float, ...] | None = None
-    hidden_size: int = 32
-    hidden_size_a: int = 8
-    hidden_size_b: int = 8
-    activation: str = "sigmoid"
-    dsn_mode: str = "fixed-random"
+    ridge: float = BrickConfig.ridge
+    hidden_size: int = BrickConfig.hidden_size
+    hidden_size_a: int = BrickConfig.hidden_size_a
+    hidden_size_b: int = BrickConfig.hidden_size_b
+    activation: str = BrickConfig.activation.value
+    dsn_mode: str = BrickConfig.mode
     rho_grid: tuple[float, ...] = ()
-    split_fraction: float = 1.0
+    split_fraction: float | None = None
     epsilon: float = 0.2
     bound: float | None = None
     # ingestion
@@ -106,11 +115,18 @@ class RunConfig:
     series_length: int | None = None
     per_brick_scaling: bool = False
 
+    def __post_init__(self) -> None:
+        if self.steps is None:
+            object.__setattr__(self, "steps", 100 if self.command == "rollout" else 1000)
+        if self.split_fraction is None:
+            object.__setattr__(self, "split_fraction", 0.8 if self.command == "horizon" else 1.0)
 
-# fit-lv's retired solver keys, which older reports hold, with the one value
-# of each that the exact solve honours
+
+# Retired keys, which older reports hold, with the one value of each that
+# replays unchanged: fit-lv's solver keys, which the exact solve honours, and
+# the per-brick ridges, which --ridge covers
 _RETIRED_KEYS = {"inverse_mode": "exact-svd", "truncation_rank": None,
-                 "truncation_threshold": None, "tikhonov_lam": 0.0}
+                 "truncation_threshold": None, "tikhonov_lam": 0.0, "ridges": None}
 
 
 def config_from_dict(d: dict) -> RunConfig:
@@ -153,15 +169,17 @@ def _emit_report(cfg: RunConfig, outputs: dict, diagnostics: dict | None = None)
 
 
 def _nodata_fill(cfg: RunConfig):
-    if cfg.nodata_fill is None:
-        return None
-    if cfg.nodata_fill == "mean":
-        return "mean"
-    return float(cfg.nodata_fill)
+    if cfg.nodata_fill in (None, "mean"):
+        return cfg.nodata_fill
+    try:
+        return float(cfg.nodata_fill)
+    except ValueError:
+        raise ValueError(f"--nodata-fill takes 'mean' or a number; got {cfg.nodata_fill!r}") from None
 
 
 def _read_maps(cfg: RunConfig):
-    return tuple(read_ascii_grid(p, nodata_fill=_nodata_fill(cfg)) for p in cfg.grids)
+    fill = _nodata_fill(cfg)
+    return tuple(read_ascii_grid(p, nodata_fill=fill) for p in cfg.grids)
 
 
 def _context_for(model, maps) -> np.ndarray:
@@ -173,25 +191,18 @@ def _context_for(model, maps) -> np.ndarray:
     return flatten_context(maps)
 
 
-def _brick_configs(cfg: RunConfig) -> list[BrickConfig]:
+def _brick_config(cfg: RunConfig) -> BrickConfig:
     if cfg.bricks < 1:
         raise ValueError("--bricks must be >= 1")
-    if cfg.ridges is not None and len(cfg.ridges) != cfg.bricks:
-        raise ValueError(f"--ridges needs {cfg.bricks} comma-separated values")
-    ridges = cfg.ridges if cfg.ridges is not None else (cfg.ridge,) * cfg.bricks
-    activation = Activation(cfg.activation)
-    return [
-        BrickConfig(
-            kind=cfg.brick_kind,
-            ridge=float(r),
-            hidden_size=cfg.hidden_size,
-            hidden_size_a=cfg.hidden_size_a,
-            hidden_size_b=cfg.hidden_size_b,
-            activation=activation,
-            mode=cfg.dsn_mode,
-        )
-        for r in ridges
-    ]
+    return BrickConfig(
+        kind=cfg.brick_kind,
+        ridge=float(cfg.ridge),
+        hidden_size=cfg.hidden_size,
+        hidden_size_a=cfg.hidden_size_a,
+        hidden_size_b=cfg.hidden_size_b,
+        activation=Activation(cfg.activation),
+        mode=cfg.dsn_mode,
+    )
 
 
 def _require(cfg: RunConfig, **paths) -> None:
@@ -262,7 +273,7 @@ def _cmd_train(cfg: RunConfig) -> dict:
         train_ts, val_ts = split_train_validate(ts, cfg.split_fraction)
     inputs, targets, _ = build_training_pairs(train_ts)
     schema, context = training_schema(train_ts, maps), flatten_context(maps)
-    configs = _brick_configs(cfg)
+    configs = _brick_config(cfg)
     scaling = default_scaling(train_ts, maps)
     outputs: dict = {}
     if cfg.rho_grid:
@@ -274,12 +285,13 @@ def _cmd_train(cfg: RunConfig) -> dict:
             configs,
             grid=cfg.rho_grid,
             split_fraction=min(cfg.split_fraction, 0.8),
+            n_bricks=cfg.bricks,
             seed=cfg.seed,
             initial=scaling,
             context=context,
         )
         scaling = search.scaling
-        configs = [dataclasses.replace(c, ridge=r) for c, r in zip(configs, search.ridges)]
+        configs = [dataclasses.replace(configs, ridge=r) for r in search.ridges]
         outputs["scale_search"] = {
             "loss_trace": list(search.loss_trace),
             "evaluations": search.evaluations,
@@ -455,102 +467,90 @@ def _floats(text: str) -> tuple[float, ...]:
 
 @functools.cache  # built once per process; parse_args leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
+    """Every command's flags; one left out takes its default from RunConfig."""
     parser = argparse.ArgumentParser(
         prog="ecocast",
         description="One-step ecosystem forecasting from stacked shallow learners",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=0)
+    def add_command(name: str, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+        p.add_argument("--seed", type=int)
         p.add_argument("--report", help="write the JSON report here instead of stdout")
+        return p
 
     def add_model_inputs(p: argparse.ArgumentParser) -> None:
         p.add_argument("--series", required=True)
         p.add_argument("--model-in", required=True)
-        p.add_argument("--grid", dest="grids", action="append", default=[],
-                       help="context map (repeatable)")
+        p.add_argument("--grid", dest="grids", action="append", help="context map (repeatable)")
         p.add_argument("--interpolate", action="store_true")
         p.add_argument("--nodata-fill", help="'mean' or a constant for NODATA cells")
 
-    p = sub.add_parser("simulate", help="integrate the predator-prey model to CSV")
-    add_common(p)
-    p.add_argument("--alpha", type=float, default=1.1)
-    p.add_argument("--beta", type=float, default=0.4)
-    p.add_argument("--gamma", type=float, default=0.4)
-    p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--prey0", type=float, default=10.0)
-    p.add_argument("--predators0", type=float, default=5.0)
-    p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--steps", type=int, default=1000)
+    p = add_command("simulate", "integrate the predator-prey model to CSV")
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--beta", type=float)
+    p.add_argument("--gamma", type=float)
+    p.add_argument("--delta", type=float)
+    p.add_argument("--prey0", type=float)
+    p.add_argument("--predators0", type=float)
+    p.add_argument("--dt", type=float)
+    p.add_argument("--steps", type=int)
     p.add_argument("--output", required=True, help="trajectory CSV path")
 
-    p = sub.add_parser("fit-lv", help="fit predator-prey rate constants from a CSV")
-    add_common(p)
+    p = add_command("fit-lv", "fit predator-prey rate constants from a CSV")
     p.add_argument("--series", required=True, help="CSV with prey and predator columns")
     p.add_argument("--clamp-nonneg", action="store_true")
     p.add_argument("--interpolate", action="store_true")
 
-    p = sub.add_parser("train", help="train a stacked one-step predictor")
-    add_common(p)
+    p = add_command("train", "train a stacked one-step predictor")
     p.add_argument("--series", required=True)
-    p.add_argument("--grid", dest="grids", action="append", default=[],
-                   help="context map (repeatable)")
-    p.add_argument("--bricks", type=int, default=1)
-    p.add_argument("--brick-kind", default="kernel",
-                   choices=["linear", "dsn", "kernel", "tensor", "kernel-tensor"])
-    p.add_argument("--ridge", type=float, default=0.0)
-    p.add_argument("--ridges", type=_floats, help="comma-separated per-brick ridges")
-    p.add_argument("--hidden-size", type=int, default=32)
-    p.add_argument("--hidden-size-a", type=int, default=8)
-    p.add_argument("--hidden-size-b", type=int, default=8)
-    p.add_argument("--activation", default="sigmoid",
-                   choices=[a.value for a in Activation])
-    p.add_argument("--dsn-mode", default="fixed-random",
-                   choices=["fixed-random", "gradient-refined"])
-    p.add_argument("--rho-grid", type=_floats, default=(),
+    p.add_argument("--grid", dest="grids", action="append", help="context map (repeatable)")
+    p.add_argument("--bricks", type=int)
+    p.add_argument("--brick-kind", choices=_BRICK_KINDS)
+    p.add_argument("--ridge", type=float)
+    p.add_argument("--hidden-size", type=int)
+    p.add_argument("--hidden-size-a", type=int)
+    p.add_argument("--hidden-size-b", type=int)
+    p.add_argument("--activation", choices=[a.value for a in Activation])
+    p.add_argument("--dsn-mode", choices=DSN_MODES)
+    p.add_argument("--rho-grid", type=_floats,
                    help="comma-separated multipliers; enables the scale search")
-    p.add_argument("--split-fraction", type=float, default=1.0,
+    p.add_argument("--split-fraction", type=float,
                    help="train on the leading fraction (1.0 = use everything)")
     p.add_argument("--interpolate", action="store_true")
     p.add_argument("--nodata-fill", help="'mean' or a constant for NODATA cells")
     p.add_argument("--model-out", required=True)
 
-    p = sub.add_parser("predict", help="one-step predictions for every input state")
-    add_common(p)
+    p = add_command("predict", "one-step predictions for every input state")
     add_model_inputs(p)
     p.add_argument("--output", required=True)
 
-    p = sub.add_parser("rollout", help="iterate the predictor from the last input state")
-    add_common(p)
+    p = add_command("rollout", "iterate the predictor from the last input state")
     add_model_inputs(p)
-    p.add_argument("--steps", type=int, default=100)
+    p.add_argument("--steps", type=int)
     p.add_argument("--reference", help="CSV with ground-truth series for the error curve")
     p.add_argument("--bound", type=float, help="divergence bound override")
     p.add_argument("--output", required=True, help="predicted trajectory CSV")
     p.add_argument("--errors-output", help="per-step error curve CSV")
 
-    p = sub.add_parser("horizon", help="reliability horizon against a held-out suffix")
-    add_common(p)
+    p = add_command("horizon", "reliability horizon against a held-out suffix")
     add_model_inputs(p)
-    p.add_argument("--split-fraction", type=float, default=0.8)
-    p.add_argument("--epsilon", type=float, default=0.2)
+    p.add_argument("--split-fraction", type=float)
+    p.add_argument("--epsilon", type=float)
     p.add_argument("--errors-output", help="normalized error curve CSV")
 
-    p = sub.add_parser("count-params", help="free-parameter and data-point arithmetic")
-    add_common(p)
+    p = add_command("count-params", "free-parameter and data-point arithmetic")
     p.add_argument("--series-count", type=int, required=True)
-    p.add_argument("--map-pixels", dest="map_pixels", type=int, action="append", default=[],
+    p.add_argument("--map-pixels", dest="map_pixels", type=int, action="append",
                    help="pixel count of one context map (repeatable)")
-    p.add_argument("--bricks", type=int, default=1)
-    p.add_argument("--brick-kind", default="kernel",
-                   choices=["linear", "dsn", "kernel", "tensor", "kernel-tensor"])
+    p.add_argument("--bricks", type=int)
+    p.add_argument("--brick-kind", choices=_BRICK_KINDS)
     p.add_argument("--per-brick-scaling", action="store_true")
     p.add_argument("--series-length", type=int)
 
-    p = sub.add_parser("usle", help="pointwise soil-loss product of five factor maps")
-    add_common(p)
-    p.add_argument("--grid", dest="grids", action="append", default=[], required=True,
+    p = add_command("usle", "pointwise soil-loss product of five factor maps")
+    p.add_argument("--grid", dest="grids", action="append", required=True,
                    help="factor maps in order R, K, LS, C, P (five times)")
     p.add_argument("--nodata-fill")
     p.add_argument("--output", required=True)
@@ -572,8 +572,7 @@ def _apply_output_dir(cfg: RunConfig) -> RunConfig:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    values = {k: v for k, v in vars(args).items() if v is not None}
-    cfg = _apply_output_dir(config_from_dict(values))
+    cfg = _apply_output_dir(config_from_dict(vars(args)))
     try:
         run(cfg)
     except Exception as exc:  # CLI boundary: every module error becomes error JSON

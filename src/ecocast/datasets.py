@@ -23,7 +23,6 @@ __all__ = [
     "default_scaling",
     "flatten_context",
     "optimize_scaling",
-    "scaling_from_columns",
     "training_schema",
     "usle_soil_loss",
 ]
@@ -58,9 +57,12 @@ class TimeSeriesSet:
             raise ValueError("at least one series is required")
         if len(set(names)) != len(names):
             raise ValueError("series names must be unique")
-        for n in names:
-            if not n or "," in n or "\n" in n or "\r" in n:
-                raise ValueError(f"invalid series name {n!r}")
+        for n in names:  # each name must read back from a CSV header as it is
+            if not n or n != n.strip() or any(ch in n for ch in ',"\n\r'):
+                raise ValueError(
+                    f"invalid series name {n!r}: a CSV header cannot carry surrounding "
+                    "whitespace, a comma, a double quote or a line break"
+                )
         if times.ndim != 1 or times.size == 0:
             raise ValueError("times must be a nonempty 1-d array")
         if not np.all(np.isfinite(times)):
@@ -196,9 +198,14 @@ def build_training_pairs(
     return inputs, targets, training_schema(ts, maps)
 
 
-def _unit_variance(segments) -> ScalingSet:
-    """Offset = mean and scale = standard deviation per dataset segment,
-    with scale 1 for constant segments."""
+def default_scaling(ts: TimeSeriesSet, maps=()) -> ScalingSet:
+    """Unit-variance initialization measured per series and per map: offset =
+    mean and scale = standard deviation, with scale 1 for a constant one."""
+    segments = list(ts.values)
+    for m in maps:
+        if m.has_nodata():
+            raise ValueError(f"map {m.name!r} has unresolved nodata cells")
+        segments.append(m.values)
     offsets = []
     scales = []
     for seg in segments:
@@ -206,23 +213,6 @@ def _unit_variance(segments) -> ScalingSet:
         sd = float(np.std(seg))
         scales.append(sd if sd > 0.0 else 1.0)
     return ScalingSet(offsets=np.array(offsets), scales=np.array(scales))
-
-
-def default_scaling(ts: TimeSeriesSet, maps=()) -> ScalingSet:
-    """Unit-variance initialization measured per series and per map."""
-    segments = list(ts.values)
-    for m in maps:
-        if m.has_nodata():
-            raise ValueError(f"map {m.name!r} has unresolved nodata cells")
-        segments.append(m.values)
-    return _unit_variance(segments)
-
-
-def scaling_from_columns(inputs, schema: InputSchema) -> ScalingSet:
-    """Unit-variance initialization measured on first-brick input columns."""
-    u = np.asarray(inputs, dtype=float)
-    slices = schema.dataset_slices(1)
-    return _unit_variance([u[a:b] for a, b in slices])
 
 
 def usle_soil_loss(
@@ -290,7 +280,8 @@ def optimize_scaling(
     split_fraction: float = 0.8,
     n_bricks: int | None = None,
     seed: int = 0,
-    initial: ScalingSet | None = None,
+    *,
+    initial: ScalingSet,
     context=None,
 ) -> ScalingSearchResult:
     """Coordinate descent over per-dataset scales and per-brick ridges.
@@ -302,7 +293,8 @@ def optimize_scaling(
     (per-series, normalized by the training-segment standard deviation so
     candidates are comparable).  Each coordinate sweeps the multiplicative
     ``grid``; only strict improvements are accepted and passes repeat until a
-    full sweep accepts nothing.  The loss trace starts at the initial
+    full sweep accepts nothing.  The search starts from the ``initial``
+    scaling and the configs' ridges; the loss trace starts at that
     configuration and is non-increasing by construction.
 
     A scale candidate retrains the whole stack.  A ridge candidate for brick
@@ -314,7 +306,7 @@ def optimize_scaling(
     A multiple that overflows to infinity or underflows to zero is never
     tried.  A candidate whose training meets non-finite values, or whose
     validation loss is not finite, scores +inf and counts in ``rejected``;
-    the initial configuration raises instead.
+    the initial configuration, scored once before the sweep, raises instead.
     """
     grid = tuple(float(g) for g in grid)
     if not grid:
@@ -337,60 +329,54 @@ def optimize_scaling(
     v_train, v_val = v[:, :n_train], v[:, n_train:]
 
     config_list = brick_config_list(configs, n_bricks)
-
-    if initial is None:  # measured on the full layout, whichever layout came in
-        full = u if context is None else schema.full_input(series, c)
-        initial = scaling_from_columns(full[:, :n_train], schema)
     scaling = initial
     ridges = [cfg.ridge for cfg in config_list]
 
     norm = np.std(v_train, axis=1)
     norm[norm <= 0.0] = 1.0
 
-    evaluations = rejected = 0
-    scored: dict[tuple, float] = {}
-
-    def train_and_score(cand_scaling: ScalingSet, cand_ridges, reuse) -> tuple[float, tuple]:
-        """A new candidate's loss and brick fits; +inf and no fits when its
-        training meets non-finite values or its loss is not finite, except for
-        the initial configuration, which raises."""
-        initial = not scored
+    def train_and_score(cand_scaling: ScalingSet, cand_ridges, reuse=()) -> tuple[float, tuple]:
+        """A candidate's validation loss and brick fits."""
         cfgs = [replace(cfg, ridge=r) for cfg, r in zip(config_list, cand_ridges)]
-        try:
-            model, fits = _train_stack(u_train, v_train, schema, cfgs, seed, cand_scaling, reuse, c)
-        except BrickTrainingError as exc:
-            if initial or not isinstance(exc.__cause__, NonFiniteError):
-                raise
-            return math.inf, ()
-        pred = model.predict_columns(u_val, c)
-        err = (pred - v_val) / norm[:, None]
-        loss = float(np.sqrt(np.mean(err * err)))
-        if math.isfinite(loss):
-            return loss, fits
-        if initial:
-            raise ValueError(f"the initial scaling gives a non-finite validation loss ({loss})")
-        return math.inf, ()
+        model, fits = _train_stack(u_train, v_train, schema, cfgs, seed, cand_scaling, reuse, c)
+        err = (model.predict_columns(u_val, c) - v_val) / norm[:, None]
+        return float(np.sqrt(np.mean(err * err))), fits
 
-    def score(cand_scaling: ScalingSet, cand_ridges, reuse=()) -> tuple[float, tuple]:
-        """The candidate's loss and brick fits; a candidate scored before
-        returns its stored loss and no fits."""
-        nonlocal evaluations, rejected
-        evaluations += 1
-        key = (tuple(cand_scaling.scales.tolist()), tuple(cand_ridges))
-        if key in scored:
-            loss, fits = scored[key], ()
-        else:
-            loss, fits = train_and_score(cand_scaling, cand_ridges, reuse)
-            scored[key] = loss
-        if loss == math.inf:
-            rejected += 1
-        return loss, fits
+    def key(cand_scaling: ScalingSet, cand_ridges) -> tuple:
+        return tuple(cand_scaling.scales.tolist()), tuple(cand_ridges)
 
     # Only the brick fits of the accepted configuration outlive a candidate.
     # A candidate scored before never beats the best loss, so an accepted
     # candidate comes with its fits.
-    best, accepted = score(scaling, ridges)
+    best, accepted = train_and_score(scaling, ridges)
+    if not math.isfinite(best):
+        raise ValueError(f"the initial scaling gives a non-finite validation loss ({best})")
     trace = [best]
+    scored = {key(scaling, ridges): best}
+    evaluations, rejected = 1, 0
+
+    def score(cand_scaling: ScalingSet, cand_ridges, reuse) -> tuple[float, tuple]:
+        """The candidate's loss and brick fits: +inf and no fits when its
+        training meets non-finite values or its loss is not finite, and the
+        stored loss and no fits for a candidate scored before."""
+        nonlocal evaluations, rejected
+        evaluations += 1
+        k = key(cand_scaling, cand_ridges)
+        if k in scored:
+            loss, fits = scored[k], ()
+        else:
+            try:
+                loss, fits = train_and_score(cand_scaling, cand_ridges, reuse)
+            except BrickTrainingError as exc:
+                if not isinstance(exc.__cause__, NonFiniteError):
+                    raise
+                loss = math.inf
+            if not math.isfinite(loss):
+                loss, fits = math.inf, ()
+            scored[k] = loss
+        if loss == math.inf:
+            rejected += 1
+        return loss, fits
 
     def consider(cand_scaling: ScalingSet, cand_ridges: list[float], reuse=()) -> bool:
         """Score a candidate and accept it if it lowers the best loss."""

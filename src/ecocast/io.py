@@ -209,7 +209,11 @@ _DEFAULT_NODATA = -9999.0
 
 
 def write_ascii_grid(cmap: ContextMap, path) -> None:
-    nodata = cmap.nodata_value if cmap.nodata_value is not None else _DEFAULT_NODATA
+    nodata = cmap.nodata_value
+    if nodata is None:  # a marker that no cell holds, so every cell reads back
+        nodata = _DEFAULT_NODATA
+        while np.any(cmap.values == nodata):
+            nodata -= 1.0
     header_values = (
         str(cmap.n_cols),
         str(cmap.n_rows),

@@ -6,8 +6,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ecocast import cli
 from ecocast.bricks import LinearBrick
-from ecocast.cli import _apply_output_dir, _build_parser, _rmse, config_from_dict, main, run
+from ecocast.cli import (
+    RunConfig,
+    _apply_output_dir,
+    _build_parser,
+    _rmse,
+    config_from_dict,
+    main,
+    run,
+)
 from ecocast.datasets import ContextMap, build_training_pairs, flatten_context
 from ecocast.io import (
     load_model,
@@ -35,6 +44,62 @@ def write_grid(path, rows="1.0 2.0\n3.0 4.0"):
 
 def read_report(path):
     return json.loads(path.read_text())
+
+
+# each command's required flags, and the RunConfig fields they set
+REQUIRED_FLAGS = {
+    "simulate": (["--output", "o.csv"], {"output": "o.csv"}),
+    "fit-lv": (["--series", "s.csv"], {"series": "s.csv"}),
+    "train": (["--series", "s.csv", "--model-out", "m.json"],
+              {"series": "s.csv", "model_out": "m.json"}),
+    "predict": (["--series", "s.csv", "--model-in", "m.json", "--output", "o.csv"],
+                {"series": "s.csv", "model_in": "m.json", "output": "o.csv"}),
+    "rollout": (["--series", "s.csv", "--model-in", "m.json", "--output", "o.csv"],
+                {"series": "s.csv", "model_in": "m.json", "output": "o.csv"}),
+    "horizon": (["--series", "s.csv", "--model-in", "m.json"],
+                {"series": "s.csv", "model_in": "m.json"}),
+    "count-params": (["--series-count", "3"], {"series_count": 3}),
+    "usle": (["--grid", "g.asc", "--output", "o.asc"], {"grids": ("g.asc",), "output": "o.asc"}),
+}
+
+
+class TestRunConfig:
+    @pytest.mark.parametrize("command", sorted(REQUIRED_FLAGS))
+    def test_a_flag_left_out_takes_the_run_config_default(self, monkeypatch, command):
+        flags, fields = REQUIRED_FLAGS[command]
+        resolved = []
+        monkeypatch.delenv("ECOCAST_OUTPUT_DIR", raising=False)
+        monkeypatch.setattr(cli, "run", resolved.append)
+        assert main([command, *flags]) == 0
+        want = dataclasses.asdict(RunConfig(command=command, **fields))
+        assert dataclasses.asdict(resolved[0]) == want
+
+    def test_rollout_and_horizon_defaults_hold_for_a_run_config(self):
+        assert RunConfig(command="rollout").steps == 100
+        assert RunConfig(command="simulate").steps == 1000
+        assert RunConfig(command="horizon").split_fraction == 0.8
+        assert RunConfig(command="train").split_fraction == 1.0
+
+    def test_per_brick_ridges_are_not_a_flag(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["train", "--series", "s.csv", "--model-out", "m.json", "--ridges", "1,2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --ridges 1,2" in capsys.readouterr().err
+
+    def test_a_report_with_null_ridges_replays_and_one_with_ridges_is_refused(
+        self, tmp_path, small_series
+    ):
+        report = tmp_path / "train.json"
+        assert main(["train", "--series", str(small_series), "--bricks", "2", "--ridge", "1e-3",
+                     "--model-out", str(tmp_path / "m.json"), "--report", str(report)]) == 0
+        doc = read_report(report)
+        assert "ridges" not in doc["config"]
+        replay = config_from_dict({**doc["config"], "ridges": None})
+        assert replay == config_from_dict(doc["config"])
+        run(replay)
+        assert read_report(report)["outputs"] == doc["outputs"]
+        with pytest.raises(ValueError, match="^retired config key 'ridges' replays only as None$"):
+            config_from_dict({**doc["config"], "ridges": [1e-3]})
 
 
 class TestCountParams:
@@ -233,6 +298,15 @@ class TestTrain:
         assert message == "train needs --split-fraction in (0, 1]"
         assert not model.exists()
 
+
+    def test_a_bad_nodata_fill_is_named_before_any_grid_is_read(self, tmp_path, small_series,
+                                                                capsys):
+        assert main([
+            "train", "--series", str(small_series), "--grid", str(tmp_path / "missing.asc"),
+            "--nodata-fill", "abc", "--model-out", str(tmp_path / "model.json"),
+        ]) == 1
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert message == "--nodata-fill takes 'mean' or a number; got 'abc'"
 
     def test_overflowing_scale_search_candidates_are_rejected(self, tmp_path, small_series):
         report = tmp_path / "train.json"

@@ -1,3 +1,4 @@
+import re
 import weakref
 from dataclasses import replace
 
@@ -14,7 +15,6 @@ from ecocast.datasets import (
     default_scaling,
     flatten_context,
     optimize_scaling,
-    scaling_from_columns,
     training_schema,
     usle_soil_loss,
 )
@@ -37,6 +37,17 @@ def make_map(name="m", rows=2, cols=2, seed=0, nodata=None):
     return ContextMap(name=name, values=rng.standard_normal((rows, cols)), nodata_value=nodata)
 
 
+def pairs_scaling(u, schema):
+    """The default scaling of the series rows and context maps of the
+    full-layout pairs ``u``."""
+    ns = schema.n_series
+    ts = TimeSeriesSet(names=schema.series_names, times=np.arange(u.shape[1], dtype=float),
+                       values=u[:ns])
+    parts = np.split(u[ns:, 0], np.cumsum(schema.context_sizes)[:-1])
+    maps = [ContextMap(name=n, values=p[None, :]) for n, p in zip(schema.context_names, parts)]
+    return default_scaling(ts, maps)
+
+
 class TestTimeSeriesSet:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -45,6 +56,11 @@ class TestTimeSeriesSet:
             TimeSeriesSet(names=("a",), times=np.array([0.0, 1.0, 1.5]), values=np.ones((1, 3)))
         with pytest.raises(ValueError):
             TimeSeriesSet(names=("a",), times=np.arange(2.0), values=np.array([[1.0, np.nan]]))
+
+    @pytest.mark.parametrize("name", [" a", "a ", "\ta", '"a"', '"a'])
+    def test_a_name_the_csv_header_cannot_carry_is_refused(self, name):
+        with pytest.raises(ValueError, match=f"^invalid series name {re.escape(repr(name))}: "):
+            TimeSeriesSet(names=("b", name), times=np.arange(2.0), values=np.ones((2, 2)))
 
     def test_window_and_concat_identity(self):
         ts = make_ts(n_points=10)
@@ -146,9 +162,8 @@ class TestAdimensionalize:
 
     def test_mean_offset_centers_training_data(self):
         ts = make_ts(n_points=50, seed=3)
-        u, _, schema = build_training_pairs(ts)
-        s = scaling_from_columns(u, schema)
-        scaled, _ = adimensionalize(u, np.empty(0), s, schema)
+        s = default_scaling(ts)
+        scaled, _ = adimensionalize(ts.values, np.empty(0), s, training_schema(ts))
         assert np.allclose(scaled.mean(axis=1), 0.0, atol=1e-12)
         assert np.allclose(scaled.std(axis=1), 1.0, atol=1e-12)
 
@@ -246,8 +261,9 @@ def lv_pairs(points=81, maps=()):
     return build_training_pairs(simulate_lv(REFERENCE_PARAMS, 10.0, 5.0, 0.05, points - 1), maps)
 
 
-def reference_search(u, v, schema, configs, grid, split_fraction, seed=0, max_passes=20):
-    """The scale search with every candidate retrained by train_stack."""
+def reference_search(u, v, schema, configs, grid, split_fraction, initial, seed=0, max_passes=20):
+    """The scale search from ``initial`` with every candidate retrained by
+    train_stack."""
     n_train = int(round(u.shape[1] * split_fraction))
     u_train, u_val, v_train, v_val = u[:, :n_train], u[:, n_train:], v[:, :n_train], v[:, n_train:]
     ns = schema.n_series
@@ -263,7 +279,7 @@ def reference_search(u, v, schema, configs, grid, split_fraction, seed=0, max_pa
         err = (model.predict_columns(u_val[:ns], u[ns:, 0]) - v_val) / norm[:, None]
         return float(np.sqrt(np.mean(err * err)))
 
-    scaling = scaling_from_columns(u_train, schema)
+    scaling = initial
     ridges = [c.ridge for c in configs]
     best = evaluate(scaling, ridges)
     trace = [best]
@@ -304,7 +320,7 @@ class TestOptimizeScaling:
 
     def test_unit_grid_returns_initial_unchanged(self):
         u, v, schema = self.pairs()
-        initial = scaling_from_columns(u[:, :30], schema)
+        initial = pairs_scaling(u[:, :30], schema)
         result = optimize_scaling(
             u, v, schema, BrickConfig(kind="kernel", ridge=1e-4), grid=(1.0,),
             split_fraction=0.75, n_bricks=1, initial=initial,
@@ -317,13 +333,14 @@ class TestOptimizeScaling:
         result = optimize_scaling(
             u, v, schema, BrickConfig(kind="kernel", ridge=1e-3),
             grid=(0.25, 0.5, 2.0, 4.0), split_fraction=0.75, n_bricks=1,
+            initial=pairs_scaling(u, schema),
         )
         trace = result.loss_trace
         assert all(a >= b for a, b in zip(trace, trace[1:]))
 
     def test_recovers_from_deliberate_mis_scaling(self):
         u, v, schema = self.pairs(seed=3)
-        initial = scaling_from_columns(u[:, :30], schema)
+        initial = pairs_scaling(u[:, :30], schema)
         # a 100x too-wide distance scale washes out the first series
         broken = initial.with_scale(0, float(initial.scales[0]) * 100.0)
         result = optimize_scaling(
@@ -336,13 +353,13 @@ class TestOptimizeScaling:
         u, v, schema = self.pairs()
         with pytest.raises(ValueError, match="expected 3 brick configs"):
             optimize_scaling(u, v, schema, [BrickConfig(kind="kernel")] * 2, grid=(0.5, 2.0),
-                             split_fraction=0.75, n_bricks=3)
+                             split_fraction=0.75, n_bricks=3, initial=pairs_scaling(u, schema))
 
     def test_empty_grid_rejected(self):
         u, v, schema = self.pairs()
         with pytest.raises(ValueError):
             optimize_scaling(u, v, schema, BrickConfig(kind="kernel"), grid=(),
-                             split_fraction=0.75, n_bricks=1)
+                             split_fraction=0.75, n_bricks=1, initial=pairs_scaling(u, schema))
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan, 0.0, -2.0])
     def test_bad_grid_multiplier_rejected_before_any_evaluation(self, monkeypatch, bad):
@@ -354,13 +371,15 @@ class TestOptimizeScaling:
         monkeypatch.setattr(datasets, "_train_stack", no_training)
         with pytest.raises(ValueError, match="grid multipliers must be positive and finite"):
             optimize_scaling(u, v, schema, BrickConfig(kind="kernel", ridge=1e-3),
-                             grid=(0.5, bad), split_fraction=0.75, n_bricks=1)
+                             grid=(0.5, bad), split_fraction=0.75, n_bricks=1,
+                             initial=pairs_scaling(u, schema))
 
     @pytest.mark.parametrize("columns", [slice(-5, None), slice(0, 1)], ids=["validation", "training"])
     def test_context_varying_between_columns_is_rejected_before_any_evaluation(
         self, monkeypatch, columns
     ):
         u, v, schema = lv_pairs(points=61, maps=[make_map("dtm", 1, 2, seed=1)])
+        initial = pairs_scaling(u, schema)
         u[schema.context_rows, columns] += 100.0
 
         def no_training(*args, **kwargs):
@@ -369,17 +388,19 @@ class TestOptimizeScaling:
         monkeypatch.setattr(datasets, "_train_stack", no_training)
         with pytest.raises(ValueError, match="context rows must hold the same value"):
             optimize_scaling(u, v, schema, BrickConfig(kind="kernel", ridge=1e-3),
-                             grid=(0.5, 2.0), n_bricks=1)
+                             grid=(0.5, 2.0), n_bricks=1, initial=initial)
 
     def test_reports_a_search_cut_by_max_passes(self, monkeypatch):
         u, v, schema = lv_pairs(points=121)
         cfg = BrickConfig(kind="kernel", ridge=1e-3)
+        initial = pairs_scaling(u, schema)
         with monkeypatch.context() as patch:
             patch.setattr(datasets, "_MAX_PASSES", 1)
-            cut = optimize_scaling(u, v, schema, cfg, grid=(0.5, 1e300), n_bricks=1)
+            cut = optimize_scaling(u, v, schema, cfg, grid=(0.5, 1e300), n_bricks=1,
+                                   initial=initial)
         assert (cut.passes, cut.converged) == (1, False)
         assert len(cut.loss_trace) > 1
-        done = optimize_scaling(u, v, schema, cfg, grid=(0.5, 2.0), n_bricks=1)
+        done = optimize_scaling(u, v, schema, cfg, grid=(0.5, 2.0), n_bricks=1, initial=initial)
         assert done.converged and 1 <= done.passes < 20
 
     def test_never_tries_a_product_that_overflows(self, monkeypatch):
@@ -393,8 +414,10 @@ class TestOptimizeScaling:
             return train(*args)
 
         monkeypatch.setattr(datasets, "_train_stack", recording)
+        # from the scaling of the 96 training pairs, the search takes x1e300
         result = optimize_scaling(u, v, schema, BrickConfig(kind="kernel", ridge=1e-3),
-                                  grid=(0.5, 1e300), n_bricks=1)
+                                  grid=(0.5, 1e300), n_bricks=1,
+                                  initial=pairs_scaling(u[:, :96], schema))
         # x1e300 is accepted once; a second x1e300 would overflow
         assert result.scaling.scales.max() > 1e299
         assert np.isfinite(tried).all() and result.converged
@@ -417,7 +440,8 @@ class TestOptimizeScaling:
         # non-finite dual coefficients
         with np.errstate(over="ignore", invalid="ignore"):
             result = optimize_scaling(u, v, schema, BrickConfig(kind="kernel", ridge=1e-3),
-                                      grid=(1e-200, 1e200), n_bricks=2)
+                                      grid=(1e-200, 1e200), n_bricks=2,
+                                      initial=pairs_scaling(u, schema))
         assert failures and set(failures) == {
             "brick 1: the kernel solve gave non-finite dual coefficients"
         }
@@ -428,7 +452,7 @@ class TestOptimizeScaling:
 
     def test_initial_configuration_still_fails_loudly(self):
         u, v, schema = lv_pairs(points=121)
-        initial = scaling_from_columns(u, schema)
+        initial = pairs_scaling(u, schema)
         tiny = ScalingSet(offsets=initial.offsets, scales=initial.scales * 1e-200)
         cfg = BrickConfig(kind="kernel", ridge=1e-3)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -448,19 +472,20 @@ class TestOptimizeScaling:
         trainings = []
         train = datasets._train_stack
         monkeypatch.setattr(datasets, "_train_stack", lambda *a: trainings.append(a) or train(*a))
-        result = optimize_scaling(u, v, schema, configs, grid=grid, seed=3)
-        scaling, ridges, trace, evaluations = reference_search(u, v, schema, configs, grid, 0.8, 3)
+        initial = pairs_scaling(u, schema)
+        result = optimize_scaling(u, v, schema, configs, grid=grid, seed=3, initial=initial)
+        scaling, ridges, trace, evaluations = reference_search(u, v, schema, configs, grid, 0.8,
+                                                               initial, 3)
         assert result.scaling.scales.tobytes() == scaling.scales.tobytes()
         assert result.ridges == ridges
         assert result.loss_trace == trace
         assert result.evaluations == evaluations
         assert len(trace) > 2 and len(trainings) < evaluations
 
-    @pytest.mark.parametrize("measured", [True, False], ids=["measured", "given"])
-    def test_context_apart_searches_as_the_full_layout(self, measured):
+    def test_context_apart_searches_as_the_full_layout(self):
         u, v, schema = lv_pairs(maps=[make_map("dtm", 2, 2, seed=1)])
         context = u[schema.context_rows, 0]
-        initial = None if measured else scaling_from_columns(u, schema)
+        initial = pairs_scaling(u, schema)
         configs = [BrickConfig(kind="dsn", ridge=1e-3, hidden_size=6),
                    BrickConfig(kind="kernel", ridge=1e-3)]
         full = optimize_scaling(u, v, schema, configs, grid=(0.5, 2.0), seed=3, initial=initial)
@@ -480,7 +505,8 @@ class TestOptimizeScaling:
         monkeypatch.setattr(datasets, "_train_stack", no_training)
         with pytest.raises(ValueError, match="^the context has 3 entries, not 4$"):
             optimize_scaling(u[:2], v, schema, BrickConfig(kind="kernel", ridge=1e-3),
-                             grid=(0.5, 2.0), n_bricks=1, context=u[2:5, 0])
+                             grid=(0.5, 2.0), n_bricks=1, initial=pairs_scaling(u, schema),
+                             context=u[2:5, 0])
 
     def test_keeps_at_most_one_gram_per_brick(self, monkeypatch):
         u, v, schema = lv_pairs(maps=[make_map("dtm", 2, 2, seed=1)])
@@ -496,6 +522,7 @@ class TestOptimizeScaling:
 
         monkeypatch.setattr(datasets, "_train_stack", counting)
         configs = [BrickConfig(kind="kernel", ridge=1e-3)] * 3
-        result = optimize_scaling(u, v, schema, configs, grid=(0.5, 2.0))
+        result = optimize_scaling(u, v, schema, configs, grid=(0.5, 2.0),
+                                  initial=pairs_scaling(u, schema))
         assert len(live) > 20 and len(result.loss_trace) > 2
         assert max(live) == 3

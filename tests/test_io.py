@@ -275,6 +275,18 @@ class TestAsciiGrid:
         const_filled = read_ascii_grid(path, nodata_fill=0.5)
         assert const_filled.values[0, 1] == 0.5
 
+    @pytest.mark.parametrize("values, marker", [
+        ([[1.0, 2.0]], "-9999.0"),
+        ([[1.0, -9999.0]], "-10000.0"),
+        ([[-10000.0, -9999.0]], "-10001.0"),
+    ], ids=["free", "taken", "two-taken"])
+    def test_a_map_without_a_marker_reads_back_whatever_its_cells(self, tmp_path, values, marker):
+        cmap = ContextMap(name="m", values=np.array(values))
+        path = tmp_path / "m.asc"
+        write_ascii_grid(cmap, path)
+        assert path.read_text().splitlines()[5] == f"NODATA_value {marker}"
+        assert read_ascii_grid(path).values.tobytes() == cmap.values.tobytes()
+
     def test_dtm_flattens_to_ten_thousand_entries(self, tmp_path):
         rng = np.random.default_rng(0)
         dtm = ContextMap(name="dtm", values=rng.uniform(0.0, 800.0, (100, 100)))

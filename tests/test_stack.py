@@ -13,7 +13,7 @@ from ecocast.bricks import (
     train_kernel_brick,
     train_kt_brick,
 )
-from ecocast.datasets import build_training_pairs, scaling_from_columns
+from ecocast.datasets import ContextMap, TimeSeriesSet, build_training_pairs, default_scaling
 from ecocast.linalg import NonFiniteError
 from ecocast.lotka import REFERENCE_PARAMS, simulate_lv
 from ecocast.scaling import ScalingSet, adimensionalize
@@ -82,11 +82,22 @@ def lv_like_pairs(n_series=2, n_pairs=60, context_size=0, seed=0):
     return u, values[:, 1:], schema, context
 
 
+def pairs_scaling(u, schema):
+    """The default scaling of the series rows and the context of the
+    full-layout pairs ``u`` (at most one context map)."""
+    ns = schema.n_series
+    ts = TimeSeriesSet(names=schema.series_names, times=np.arange(u.shape[1], dtype=float),
+                       values=u[:ns])
+    maps = [ContextMap(name="m0", values=u[ns:, :1].T)] if schema.context_total else []
+    return default_scaling(ts, maps)
+
+
 def lv_series_with_tiny_scales():
     """Pairs of the 121-point LV series (dt 0.05) with their unit-variance
     scales times 1e-200."""
-    u, v, schema = build_training_pairs(simulate_lv(REFERENCE_PARAMS, 10.0, 5.0, 0.05, 120))
-    scaling = scaling_from_columns(u, schema)
+    traj = simulate_lv(REFERENCE_PARAMS, 10.0, 5.0, 0.05, 120)
+    u, v, schema = build_training_pairs(traj)
+    scaling = default_scaling(traj)
     return u, v, schema, ScalingSet(offsets=scaling.offsets, scales=scaling.scales * 1e-200)
 
 
@@ -167,7 +178,7 @@ class TestTrainStack:
     @pytest.mark.parametrize("kind", ["dsn", "tensor"])
     def test_folded_hidden_weights_are_the_full_width_draw(self, kind):
         u, v, schema, _ = lv_like_pairs(n_pairs=30, context_size=4, seed=13)
-        scaling = scaling_from_columns(u, schema)
+        scaling = pairs_scaling(u, schema)
         cfg = BrickConfig(kind=kind, hidden_size=5, hidden_size_a=2, hidden_size_b=3)
         model = train_stack(u, v, schema, cfg, n_bricks=3, seed=20, scaling=scaling)
         rows = schema.context_rows
@@ -185,7 +196,7 @@ class TestTrainStack:
 
     def test_folded_refinement_follows_the_full_width_one(self):
         u, v, schema, _ = lv_like_pairs(n_pairs=30, context_size=3, seed=14)
-        scaling = scaling_from_columns(u, schema)
+        scaling = pairs_scaling(u, schema)
         cfg = BrickConfig(kind="dsn", hidden_size=4, mode="gradient-refined", ridge=1e-6)
         folded = train_stack(u, v, schema, cfg, n_bricks=1, seed=2, scaling=scaling).bricks[0]
         scaled = schema.full_input(*adimensionalize(*schema.split_context(u), scaling, schema))
@@ -202,7 +213,7 @@ class TestTrainStack:
     def test_a_zero_context_adds_no_bias(self, kind):
         u, v, schema, _ = lv_like_pairs(n_pairs=30, context_size=3, seed=15)
         u[2:] = 7.0  # a flat map, which scales to zeros
-        scaling = scaling_from_columns(u, schema)
+        scaling = pairs_scaling(u, schema)
         cfg = BrickConfig(kind=kind, ridge=1e-6, hidden_size=4, hidden_size_a=2, hidden_size_b=2)
         model = train_stack(u, v, schema, cfg, n_bricks=2, seed=0, scaling=scaling)
         assert not np.any(model.context)
@@ -227,7 +238,7 @@ class TestInputLayouts:
     @pytest.mark.parametrize("kind", ["linear", "dsn", "kernel", "tensor", "kernel-tensor"])
     def test_context_apart_trains_the_full_layout_model(self, kind, scaled):
         u, v, schema, context = lv_like_pairs(n_pairs=40, context_size=5, seed=21)
-        scaling = scaling_from_columns(u, schema) if scaled else None
+        scaling = pairs_scaling(u, schema) if scaled else None
         cfg = BrickConfig(kind=kind, ridge=1e-6, hidden_size=6, hidden_size_a=3, hidden_size_b=2)
         full = train_stack(u, v, schema, cfg, n_bricks=2, seed=4, scaling=scaling)
         apart = train_stack(np.array(u[:2]), v, schema, cfg, n_bricks=2, seed=4, scaling=scaling,
@@ -312,7 +323,7 @@ class TestGramOutputs:
     @pytest.mark.parametrize("kind", ["linear", "dsn", "kernel", "tensor", "kernel-tensor"])
     def test_training_predictions_are_those_of_predict_columns(self, kind, n_bricks, context_size):
         u, v, schema, context = lv_like_pairs(n_pairs=40, context_size=context_size, seed=13)
-        scaling = scaling_from_columns(u, schema)
+        scaling = pairs_scaling(u, schema)
         cfg = BrickConfig(kind=kind, ridge=1e-6, hidden_size=6, hidden_size_a=3, hidden_size_b=3)
         model = train_stack(u, v, schema, cfg, n_bricks=n_bricks, seed=2, scaling=scaling)
         got = take_training_predictions(model)
