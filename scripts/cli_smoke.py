@@ -3,8 +3,9 @@
 simulate -> fit-lv -> train --grid -> predict -> rollout -> horizon, then a
 DSN train and a scale-search train on the same grid, one process per
 command, in a temporary directory.  Each command must exit 0 and write a
-report whose outputs make sense; the first failure stops the run with a
-nonzero exit status.
+report whose outputs make sense; before them, ``--help`` must exit 0 for the
+program and each of its eight commands, and an abbreviated flag must exit 2.
+The first failure stops the run with a nonzero exit status.
 
 Usage: python scripts/cli_smoke.py   (after ``pip install -e .``, which puts
 ``ecocast`` on PATH)
@@ -17,6 +18,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+COMMANDS = ("simulate", "fit-lv", "train", "predict", "rollout", "horizon", "count-params", "usle")
 
 GRID = """ncols 3
 nrows 2
@@ -47,9 +50,21 @@ def ecocast(exe: str, workdir: Path, command: str, *args: str) -> dict:
     return doc["outputs"]
 
 
+def exit_status(exe: str, *args: str) -> int:
+    return subprocess.run([exe, *args], capture_output=True).returncode
+
+
 def main() -> None:
     exe = shutil.which("ecocast")
     check(exe is not None, "no ecocast console script on PATH; run pip install -e . first")
+    for args in (["--help"], *([command, "--help"] for command in COMMANDS)):
+        status = exit_status(exe, *args)
+        check(status == 0, f"ecocast {' '.join(args)} exited {status}")
+    print(f"ecocast --help: exit 0 for the program and its {len(COMMANDS)} commands")
+    # --series-len abbreviates --series-length; every flag must be spelled in full
+    status = exit_status(exe, "count-params", "--series-count", "2", "--series-len", "9")
+    check(status == 2, f"the abbreviated flag --series-len exited {status}, not 2")
+    print("ecocast count-params --series-len: exit 2, an abbreviated flag is refused")
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
         series, grid, model = str(d / "series.csv"), str(d / "dtm.asc"), str(d / "model.json")

@@ -721,9 +721,7 @@ def _train_dual(v: np.ndarray, lam: float, gram: np.ndarray) -> tuple[np.ndarray
     """The coefficients ``v @ (gram + lam I)^-1`` and the ridge, from the
     ridge-free Gram matrix of the inputs, which comes back as it went in: the
     saved diagonal is written back after the solve."""
-    if not lam >= 0.0:
-        raise ValueError("lam must be >= 0")
-    lam = float(lam)
+    lam = InverseConfig(float(lam)).lam  # refuses a ridge that is not finite and >= 0
     if lam > 0.0:
         # gram + lam I in place: the off-diagonal entries are >= 0, so the
         # zeros that sum would add leave them unchanged

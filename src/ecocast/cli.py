@@ -471,11 +471,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ecocast",
         description="One-step ecosystem forecasting from stacked shallow learners",
+        allow_abbrev=False,  # a retired flag must not live on as a prefix of a live one
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_command(name: str, help: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS, allow_abbrev=False)
         p.add_argument("--seed", type=int)
         p.add_argument("--report", help="write the JSON report here instead of stdout")
         return p

@@ -20,6 +20,7 @@ __all__ = [
     "ScalingSearchResult",
     "TimeSeriesSet",
     "build_training_pairs",
+    "cadence_break",
     "default_scaling",
     "flatten_context",
     "optimize_scaling",
@@ -32,6 +33,20 @@ _UNIFORM_RTOL = 1e-9
 
 # Sweeps after which the scale search stops, converged or not.
 _MAX_PASSES = 20
+
+
+def cadence_break(times: np.ndarray) -> int | None:
+    """Index of the first step of ``times`` that breaks the uniform cadence
+    its first step sets, or None: every step must lie within ``_UNIFORM_RTOL``
+    of the first, relative, and the first must be positive (else 0)."""
+    steps = np.diff(times)
+    if steps.size == 0:
+        return None
+    dt = steps[0]
+    if dt <= 0.0:
+        return 0
+    off = np.flatnonzero(np.abs(steps - dt) > _UNIFORM_RTOL * abs(dt))
+    return int(off[0]) if off.size else None
 
 
 @dataclass(frozen=True)
@@ -73,11 +88,8 @@ class TimeSeriesSet:
             )
         if not np.all(np.isfinite(values)):
             raise ValueError("series values must be finite (resolve missing values at ingestion)")
-        if times.size >= 2:
-            steps = np.diff(times)
-            dt = steps[0]
-            if dt <= 0.0 or np.any(np.abs(steps - dt) > _UNIFORM_RTOL * abs(dt)):
-                raise ValueError("times must be strictly increasing with uniform cadence")
+        if cadence_break(times) is not None:
+            raise ValueError("times must be strictly increasing with uniform cadence")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
 

@@ -26,7 +26,7 @@ from .bricks import (
     TensorBrick,
     fold_context,
 )
-from .datasets import _UNIFORM_RTOL, ContextMap, TimeSeriesSet
+from .datasets import ContextMap, TimeSeriesSet, cadence_break
 from .scaling import ScalingSet
 from .stack import InputSchema, StackedModel
 
@@ -181,20 +181,13 @@ def read_timeseries_csv(path, interpolate: bool = False) -> TimeSeriesSet:
         for i in range(len(names)):
             values[i] = _interpolate_missing(values[i], times, names[i])
 
-    if n_points >= 2:
-        steps = np.diff(times)
-        dt = steps[0]
-        bad = dt <= 0.0 or np.any(np.abs(steps - dt) > _UNIFORM_RTOL * abs(dt))
-        if bad and not interpolate:
-            if dt <= 0.0:
-                row = 3
-            else:
-                row = int(np.nonzero(np.abs(steps - dt) > _UNIFORM_RTOL * abs(dt))[0][0]) + 3
-            raise ValueError(f"row {row}: non-uniform cadence (pass interpolate to resample)")
-        if bad:
-            uniform = np.linspace(times[0], times[-1], n_points)
-            values = np.vstack([np.interp(uniform, times, values[i]) for i in range(len(names))])
-            times = uniform
+    broken = cadence_break(times)
+    if broken is not None:
+        if not interpolate:
+            raise ValueError(f"row {broken + 3}: non-uniform cadence (pass interpolate to resample)")
+        uniform = np.linspace(times[0], times[-1], n_points)
+        values = np.vstack([np.interp(uniform, times, values[i]) for i in range(len(names))])
+        times = uniform
 
     return TimeSeriesSet(names=tuple(names), times=times, values=values, epoch=epoch)
 
@@ -476,7 +469,7 @@ def model_to_json(model: StackedModel) -> str:
         "context": None if model.context is None else _array_doc(model.context),
         "bricks": [_brick_dict(b, rows) for b in model.bricks],
     }
-    return json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
+    return json.dumps(doc, separators=(",", ":"), sort_keys=True, allow_nan=False) + "\n"
 
 
 def model_from_json(text: str) -> StackedModel:

@@ -34,7 +34,7 @@ class InverseConfig:
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.lam) and self.lam >= 0.0):
-            raise ValueError("lam must be finite and >= 0")
+            raise ValueError(f"the ridge lam must be finite and >= 0; got {self.lam}")
 
 
 EXACT_SVD = InverseConfig()

@@ -175,8 +175,7 @@ class BrickConfig:
     def __post_init__(self) -> None:
         if self.kind not in _BRICK_KINDS:
             raise ValueError(f"unknown brick kind {self.kind!r}; expected one of {_BRICK_KINDS}")
-        if not self.ridge >= 0.0:
-            raise ValueError("ridge must be >= 0")
+        self.solve_config()  # refuses a ridge that is not finite and >= 0
 
     def solve_config(self) -> InverseConfig:
         return tikhonov(self.ridge)

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from dataclasses import fields
 
@@ -286,6 +287,14 @@ class TestKernelBrick:
         x = u[:, 0] + 100.0
         row_sums = np.abs(brick.dual_coefficients).sum(axis=1).max()
         assert np.linalg.norm(brick.apply(x), np.inf) <= 1e-6 * row_sums
+
+    @pytest.mark.parametrize("lam", [math.inf, math.nan, -1e-3])
+    def test_a_ridge_that_is_not_finite_and_non_negative_is_refused(self, lam):
+        u, v, spec = np.eye(2), np.ones((1, 2)), uniform_kernel_spec(2)
+        with pytest.raises(ValueError, match="^the ridge lam must be finite and >= 0"):
+            train_kernel_brick(u, v, spec, lam)
+        with pytest.raises(ValueError, match="^the ridge lam must be finite and >= 0"):
+            train_kt_brick(u, v, spec, spec, lam)
 
     def test_singular_gram_zero_ridge_falls_back(self):
         u = np.array([[1.0, 1.0], [2.0, 2.0]])  # duplicated training point

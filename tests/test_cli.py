@@ -80,11 +80,15 @@ class TestRunConfig:
         assert RunConfig(command="horizon").split_fraction == 0.8
         assert RunConfig(command="train").split_fraction == 1.0
 
-    def test_per_brick_ridges_are_not_a_flag(self, capsys):
+    @pytest.mark.parametrize("flags", [
+        ["--ridges", "1,2"],  # per-brick ridges, which --ridge covers
+        ["--split", "0.5", "--rid", "1e-3"],  # abbreviations of live flags
+    ], ids=["retired", "abbreviated"])
+    def test_a_flag_not_spelled_as_a_live_one_is_refused(self, capsys, flags):
         with pytest.raises(SystemExit) as exit_info:
-            main(["train", "--series", "s.csv", "--model-out", "m.json", "--ridges", "1,2"])
+            main(["train", "--series", "s.csv", "--model-out", "m.json", *flags])
         assert exit_info.value.code == 2
-        assert "unrecognized arguments: --ridges 1,2" in capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
 
     def test_a_report_with_null_ridges_replays_and_one_with_ridges_is_refused(
         self, tmp_path, small_series
@@ -307,6 +311,19 @@ class TestTrain:
         ]) == 1
         message = json.loads(capsys.readouterr().err)["error"]["message"]
         assert message == "--nodata-fill takes 'mean' or a number; got 'abc'"
+
+    @pytest.mark.parametrize("kind", ["kernel", "linear"])
+    @pytest.mark.parametrize("ridge", ["inf", "nan", "-0.001"])
+    def test_a_ridge_that_is_not_finite_and_non_negative_fails(self, tmp_path, small_series,
+                                                               capsys, kind, ridge):
+        model = tmp_path / "model.json"
+        assert main([
+            "train", "--series", str(small_series), "--brick-kind", kind, "--ridge", ridge,
+            "--model-out", str(model),
+        ]) == 1
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert message == f"the ridge lam must be finite and >= 0; got {float(ridge)}"
+        assert not model.exists()
 
     def test_overflowing_scale_search_candidates_are_rejected(self, tmp_path, small_series):
         report = tmp_path / "train.json"

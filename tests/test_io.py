@@ -1,6 +1,8 @@
 import base64
 import csv
 import json
+import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -40,11 +42,34 @@ class TestTimeseriesCSV:
         assert ts.n_points == 2 and ts.dt == 1.0
         assert np.array_equal(ts.values, [[10.0, 11.0], [5.0, 4.0]])
 
-    def test_non_uniform_cadence_names_offending_row(self, tmp_path):
+    @pytest.mark.parametrize(
+        "stamps, message",
+        [
+            ("0 1 2.5", "row 4: non-uniform cadence"),
+            ("0 1 2 3 5 6", "row 6: non-uniform cadence"),  # a skipped step
+            ("0 1 2 2 3", "rows 4 and 5: repeated time stamp '2'"),  # a repeated step
+            ("0 1 1.5 2", "row 4: non-uniform cadence"),  # a shrinking step
+            ("3 2 1", "row 3: non-uniform cadence"),  # a falling axis
+            ("0 1 2.0000000015 3", "row 4: non-uniform cadence"),  # jitter just over 1e-9
+        ],
+        ids=["longer", "skipped", "repeated", "shrinking", "falling", "jitter"],
+    )
+    def test_non_uniform_cadence_names_offending_row(self, tmp_path, stamps, message):
+        """The reader names the row; a TimeSeriesSet refuses the same axis."""
+        times = stamps.split()
         path = tmp_path / "bad.csv"
-        path.write_text("t,a\n0,1\n1,2\n2.5,3\n")
-        with pytest.raises(ValueError, match="row 4"):
+        path.write_text("t,a\n" + "".join(f"{t},{i}\n" for i, t in enumerate(times)))
+        with pytest.raises(ValueError, match=f"^{message}"):
             read_timeseries_csv(path)
+        with pytest.raises(ValueError, match="^times must be strictly increasing with uniform"):
+            TimeSeriesSet(names=("a",), times=np.array(times, dtype=float),
+                          values=np.ones((1, len(times))))
+
+    def test_jitter_within_the_tolerance_is_a_uniform_cadence(self, tmp_path):
+        path = tmp_path / "jitter.csv"
+        path.write_text("t,a\n0,0\n1,1\n2.0000000005,2\n3,3\n")
+        ts = read_timeseries_csv(path)
+        assert np.array_equal(ts.times, [0.0, 1.0, 2.0000000005, 3.0])
 
     def test_non_uniform_cadence_resampled_with_flag(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -440,6 +465,12 @@ class TestModelFile:
         path.write_text(text.replace('"format_version":4', '"format_version":99'))
         with pytest.raises(ValueError, match="version"):
             load_model(path)
+
+    def test_a_value_json_cannot_carry_is_refused_not_written(self):
+        model, _, _ = small_model("kernel")  # a hand-built brick may hold an infinite ridge
+        bricks = (replace(model.bricks[0], ridge=math.inf), *model.bricks[1:])
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            model_to_json(replace(model, bricks=bricks))
 
     def test_dsn_refinement_diagnostics_round_trip(self, tmp_path):
         model = pinned_model("dsn-refined")
