@@ -11,8 +11,8 @@ pseudo-inverse.
                   distance scales
 * tensor        - two hidden layers combined through a flattened outer
                   product per sample
-* kernel-tensor - dual-form product of two Gaussian kernels (the kernel
-                  analogue of the tensor brick)
+* kernel-tensor - dual-form product of two Gaussian kernels, which is one
+                  Gaussian kernel over the two specs merged
 
 The brick protocol: every kind is a frozen dataclass whose array fields
 are stored as read-only float copies.  A kind defines ``input_dim``,
@@ -20,8 +20,8 @@ are stored as read-only float copies.  A kind defines ``input_dim``,
 (one input vector per column) to one output column per sample; ``apply``
 also takes a single vector.  The ``kind`` field names the kind, and each
 dataclass field is one entry of the model file.  The kernel and
-kernel-tensor kinds are the one- and two-kernel cases of one dual-form
-brick.  Training is deterministic given the seed.
+kernel-tensor kinds are one dual-form brick over one kernel spec, given or
+merged.  Training is deterministic given the seed.
 
 A constant vector that every input column holds (a stack's context) is
 folded out of the linear, DSN and tensor kinds: they read the other rows
@@ -55,6 +55,7 @@ __all__ = [
     "fold_context",
     "gaussian_kernel",
     "kernel_matrix",
+    "merge_kernel_specs",
     "train_dsn_brick",
     "train_kernel_brick",
     "train_kt_brick",
@@ -121,8 +122,8 @@ class KernelSpec:
     segment d is divided by ``scales[d]`` before squared distances are
     accumulated, so the kernel is
     ``exp(-sum_d ||(x_d - z_d) / scales[d]||^2)``.  An infinite scale switches
-    its segment off, which in the all-infinite limit turns the kernel into
-    the constant-one kernel.
+    its segment of finite inputs off, which in the all-infinite limit turns
+    the kernel into the constant-one kernel.
     """
 
     scales: tuple[float, ...]
@@ -150,21 +151,38 @@ class KernelSpec:
     def dim(self) -> int:
         return self.slices[-1][1]
 
+    @functools.cached_property
+    def _row_scales(self) -> np.ndarray:
+        return np.repeat(self.scales, [b - a for a, b in self.slices])
+
     def scale(self, x) -> np.ndarray:
         """Divide each dataset segment by its scale (rows are the vector axis)."""
         x = np.asarray(x, dtype=float)
         if x.shape[0] != self.dim:
             raise ValueError(f"input dimension {x.shape[0]} != kernel spec dimension {self.dim}")
-        out = x.copy()  # dividing by 1 is exact: unit-scale segments stay as they are
-        for (a, b), s in zip(self.slices, self.scales):
-            if s != 1.0:
-                out[a:b] = 0.0 if math.isinf(s) else x[a:b] / s
-        return out
+        return x / self._row_scales.reshape((-1,) + (1,) * (x.ndim - 1))
 
 
 def uniform_kernel_spec(dim: int, scale: float = 1.0) -> KernelSpec:
     """Single-dataset spec covering a ``dim``-long vector with one scale."""
     return KernelSpec(scales=(scale,), slices=((0, dim),))
+
+
+def merge_kernel_specs(spec_a: KernelSpec, spec_b: KernelSpec) -> KernelSpec:
+    """The spec whose Gaussian kernel is the product of those of ``spec_a``
+    and ``spec_b``: the common refinement of their slices, with 1/s^2 summed
+    per slice.  An infinite scale adds 0, so where one side is infinite the
+    merged slice takes the other side's scale exactly."""
+    if spec_a.dim != spec_b.dim:
+        raise ValueError(f"kernel spec dimensions differ: {spec_a.dim} != {spec_b.dim}")
+    ends = sorted({b for _, b in spec_a.slices} | {b for _, b in spec_b.slices})
+    slices = tuple(zip([0, *ends[:-1]], ends))
+    scales = []
+    for a, _ in slices:
+        lo, hi = sorted(spec._row_scales[a] for spec in (spec_a, spec_b))
+        # lo / sqrt(1 + (lo/hi)^2) is 1 / sqrt(lo^-2 + hi^-2) without overflow
+        scales.append(lo if math.isinf(lo) else lo / math.hypot(1.0, lo / hi))
+    return KernelSpec(scales=tuple(scales), slices=slices)
 
 
 def gaussian_kernel(x, z, spec: KernelSpec) -> float:
@@ -173,15 +191,10 @@ def gaussian_kernel(x, z, spec: KernelSpec) -> float:
     return float(np.exp(-np.dot(dx, dx)))
 
 
-def _scaled(specs, x: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per spec: the column samples ``x`` scaled, and their squared norms.
-    Equal specs share one entry, computed once."""
-    done: dict[KernelSpec, tuple[np.ndarray, np.ndarray]] = {}
-    for spec in specs:
-        if spec not in done:
-            s = spec.scale(x)
-            done[spec] = (s, np.sum(s * s, axis=0))
-    return [done[spec] for spec in specs]
+def _scaled(spec: KernelSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The column samples ``x`` scaled, and their squared norms."""
+    s = spec.scale(x)
+    return s, np.sum(s * s, axis=0)
 
 
 def _gaussian(sa: np.ndarray, na: np.ndarray, sb: np.ndarray, nb: np.ndarray) -> np.ndarray:
@@ -201,35 +214,26 @@ def _gaussian(sa: np.ndarray, na: np.ndarray, sb: np.ndarray, nb: np.ndarray) ->
     return k
 
 
-def _product_gaussian(left, right) -> np.ndarray:
-    """Elementwise product over specs of the Gaussian kernels between scaled
-    column samples, each side given as ``_scaled`` returns it.  Two equal
-    specs (the kernel-tensor bricks a stack trains) give one kernel, squared
-    in place: the same bits as the product of two evaluations, in one
-    buffer less."""
-    if len(left) == 2 and left[0] is left[1] and right[0] is right[1]:
-        k = _gaussian(*left[0], *right[0])
-        return np.multiply(k, k, out=k)
-    kernels = (_gaussian(*a, *b) for a, b in zip(left, right))
-    return functools.reduce(lambda k, k_next: np.multiply(k, k_next, out=k), kernels)
-
-
 def kernel_matrix(spec: KernelSpec, a, b) -> np.ndarray:
-    """Gram/cross matrix ``K[i, j] = k(a[:, i], b[:, j])`` for column samples."""
+    """Gram/cross matrix ``K[i, j] = k(a[:, i], b[:, j])`` for column samples,
+    scaled apart even as one matrix: numpy's ``s.T @ s`` rounds differently."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.ndim != 2 or b.ndim != 2:
         raise ValueError("kernel_matrix expects 2-d column-sample matrices")
-    return _product_gaussian(_scaled((spec,), a), _scaled((spec,), b))
+    return _gaussian(*_scaled(spec, a), *_scaled(spec, b))
 
 
 # annotations of the array fields; the optional ones are the biases
 _ARRAY_TYPES = ("np.ndarray", "np.ndarray | None")
 
 # Gradient refinement stops after this many descent steps, or once a step
-# improves the objective by less than this fraction of it.
+# improves the objective by less than this fraction of it.  That stop counts
+# as convergence only if the line search did not cut the step below this
+# fraction of the step it started from: a step cut that far is a stall.
 _MAX_REFINE_STEPS = 200
 _REFINE_TOL = 1e-8
+_STALL_FRACTION = 2.0**-10
 
 
 def _affine(w: np.ndarray, bias: np.ndarray | None, x: np.ndarray) -> np.ndarray:
@@ -334,14 +338,13 @@ class DSNBrick(_Brick):
 
 @dataclass(frozen=True)
 class _DualBrick(_Brick):
-    """Dual-form ridge over the product of the Gaussian kernels in ``specs``.
+    """Dual-form ridge over the Gaussian kernel of ``spec``.
 
     Retains exactly the training inputs seen at fit time; prediction is
-    ``dual_coefficients @ prod_s k_s(training_inputs, x)``.  The first apply
-    scales the training inputs and keeps them with their squared column
-    norms, so each apply scales only its new columns and evaluates each
-    kernel in one n x m buffer; the arithmetic is that of ``kernel_matrix``,
-    bit for bit.
+    ``dual_coefficients @ k(training_inputs, x)``.  The first apply scales
+    the training inputs and keeps them with their squared column norms, so
+    each apply scales only its new columns and evaluates the kernel in one
+    n x m buffer; the arithmetic is that of ``kernel_matrix``, bit for bit.
     """
 
     training_inputs: np.ndarray
@@ -353,7 +356,7 @@ class _DualBrick(_Brick):
             raise ValueError("training inputs and dual coefficients must be 2-d")
         if self.dual_coefficients.shape[1] != self.training_inputs.shape[1]:
             raise ValueError("one dual coefficient column per retained training input required")
-        if any(spec.dim != self.training_inputs.shape[0] for spec in self.specs):
+        if self.spec.dim != self.training_inputs.shape[0]:
             raise ValueError("kernel spec does not match the training input dimension")
         if not self.ridge >= 0.0:
             raise ValueError("ridge must be >= 0")
@@ -369,12 +372,12 @@ class _DualBrick(_Brick):
     # each kind still defines apply_columns in its own body: the benchmark
     # tracer (perfbench/tracer.py) patches it per class
     def _apply_dual(self, x) -> np.ndarray:
-        cols = _scaled(self.specs, self._columns(x))
-        return self.dual_coefficients @ _product_gaussian(self._scaled_training_inputs, cols)
+        cols = _scaled(self.spec, self._columns(x))
+        return self.dual_coefficients @ _gaussian(*self._scaled_training_inputs, *cols)
 
     @functools.cached_property
-    def _scaled_training_inputs(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        return _scaled(self.specs, self.training_inputs)
+    def _scaled_training_inputs(self) -> tuple[np.ndarray, np.ndarray]:
+        return _scaled(self.spec, self.training_inputs)
 
 
 @dataclass(frozen=True)
@@ -384,10 +387,6 @@ class KernelBrick(_DualBrick):
     spec: KernelSpec
     ridge: float
     kind: str = field(default="kernel", init=False)
-
-    @property
-    def specs(self) -> tuple[KernelSpec, ...]:
-        return (self.spec,)
 
     def apply_columns(self, x) -> np.ndarray:
         return self._apply_dual(x)
@@ -454,8 +453,8 @@ class KernelTensorBrick(_DualBrick):
     """Dual-form brick over the product of two Gaussian kernels.
 
     The tensor product of two feature maps induces the elementwise product
-    of their kernels, so the Gram matrix is ``K_a * K_b`` and prediction is
-    ``dual_coefficients @ (k_a(U, x) * k_b(U, x))``.
+    of their kernels, ``k_a * k_b``, which is the one Gaussian kernel of
+    ``spec``, the two specs merged.
     """
 
     spec_a: KernelSpec
@@ -463,9 +462,9 @@ class KernelTensorBrick(_DualBrick):
     ridge: float
     kind: str = field(default="kernel-tensor", init=False)
 
-    @property
-    def specs(self) -> tuple[KernelSpec, ...]:
-        return (self.spec_a, self.spec_b)
+    @functools.cached_property
+    def spec(self) -> KernelSpec:
+        return merge_kernel_specs(self.spec_a, self.spec_b)
 
     def apply_columns(self, x) -> np.ndarray:
         return self._apply_dual(x)
@@ -624,7 +623,7 @@ def _refine_hidden_weights(
         if gnorm2 == 0.0:
             converged = True
             break
-        accepted = False
+        accepted, start = False, step
         while step > 1e-16:
             w_new = w - step * grad
             b_new = None if b is None else b - (step * cc) * grad_b
@@ -635,12 +634,12 @@ def _refine_hidden_weights(
             step *= 0.5
         if not accepted:
             break
-        improvement = loss - loss_new
+        improvement, stalled = loss - loss_new, step < _STALL_FRACTION * start
         w, b, out, pre, resid, loss = w_new, b_new, out_new, pre_new, resid_new, loss_new
         trace.append(loss)
         step *= 2.0
         if improvement < _REFINE_TOL * max(abs(loss), 1e-300):
-            converged = True
+            converged = not stalled
             break
     return w, b, tuple(trace), converged
 
@@ -660,9 +659,11 @@ def train_dsn_brick(
     """Train a DSN brick: seeded random hidden layer, closed-form output solve.
 
     ``mode = "gradient-refined"`` additionally improves the hidden weights by
-    backtracking gradient descent on the training objective; refinement that
-    stalls before the tolerance is reported through ``refine_converged`` with
-    the best weights so far retained.  ``hidden_weights`` overrides the random
+    backtracking gradient descent on the training objective.
+    ``refine_converged`` is True only when a step met the tolerance that the
+    line search had not cut below 1/1024 of the step it started from;
+    refinement that stalls or runs out of steps reports False, with the best
+    weights so far retained.  ``hidden_weights`` overrides the random
     initialization.
 
     ``context`` is a constant vector that every input column also holds, in
@@ -739,21 +740,17 @@ def _train_dual(v: np.ndarray, lam: float, gram: np.ndarray) -> tuple[np.ndarray
     return v @ pseudo_inverse(gram, EXACT_SVD), lam
 
 
-def _fit_dual(cls, inputs, targets, lam: float, gram: np.ndarray | None, **specs) -> _DualBrick:
-    """A dual brick of class ``cls`` with the kernel ``specs``, solved against
-    ``gram``, the ridge-free Gram matrix of the inputs (evaluated here when
-    None), which comes back as it went in."""
+def _fit_dual(spec: KernelSpec, inputs, targets, lam: float, gram: np.ndarray | None) -> dict:
+    """The array fields and ridge of a dual brick with the kernel of
+    ``spec``, solved against ``gram``, the ridge-free Gram matrix of the
+    inputs (evaluated here when None), which comes back as it went in."""
     u, v = _as_pairs(inputs, targets)
-    if any(spec.dim != u.shape[0] for spec in specs.values()):
-        raise ValueError("kernel spec does not match the input dimension")
     if gram is None:
-        # two scalings, so two buffers: for ``s.T @ s`` on one buffer numpy
-        # switches to a symmetric product that rounds differently
-        gram = _product_gaussian(_scaled(specs.values(), u), _scaled(specs.values(), u))
+        gram = kernel_matrix(spec, u, u)
     elif gram.shape != (u.shape[1], u.shape[1]):
         raise ValueError(f"the Gram matrix must be {u.shape[1]} x {u.shape[1]}, got {gram.shape}")
     dual, lam = _train_dual(v, lam, gram)
-    return cls(training_inputs=u, dual_coefficients=dual, ridge=lam, **specs)
+    return dict(training_inputs=u, dual_coefficients=dual, ridge=lam)
 
 
 def train_kernel_brick(
@@ -762,7 +759,7 @@ def train_kernel_brick(
     """Kernel ridge in dual form: coefficients ``targets @ (K + lam I)^-1``.
     ``gram`` is K when the caller has it: a writable n x n matrix, whose
     diagonal the solve changes and then restores."""
-    return _fit_dual(KernelBrick, inputs, targets, lam, gram, spec=spec)
+    return KernelBrick(spec=spec, **_fit_dual(spec, inputs, targets, lam, gram))
 
 
 def train_kt_brick(
@@ -774,8 +771,10 @@ def train_kt_brick(
     gram: np.ndarray | None = None,
 ) -> KernelTensorBrick:
     """Kernel-tensor brick: dual-form ridge on the product kernel ``K_a * K_b``,
-    given as ``gram`` as in :func:`train_kernel_brick`."""
-    return _fit_dual(KernelTensorBrick, inputs, targets, lam, gram, spec_a=spec_a, spec_b=spec_b)
+    the kernel of the merged spec, given as ``gram`` as in
+    :func:`train_kernel_brick`."""
+    fit = _fit_dual(merge_kernel_specs(spec_a, spec_b), inputs, targets, lam, gram)
+    return KernelTensorBrick(spec_a=spec_a, spec_b=spec_b, **fit)
 
 
 def train_tensor_brick(

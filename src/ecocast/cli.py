@@ -4,8 +4,9 @@ Subcommands: simulate, fit-lv, train, predict, rollout, horizon,
 count-params, usle.  Every run echoes its fully resolved configuration
 (seed included) into a JSON report, so any report can be replayed
 bit-identically.  Rollout and horizon reports say why and where the rollout
-stopped in a diagnostics block.  Module errors exit nonzero with a
-machine-readable error JSON on stderr.
+stopped in a diagnostics block, and a searched train with a validation split
+gives there the validation RMSE of its starting point.  Module errors exit
+nonzero with a machine-readable error JSON on stderr.
 
 Environment overrides (the only ones): ECOCAST_OUTPUT_DIR prefixes relative
 output paths, ECOCAST_VERBOSE enables progress lines on stderr.
@@ -18,6 +19,7 @@ import dataclasses
 import functools
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -275,7 +277,19 @@ def _cmd_train(cfg: RunConfig) -> dict:
     schema, context = training_schema(train_ts, maps), flatten_context(maps)
     configs = _brick_config(cfg)
     scaling = default_scaling(train_ts, maps)
+
+    def fit(scaling, configs):
+        return train_stack(inputs, targets, schema, configs, n_bricks=cfg.bricks, seed=cfg.seed,
+                           scaling=scaling, context=context)
+
+    def validation_rmse(model) -> float:
+        return _rmse(model.predict_columns(val_ts.values[:, :-1], context), val_ts.values[:, 1:])
+
     outputs: dict = {}
+    diagnostics = None
+    if cfg.rho_grid and val_ts is not None:
+        # the model without the search, so that a search that harms shows
+        diagnostics = {"initial_validation_rmse": validation_rmse(fit(scaling, configs))}
     if cfg.rho_grid:
         _log("searching scale factors over the candidate grid")
         search = optimize_scaling(
@@ -301,17 +315,15 @@ def _cmd_train(cfg: RunConfig) -> dict:
             "rejected": search.rejected,
         }
     _log(f"training {cfg.bricks} brick(s) on {inputs.shape[1]} pairs")
-    model = train_stack(inputs, targets, schema, configs, n_bricks=cfg.bricks, seed=cfg.seed,
-                        scaling=scaling, context=context)
+    model = fit(scaling, configs)
     outputs["training_rmse"] = _rmse(take_training_predictions(model), targets)
     save_model(model, cfg.model_out)
     outputs["model"] = cfg.model_out
     outputs["training_pairs"] = int(inputs.shape[1])
     if val_ts is not None:
-        predictions = model.predict_columns(val_ts.values[:, :-1], context)
         outputs["validation_points"] = int(val_ts.n_points)
-        outputs["validation_rmse"] = _rmse(predictions, val_ts.values[:, 1:])
-    return outputs
+        outputs["validation_rmse"] = validation_rmse(model)
+    return outputs if diagnostics is None else (outputs, diagnostics)
 
 
 def _model_series(model, path, cfg: RunConfig) -> TimeSeriesSet:
@@ -465,6 +477,13 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(",") if v.strip())
 
 
+# Argparse reads a value such as "-1e-3" as a flag, because its pattern for
+# negative numbers takes only forms like "-1" and "-0.5".  That pattern is the
+# private attribute ``_negative_number_matcher`` of each parser; this one takes
+# every negative decimal number, so such a value reaches its own check.
+_NEGATIVE_NUMBER = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
+
+
 @functools.cache  # built once per process; parse_args leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
     """Every command's flags; one left out takes its default from RunConfig."""
@@ -473,10 +492,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="One-step ecosystem forecasting from stacked shallow learners",
         allow_abbrev=False,  # a retired flag must not live on as a prefix of a live one
     )
+    parser._negative_number_matcher = _NEGATIVE_NUMBER
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_command(name: str, help: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS, allow_abbrev=False)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         p.add_argument("--seed", type=int)
         p.add_argument("--report", help="write the JSON report here instead of stdout")
         return p

@@ -58,12 +58,20 @@ def write_timeseries_csv(ts: TimeSeriesSet, path) -> None:
         fh.writelines(",".join(map(repr, row)) + "\n" for row in table)
 
 
+def _nonfinite_time(row: int, cell: str) -> ValueError:
+    return ValueError(f"row {row}: time stamp {cell!r} is not finite")
+
+
 def _parse_time_cell(cell: str, row: int):
-    """A time cell is a real number or an ISO-8601 date/datetime."""
+    """A time cell is a finite real number or an ISO-8601 date/datetime."""
     try:
-        return float(cell), None
+        t = float(cell)
     except ValueError:
         pass
+    else:
+        if not math.isfinite(t):
+            raise _nonfinite_time(row, cell)
+        return t, None
     try:
         return None, datetime.fromisoformat(cell)
     except ValueError:
@@ -78,8 +86,9 @@ def _nonfinite_cell(row: int, cell: str, name: str) -> ValueError:
 
 def _parse_cells(rows: list[list[str]], names: list[str], interpolate: bool = False):
     """Times, values and epoch of the data rows, parsed cell by cell: blank
-    cells become NaN, and the first bad cell in file order (unparsable,
-    infinite or, without ``interpolate``, missing) is named in the error."""
+    cells become NaN, and the first bad cell in file order (unparsable, a
+    time stamp that is not finite, an infinite value or, without
+    ``interpolate``, a missing one) is named in the error."""
     header = rows[0]
     n_points = len(rows) - 1
     times = np.empty(n_points)
@@ -139,8 +148,9 @@ def read_timeseries_csv(path, interpolate: bool = False) -> TimeSeriesSet:
     become days since the first date with that date recorded as the epoch).
     Without ``interpolate``, missing cells and non-uniform cadence are errors
     naming the offending row; with it, gaps are filled linearly and
-    non-uniform times are resampled onto a uniform grid.  An infinite cell is
-    an error either way, and the first bad cell in file order is named.
+    non-uniform times are resampled onto a uniform grid.  A time stamp that
+    is not finite and an infinite value cell are errors either way, and the
+    first bad cell in file order is named.
     """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -165,10 +175,12 @@ def read_timeseries_csv(path, interpolate: bool = False) -> TimeSeriesSet:
         times, values, epoch = table[:, 0], table[:, 1:].T, None
     else:
         times, values, epoch = _parse_cells(rows, names, interpolate)
-    bad = np.argwhere(np.isinf(values.T) if interpolate else ~np.isfinite(values.T))
+    bad_values = np.isinf(values.T) if interpolate else ~np.isfinite(values.T)
+    bad = np.argwhere(np.column_stack([~np.isfinite(times), bad_values]))
     if bad.size:
-        j, i = bad[0]  # (point, series), in file order
-        raise _nonfinite_cell(j + 2, rows[j + 1][i + 1].strip(), names[i])
+        j, i = bad[0]  # (point, column), in file order; column 0 is the time
+        cell = rows[j + 1][i].strip()
+        raise _nonfinite_time(j + 2, cell) if i == 0 else _nonfinite_cell(j + 2, cell, names[i - 1])
 
     if n_points >= 2 and np.any(np.diff(times) <= 0.0):
         order = np.argsort(times, kind="stable")

@@ -22,6 +22,7 @@ from .bricks import (
     Brick,
     KernelSpec,
     kernel_matrix,
+    merge_kernel_specs,
     train_dsn_brick,
     train_kernel_brick,
     train_kt_brick,
@@ -359,10 +360,9 @@ def _train_one(
     full = schema.full_input(inputs, context)
     spec = schema.kernel_spec(brick_index)
     if gram is None:
-        gram = kernel_matrix(spec, full, full)
-        if cfg.kind == "kernel-tensor":
-            # both kernels have this spec: K_a * K_b is K squared
-            np.multiply(gram, gram, out=gram)
+        # a kernel-tensor brick's two kernels both have this spec
+        merged = spec if cfg.kind == "kernel" else merge_kernel_specs(spec, spec)
+        gram = kernel_matrix(merged, full, full)
     if cfg.kind == "kernel":
         return train_kernel_brick(full, targets, spec, cfg.ridge, gram), gram
     return train_kt_brick(full, targets, spec, spec, cfg.ridge, gram), gram

@@ -16,6 +16,7 @@ from ecocast.bricks import (
     fold_context,
     gaussian_kernel,
     kernel_matrix,
+    merge_kernel_specs,
     train_dsn_brick,
     train_kernel_brick,
     train_kt_brick,
@@ -182,6 +183,26 @@ class TestDSNBrick:
         # the retained weights are the best seen: objective equals the trace end
         final = dsn_objective(brick.hidden_weights, u, v, brick.activation)
         assert final == pytest.approx(brick.refine_trace[-1], rel=1e-12)
+
+    def test_a_step_the_line_search_cut_deeply_is_a_stall_not_convergence(self):
+        """With a large folded context the bias step carries ||c||^2, so the
+        line search halves the step about 20 times before it accepts a tiny
+        improvement that meets the tolerance."""
+        rng = np.random.default_rng(1)
+        u, v = rng.standard_normal((4, 800)), rng.standard_normal((2, 800))
+        c = rng.standard_normal(1600)
+        brick = train_dsn_brick(u, v, hidden_size=64, mode="gradient-refined", seed=1,
+                                context=c, context_row=2)
+        assert len(brick.refine_trace) == 4
+        assert brick.refine_trace[-1] < brick.refine_trace[0]
+        assert brick.refine_converged is False
+
+    def test_a_full_step_that_meets_the_tolerance_is_convergence(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        u, v = rng.standard_normal((3, 40)), rng.standard_normal((2, 40))
+        monkeypatch.setattr(bricks, "_REFINE_TOL", 1.0)
+        brick = train_dsn_brick(u, v, hidden_size=4, mode="gradient-refined", seed=0)
+        assert len(brick.refine_trace) == 2 and brick.refine_converged is True
 
     def test_invalid_hidden_size(self):
         with pytest.raises(ValueError):
@@ -384,17 +405,35 @@ class TestKernelTensorBrick:
         k = gaussian_kernel(x, x, spec_a) * gaussian_kernel(x, x, spec_b)
         assert k == 1.0
 
-    def test_equal_specs_square_one_kernel_bit_for_bit(self):
+    @pytest.mark.parametrize("spec_b", [
+        KernelSpec(scales=(1.7, 0.6), slices=((0, 2), (2, 3))),
+        KernelSpec(scales=(np.inf, 2.5), slices=((0, 2), (2, 3))),
+    ], ids=["different-slices", "one-infinite-side"])
+    def test_predicts_as_a_kernel_brick_over_the_merged_spec_bit_for_bit(self, spec_b):
         rng = np.random.default_rng(22)
         u, v = rng.standard_normal((3, 30)), rng.standard_normal((2, 30))
         x = rng.standard_normal((3, 7))
-        spec = KernelSpec(scales=(0.8, 1.3), slices=((0, 1), (1, 3)))
-        brick = train_kt_brick(u, v, spec, spec, lam=1e-3)
-        gram, cross = kernel_matrix(spec, u, u), kernel_matrix(spec, u, x)
-        given = train_kt_brick(u, v, spec, spec, lam=1e-3, gram=gram * gram)
-        assert brick.dual_coefficients.tobytes() == given.dual_coefficients.tobytes()
-        want = brick.dual_coefficients @ (cross * cross)
-        assert brick.apply_columns(x).tobytes() == want.tobytes()
+        spec_a = KernelSpec(scales=(0.8, 1.3), slices=((0, 1), (1, 3)))
+        merged = merge_kernel_specs(spec_a, spec_b)
+        assert merged.slices == ((0, 1), (1, 2), (2, 3))
+        brick = train_kt_brick(u, v, spec_a, spec_b, lam=1e-3)
+        plain = train_kernel_brick(u, v, merged, lam=1e-3)
+        assert brick.dual_coefficients.tobytes() == plain.dual_coefficients.tobytes()
+        assert brick.apply_columns(x).tobytes() == plain.apply_columns(x).tobytes()
+        # the merged kernel is the product of the two, up to rounding
+        product = kernel_matrix(spec_a, u, x) * kernel_matrix(spec_b, u, x)
+        assert np.allclose(kernel_matrix(merged, u, x), product, rtol=1e-13, atol=0.0)
+
+    def test_merged_scales_sum_inverse_squares_and_take_a_finite_side_exactly(self):
+        a = KernelSpec(scales=(1.0, 3.0, np.inf), slices=((0, 1), (1, 2), (2, 3)))
+        b = KernelSpec(scales=(1.0, np.inf, np.inf), slices=((0, 1), (1, 2), (2, 3)))
+        merged = merge_kernel_specs(a, b)
+        assert merged.scales[0] == pytest.approx(math.sqrt(0.5), rel=1e-15)
+        assert merged.scales[1:] == (3.0, np.inf)
+        tiny = merge_kernel_specs(uniform_kernel_spec(2, 1e-200), uniform_kernel_spec(2, 1e-200))
+        assert tiny.scales[0] == pytest.approx(1e-200 / math.sqrt(2.0), rel=1e-15)
+        with pytest.raises(ValueError, match="kernel spec dimensions differ"):
+            merge_kernel_specs(uniform_kernel_spec(2), uniform_kernel_spec(3))
 
     def test_product_gram_equals_pointwise_kernel_products(self):
         rng = np.random.default_rng(21)
@@ -488,22 +527,18 @@ class TestCachedDualApply:
             KernelSpec(scales=(0.7, np.inf), slices=((0, 2), (2, 5))),
         )[:n_specs]
         if n_specs == 1:
-            brick = train_kernel_brick(u, v, specs[0], 1e-3)
+            brick, spec = train_kernel_brick(u, v, specs[0], 1e-3), specs[0]
         else:
-            brick = train_kt_brick(u, v, *specs, 1e-3)
-        gram = kernel_formula(specs[0], u, u.copy())
-        for spec in specs[1:]:
-            gram = gram * kernel_formula(spec, u, u.copy())
+            brick, spec = train_kt_brick(u, v, *specs, 1e-3), merge_kernel_specs(*specs)
+        gram = kernel_formula(spec, u, u.copy())
         dual = np.linalg.solve(gram + 1e-3 * np.eye(30), v.T).T
         assert np.array_equal(brick.dual_coefficients, dual)
         x = rng.standard_normal((5, 7)) * 3.0 + 100.0
         # the first apply fills the cache, the later ones read it
         for cols in (x, x, x[:, :1], x[:, 0]):
             cols2d = np.reshape(cols, (5, -1))
-            cross = kernel_formula(specs[0], u, cols2d)
-            assert np.array_equal(kernel_matrix(specs[0], u, cols2d), cross)
-            for spec in specs[1:]:
-                cross = cross * kernel_formula(spec, u, cols2d)
+            cross = kernel_formula(spec, u, cols2d)
+            assert np.array_equal(kernel_matrix(spec, u, cols2d), cross)
             want = brick.dual_coefficients @ cross
             assert np.array_equal(brick.apply(cols), want[:, 0] if cols.ndim == 1 else want)
 
@@ -526,10 +561,8 @@ class TestTrainingGram:
         return rng.standard_normal((5, 30)) * 3.0 + 100.0, rng.standard_normal((2, 30))
 
     def gram(self, n_specs, u):
-        gram = kernel_matrix(self.SPECS[0], u, u)
-        for spec in self.SPECS[1:n_specs]:
-            gram *= kernel_matrix(spec, u, u)
-        return gram
+        spec = self.SPECS[0] if n_specs == 1 else merge_kernel_specs(*self.SPECS)
+        return kernel_matrix(spec, u, u)
 
     @pytest.mark.parametrize("lam", [1e-3, 0.0], ids=["ridge", "pseudo-inverse"])
     @pytest.mark.parametrize("n_specs", [1, 2])

@@ -279,6 +279,25 @@ class TestTrain:
         assert 1 <= out["scale_search"]["passes"] <= 20
         assert "validation_rmse" in out
 
+    def test_a_searched_train_reports_the_validation_rmse_of_its_start(self, tmp_path,
+                                                                       small_series):
+        grid = write_grid(tmp_path / "ctx.asc")
+        docs = {}
+        search = ["--rho-grid", "0.5,2"]
+        for name, flags in (("plain", ["--split-fraction", "0.8"]),
+                            ("searched", ["--split-fraction", "0.8", *search]),
+                            ("unvalidated", ["--split-fraction", "1", *search])):
+            report = tmp_path / f"{name}.json"
+            assert main([
+                "train", "--series", str(small_series), "--grid", grid, "--bricks", "2",
+                "--ridge", "1e-3", *flags,
+                "--model-out", str(tmp_path / f"{name}.model.json"), "--report", str(report),
+            ]) == 0
+            docs[name] = read_report(report)
+        initial = docs["searched"]["diagnostics"]["initial_validation_rmse"]
+        assert initial == docs["plain"]["outputs"]["validation_rmse"]
+        assert "diagnostics" not in docs["plain"] and "diagnostics" not in docs["unvalidated"]
+
     def test_non_finite_scale_search_grid_fails_naming_the_grid(self, tmp_path, small_series, capsys):
         model = tmp_path / "model.json"
         assert main([
@@ -451,6 +470,22 @@ class TestPredictRolloutHorizon:
         message = json.loads(capsys.readouterr().err)["error"]["message"]
         assert message == "bound must be positive"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag, message", [
+        ("train", "--ridge", "the ridge lam must be finite and >= 0; got -0.001"),
+        ("rollout", "--bound", "bound must be positive"),
+        ("horizon", "--epsilon", "epsilon must be positive"),
+    ])
+    def test_a_negative_value_in_scientific_notation_reaches_its_check(
+        self, tmp_path, small_series, trained, capsys, command, flag, message
+    ):
+        args = {
+            "train": ["--model-out", str(tmp_path / "model.json")],
+            "rollout": ["--model-in", str(trained), "--output", str(tmp_path / "roll.csv")],
+            "horizon": ["--model-in", str(trained), "--split-fraction", "0.8"],
+        }[command]
+        assert main([command, "--series", str(small_series), *args, flag, "-1e-3"]) == 1
+        assert json.loads(capsys.readouterr().err)["error"]["message"] == message
 
     def test_a_rollout_with_no_completed_step_leaves_no_csv(self, tmp_path, small_series):
         schema = InputSchema(series_names=("prey", "predators"))

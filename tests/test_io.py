@@ -2,6 +2,7 @@ import base64
 import csv
 import json
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -169,6 +170,28 @@ class TestTimeseriesCSV:
         path.write_text(text)
         with pytest.raises(ValueError, match=f"^{message}$"):
             read_timeseries_csv(path, interpolate=interpolate)
+
+    @pytest.mark.parametrize("interpolate", [False, True])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("t,a\n0,1\nnan,2\n2,3\n", "row 3: time stamp 'nan' is not finite"),
+            ("t,a\n0,1\n1,2\ninf,3\n", "row 4: time stamp 'inf' is not finite"),
+            ("t,a\n0,1\n1e400,2\n2,3\n", "row 3: time stamp '1e400' is not finite"),
+            # read cell by cell: the first bad cell in file order is named
+            ("t,a\n0,1\n-inf,2\n2,x\n", "row 3: time stamp '-inf' is not finite"),
+            ("t,a\n0,1\n1,x\nnan,3\n", "row 3: cannot parse value 'x' for series 'a'"),
+            ("t,a\n0,inf\nnan,2\n", "row 2: value 'inf' for series 'a' is not finite"),
+        ],
+    )
+    def test_non_finite_time_stamp_is_named(self, tmp_path, text, message, interpolate):
+        """Before the cadence check and any resampling, which would warn."""
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                read_timeseries_csv(path, interpolate=interpolate)
 
     @pytest.mark.parametrize(
         "text, filled_error",
@@ -627,11 +650,13 @@ class TestMalformedPayload:
 # of those versions.  They pin the on-disk formats: never regenerate them.
 PINNED_DIR = Path(__file__).parent / "data"
 PINNED_FILES = {1: "model_{}.json", 2: "model_v2_{}.json", 3: "model_v3_{}.json"}
-DUAL = ("kernel", "kernel-tensor")
-# Linear, DSN and tensor bricks fold the context out since format version 4;
-# those of older files were solved on the full width, so they predict like
-# fresh training within rounding: this bound, relative to each column's
-# largest magnitude.
+# Kernel bricks of older files predict and re-save as fresh training, bit for
+# bit.  The other kinds do so within rounding: linear, DSN and tensor bricks
+# fold the context out since format version 4, and those of older files were
+# solved on the full width; kernel-tensor bricks evaluate one Gaussian over
+# their merged spec, and those of older files were solved against the product
+# of two.  This bound is relative to each column's largest magnitude.
+EXACT = ("kernel",)
 FOLD_RTOL = 1e-12
 PINNED = {
     "linear": dict(kind="linear"),
@@ -681,8 +706,8 @@ def close_to(got: np.ndarray, want: np.ndarray) -> bool:
 
 class TestPinnedModelFiles:
     """The pinned files are format versions 1 to 3: they load, predict like
-    fresh training, and re-save as version 4.  Dual kinds do so bit for bit;
-    linear, DSN and tensor bricks within FOLD_RTOL."""
+    fresh training, and re-save as version 4.  Kernel bricks do so bit for
+    bit; the other kinds within FOLD_RTOL."""
 
     def check_resave_and_predict(self, tmp_path, name, version):
         pinned = PINNED_DIR / PINNED_FILES[version].format(name)
@@ -700,17 +725,17 @@ class TestPinnedModelFiles:
         expected = fresh.predict_columns(ts.values, context)
         for model in (back, again):
             got = model.predict_columns(ts.values, context)
-            assert np.array_equal(got, expected) if name in DUAL else close_to(got, expected)
+            assert np.array_equal(got, expected) if name in EXACT else close_to(got, expected)
 
     def check_resaves_as_fresh_training(self, name, version):
         resaved = model_to_json(load_model(PINNED_DIR / PINNED_FILES[version].format(name)))
         fresh = model_to_json(pinned_model(name))
-        if name in DUAL:
+        if name in EXACT:
             assert resaved == fresh
             return
-        # the feature bricks fold on load: the fields of fresh training, with
-        # the weights and refinement losses of the full-width fit within
-        # FOLD_RTOL; the rest of the file is the same
+        # the fields of fresh training, with the weights and refinement losses
+        # of the full-width or product-kernel fit within FOLD_RTOL; the rest of
+        # the file is the same
         resaved_doc, fresh_doc = json.loads(resaved), json.loads(fresh)
         resaved_bricks, fresh_bricks = resaved_doc.pop("bricks"), fresh_doc.pop("bricks")
         assert resaved_doc == fresh_doc and len(resaved_bricks) == len(fresh_bricks)
@@ -754,7 +779,7 @@ class TestPinnedModelFiles:
         back = load_model(PINNED_DIR / f"model_{name}.json")
         fresh = pinned_model(name)
         assert np.array_equal(back.context, fresh.context)
-        assert model_to_json(back) == model_to_json(fresh)
+        self.check_resaves_as_fresh_training(name, 1)
 
     @pytest.mark.parametrize("name", ["linear", "dsn", "tensor"])
     def test_v1_feature_file_records_no_context(self, name):
