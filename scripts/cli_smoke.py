@@ -4,7 +4,8 @@ simulate -> fit-lv -> train --grid -> predict -> rollout -> horizon, then a
 DSN train and a scale-search train on the same grid, one process per
 command, in a temporary directory.  Each command must exit 0 and write a
 report whose outputs make sense; before them, ``--help`` must exit 0 for the
-program and each of its eight commands, and an abbreviated flag must exit 2.
+program and each of its eight commands, and an abbreviated flag must exit 2;
+``train --ridge -inf`` must exit 1 with the ridge error.
 The first failure stops the run with a nonzero exit status.
 
 Usage: python scripts/cli_smoke.py   (after ``pip install -e .``, which puts
@@ -73,6 +74,15 @@ def main() -> None:
 
         out = ecocast(exe, d, "simulate", "--dt", "0.05", "--steps", "200", "--output", series)
         check(out["points"] == 201, f"simulate wrote {out['points']} points, not 201")
+
+        # a negative infinity is a value that reaches the ridge check, not a flag
+        proc = subprocess.run([exe, "train", "--series", series, "--model-out", model,
+                               "--ridge", "-inf"], capture_output=True, text=True)  # fmt: skip
+        check(proc.returncode == 1, f"train --ridge -inf exited {proc.returncode}, not 1")
+        message = json.loads(proc.stderr)["error"]["message"]
+        want = "the ridge lam must be finite and >= 0; got -inf"
+        check(message == want, f"train --ridge -inf says {message!r}, not {want!r}")
+        print("ecocast train --ridge -inf: exit 1 with the ridge error")
 
         # the simulator's default rate constants, recovered from its own series
         out = ecocast(exe, d, "fit-lv", "--series", series)

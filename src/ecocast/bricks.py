@@ -155,11 +155,19 @@ class KernelSpec:
     def _row_scales(self) -> np.ndarray:
         return np.repeat(self.scales, [b - a for a, b in self.slices])
 
+    @functools.cached_property
+    def _unit(self) -> bool:
+        return all(s == 1.0 for s in self.scales)
+
     def scale(self, x) -> np.ndarray:
-        """Divide each dataset segment by its scale (rows are the vector axis)."""
+        """Divide each dataset segment by its scale (rows are the vector axis).
+        Under unit scales a C-contiguous input comes back as it is, with the
+        bits and layout of ``x / 1.0``."""
         x = np.asarray(x, dtype=float)
         if x.shape[0] != self.dim:
             raise ValueError(f"input dimension {x.shape[0]} != kernel spec dimension {self.dim}")
+        if self._unit and x.flags.c_contiguous:
+            return x
         return x / self._row_scales.reshape((-1,) + (1,) * (x.ndim - 1))
 
 
@@ -201,7 +209,11 @@ def _gaussian(sa: np.ndarray, na: np.ndarray, sb: np.ndarray, nb: np.ndarray) ->
     """``exp(-max(na_i + nb_j - 2 sa_i . sb_j, 0))`` from scaled column samples
     and their squared norms in one n x m buffer: one matrix product (split up,
     it would round differently), then the rest in place, about 32k entries at
-    a time, with the rounding of ``np.exp(-np.maximum(na + nb - 2.0 * (sa.T @ sb), 0))``."""
+    a time, with the rounding of ``np.exp(-np.maximum(na + nb - 2.0 * (sa.T @ sb), 0))``.
+    One buffer on both sides of the product would take numpy's symmetric
+    (syrk) path, which rounds differently, so ``sb`` is then copied."""
+    if np.may_share_memory(sa, sb):
+        sb = sb.copy(order="K")
     k = sa.T @ sb
     step = max(1, (1 << 15) // max(1, k.shape[1]))
     for i in range(0, k.shape[0], step):
@@ -215,13 +227,14 @@ def _gaussian(sa: np.ndarray, na: np.ndarray, sb: np.ndarray, nb: np.ndarray) ->
 
 
 def kernel_matrix(spec: KernelSpec, a, b) -> np.ndarray:
-    """Gram/cross matrix ``K[i, j] = k(a[:, i], b[:, j])`` for column samples,
-    scaled apart even as one matrix: numpy's ``s.T @ s`` rounds differently."""
+    """Gram/cross matrix ``K[i, j] = k(a[:, i], b[:, j])`` for column samples;
+    the Gram matrix ``kernel_matrix(spec, a, a)`` scales ``a`` once."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.ndim != 2 or b.ndim != 2:
         raise ValueError("kernel_matrix expects 2-d column-sample matrices")
-    return _gaussian(*_scaled(spec, a), *_scaled(spec, b))
+    scaled_a = _scaled(spec, a)
+    return _gaussian(*scaled_a, *(scaled_a if b is a else _scaled(spec, b)))
 
 
 # annotations of the array fields; the optional ones are the biases

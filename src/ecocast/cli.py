@@ -477,11 +477,12 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(",") if v.strip())
 
 
-# Argparse reads a value such as "-1e-3" as a flag, because its pattern for
-# negative numbers takes only forms like "-1" and "-0.5".  That pattern is the
-# private attribute ``_negative_number_matcher`` of each parser; this one takes
-# every negative decimal number, so such a value reaches its own check.
-_NEGATIVE_NUMBER = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
+# Argparse reads a value such as "-1e-3" or "-inf" as a flag, because its
+# pattern for negative numbers takes only forms like "-1" and "-0.5".  That
+# pattern is the private attribute ``_negative_number_matcher`` of each parser;
+# this one takes every negative decimal number and the negative infinities and
+# NaN that ``float`` reads, in any case, so such a value reaches its own check.
+_NEGATIVE_NUMBER = re.compile(r"^-(?:(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?|inf(?:inity)?|nan)$", re.I)
 
 
 @functools.cache  # built once per process; parse_args leaves the parser unchanged

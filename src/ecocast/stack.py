@@ -12,6 +12,7 @@ layout, context rows included.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
@@ -153,8 +154,15 @@ class InputSchema:
     def kernel_spec(self, brick_index: int) -> KernelSpec:
         """Unit-scale kernel spec over the brick's dataset segments: the
         scaling set, not the spec, carries the distance scales."""
-        slices = self.dataset_slices(brick_index)
-        return KernelSpec(scales=(1.0,) * len(slices), slices=slices)
+        if brick_index < 1:
+            raise ValueError("brick indices are 1-based")
+        return self._kernel_specs[brick_index >= 2]
+
+    @functools.cached_property
+    def _kernel_specs(self) -> tuple[KernelSpec, KernelSpec]:
+        """The specs of brick 1 and of the bricks from 2 on, built once."""
+        slices = (self.dataset_slices(1), self.dataset_slices(2))
+        return tuple(KernelSpec(scales=(1.0,) * len(s), slices=s) for s in slices)
 
 
 @dataclass(frozen=True)

@@ -543,6 +543,38 @@ class TestCachedDualApply:
             assert np.array_equal(brick.apply(cols), want[:, 0] if cols.ndim == 1 else want)
 
 
+class TestUnitScales:
+    """A unit-scale spec skips the division, and one buffer never stands on
+    both sides of the kernel's matrix product: numpy's symmetric (syrk) path
+    for ``s.T @ s`` rounds differently, at this size among others."""
+
+    SPEC = KernelSpec(scales=(1.0, 1.0), slices=((0, 2), (2, 5)))
+
+    def data(self):
+        rng = np.random.default_rng(25)
+        return rng.standard_normal((5, 30)) * 3.0 + 100.0, rng.standard_normal((2, 30))
+
+    def test_scaling_gives_the_bits_and_layout_of_a_division_by_one(self):
+        u = self.data()[0]
+        u[0, :3] = (-0.0, np.inf, -np.inf)
+        for x in (u, np.asfortranarray(u), u[:, ::2], u[:, 1:], u[:, 4]):
+            got, want = self.SPEC.scale(x), x / 1.0
+            assert got.tobytes() == want.tobytes()
+            assert got.strides == want.strides
+        assert self.SPEC.scale(u) is u
+
+    def test_gram_equals_the_formula_on_a_copy_bit_for_bit(self):
+        u = self.data()[0]
+        assert np.array_equal(kernel_matrix(self.SPEC, u, u), kernel_formula(self.SPEC, u, u.copy()))
+
+    def test_apply_to_the_retained_inputs_equals_the_formula_bit_for_bit(self):
+        u, v = self.data()
+        brick = train_kernel_brick(u, v, self.SPEC, 1e-3)
+        x = brick.training_inputs
+        want = brick.dual_coefficients @ kernel_formula(self.SPEC, x, x.copy())
+        assert np.array_equal(brick.apply_columns(x), want)
+
+
 class TestTrainingGram:
     """A dual brick trains on the ridge-free Gram matrix it is given."""
 

@@ -471,20 +471,25 @@ class TestPredictRolloutHorizon:
         assert message == "bound must be positive"
         assert not out.exists()
 
-    @pytest.mark.parametrize("command, flag, message", [
-        ("train", "--ridge", "the ridge lam must be finite and >= 0; got -0.001"),
-        ("rollout", "--bound", "bound must be positive"),
-        ("horizon", "--epsilon", "epsilon must be positive"),
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("train", "--ridge", "-1e-3", "the ridge lam must be finite and >= 0; got -0.001"),
+        ("rollout", "--bound", "-1e-3", "bound must be positive"),
+        ("horizon", "--epsilon", "-1e-3", "epsilon must be positive"),
+        ("train", "--ridge", "-inf", "the ridge lam must be finite and >= 0; got -inf"),
+        ("train", "--ridge", "-Infinity", "the ridge lam must be finite and >= 0; got -inf"),
+        ("rollout", "--bound", "-inf", "bound must be positive"),
+        ("horizon", "--epsilon", "-nan", "epsilon must be positive"),
+        ("horizon", "--epsilon", "-NaN", "epsilon must be positive"),
     ])
     def test_a_negative_value_in_scientific_notation_reaches_its_check(
-        self, tmp_path, small_series, trained, capsys, command, flag, message
+        self, tmp_path, small_series, trained, capsys, command, flag, value, message
     ):
         args = {
             "train": ["--model-out", str(tmp_path / "model.json")],
             "rollout": ["--model-in", str(trained), "--output", str(tmp_path / "roll.csv")],
             "horizon": ["--model-in", str(trained), "--split-fraction", "0.8"],
         }[command]
-        assert main([command, "--series", str(small_series), *args, flag, "-1e-3"]) == 1
+        assert main([command, "--series", str(small_series), *args, flag, value]) == 1
         assert json.loads(capsys.readouterr().err)["error"]["message"] == message
 
     def test_a_rollout_with_no_completed_step_leaves_no_csv(self, tmp_path, small_series):

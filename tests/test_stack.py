@@ -109,6 +109,16 @@ class TestTrainStack:
         x = u[:, 5]
         assert np.array_equal(model.predict_one_step(x), bare.apply(x))
 
+    @pytest.mark.parametrize("layout", ["strided", "fortran", "c"])
+    def test_stack_brick_predicts_the_bare_brick_bits_in_every_layout(self, layout):
+        u, v, schema, _ = lv_like_pairs()  # u is a strided view of the series
+        u = {"strided": u, "fortran": np.asfortranarray(u), "c": np.ascontiguousarray(u)}[layout]
+        model = train_stack(u, v, schema, BrickConfig(kind="kernel", ridge=1e-3), n_bricks=1)
+        bare = train_kernel_brick(u, v, schema.kernel_spec(1), 1e-3)
+        assert model.bricks[0].dual_coefficients.tobytes() == bare.dual_coefficients.tobytes()
+        for x in (u, u[:, 5:6], u[:, ::3], np.ascontiguousarray(u[:, ::3])):
+            assert model.predict_columns(x).tobytes() == bare.apply_columns(x).tobytes()
+
     def test_deterministic_given_seed(self):
         u, v, schema, _ = lv_like_pairs()
         cfg = BrickConfig(kind="dsn", hidden_size=7, ridge=1e-6)
