@@ -1,17 +1,19 @@
 """Compare every output of the benchmark workloads between two source trees.
 
-Each tree runs every workload's full-size chains (train, predict, rollout,
-horizon) once per seed, in one process per tree with that tree's ``src``
-first on the import path and 2 BLAS threads, through the tree's own
-``perfbench/worker.py`` (``generate_inputs`` and ``run_rep``).  Both run in
-the same relative working paths, so paths written into reports agree.  The
-script then lists every CSV, grid and model file whose bytes differ, every
+Each tree runs every workload's chains (train, predict, rollout, horizon)
+once per seed, at full size unless ``--size tiny`` is given, in one process
+per tree with that tree's ``src`` first on the import path and 2 BLAS
+threads, through the tree's own ``perfbench/worker.py`` (``generate_inputs``
+and ``run_rep``).  Both run in the same relative working paths, so paths
+written into reports agree.  The script then lists every command that failed
+in either tree, every CSV, grid and model file whose bytes differ, every
 report whose ``outputs`` or ``diagnostics`` block differs, and every file
-that only one tree wrote.  It exits 1 on any difference and 0 when the two
-trees agree bit for bit.
+that only one tree wrote.  It exits 1 on any failed command or difference
+and 0 when every command succeeded and the two trees agree bit for bit.
 
 Usage: python scripts/compare_outputs.py PARENT CHANGE [--seeds 0,1,2,3]
        [--workloads kernel-series,kernel-context,feature-context,scale-search]
+       [--size full|tiny]
 """
 
 from __future__ import annotations
@@ -30,36 +32,40 @@ BLAS_THREADS = "2"
 REPORT_BLOCKS = ("outputs", "diagnostics")
 
 
-def produce(tree: Path, out: Path, seeds: list[int], names: list[str]) -> int:
-    """Run the chains of ``tree`` into ``out``; returns the failed command count."""
+def produce(tree: Path, out: Path, seeds: list[int], names: list[str], size: str) -> list[str]:
+    """Run the chains of ``tree`` into ``out``; returns the failed commands."""
     sys.path[:0] = [str(tree / "perfbench"), str(tree / "src")]
     import worker
     import workloads
 
     os.chdir(out)
-    failed = 0
+    failed = []
     for name in names:
-        w = workloads.get(name, "full")
+        w = workloads.get(name, size)
         for seed in seeds:
             workdir = Path(name) / str(seed)
             workdir.mkdir(parents=True)
             inputs, setup_ops = worker.generate_inputs(w, seed, workdir)
             _, ops = worker.run_rep(w, inputs, seed, workdir)
-            failed += sum(op.rc != 0 for op in setup_ops + ops)
+            failed += [f"{workdir}: {op.key} {op.command} exited {op.rc}"
+                       for op in setup_ops + ops if op.rc != 0]  # fmt: skip
     return failed
 
 
-def run_tree(tree: Path, out: Path, seeds: str, names: str) -> None:
+def run_tree(tree: Path, out: Path, seeds: str, names: str, size: str) -> bool:
+    """Run the chains of ``tree`` into ``out`` in a child process; True when
+    the child finished and every command in it exited 0."""
     out.mkdir()
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = BLAS_THREADS
     cmd = [sys.executable, __file__, str(tree), str(out), "--produce",
-           "--seeds", seeds, "--workloads", names]  # fmt: skip
+           "--seeds", seeds, "--workloads", names, "--size", size]  # fmt: skip
     done = subprocess.run(cmd, env=env, capture_output=True, text=True)
-    if done.returncode != 0:
-        sys.exit(f"compare_outputs: the run of {tree} failed:\n{done.stderr}")
     print(f"{tree}: {done.stdout.strip()}")
+    if done.returncode != 0:
+        print(f"compare_outputs: the run of {tree} failed:\n{done.stderr}")
+    return done.returncode == 0
 
 
 def report_blocks(path: Path) -> dict[str, str]:
@@ -91,24 +97,27 @@ def main() -> int:
     parser.add_argument("change", type=Path)
     parser.add_argument("--seeds", default="0,1,2,3")
     parser.add_argument("--workloads", default=WORKLOADS)
+    parser.add_argument("--size", choices=("full", "tiny"), default="full")
     parser.add_argument("--produce", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     seeds = [int(s) for s in args.seeds.split(",")]
     names = args.workloads.split(",")
     if args.produce:  # the child of run_tree: parent is the tree, change the output directory
-        failed = produce(args.parent.resolve(), args.change, seeds, names)
-        print(f"{len(names)} workloads x {len(seeds)} seeds run, {failed} commands failed")
-        return 0
+        failed = produce(args.parent.resolve(), args.change, seeds, names, args.size)
+        for line in failed:
+            print(line)
+        print(f"{len(names)} workloads x {len(seeds)} seeds run, {len(failed)} commands failed")
+        return 1 if failed else 0
     with tempfile.TemporaryDirectory() as tmp:
         outs = Path(tmp) / "parent", Path(tmp) / "change"
-        for tree, out in zip((args.parent, args.change), outs):
-            run_tree(tree.resolve(), out, args.seeds, args.workloads)
+        ran = [run_tree(tree.resolve(), out, args.seeds, args.workloads, args.size)
+               for tree, out in zip((args.parent, args.change), outs)]  # fmt: skip
         found = differences(*outs)
         n_files = sum(1 for p in outs[0].rglob("*") if p.is_file())
     for line in found:
         print(line)
     print(f"{n_files} files compared: {len(found)} differences")
-    return 1 if found else 0
+    return 0 if all(ran) and not found else 1
 
 
 if __name__ == "__main__":

@@ -89,12 +89,12 @@ def activate(a: Activation, x) -> np.ndarray:
     if a is Activation.STEP:
         return (x >= 0.0).astype(float)
     if a is Activation.SIGMOID:
-        # in place; exp of a nonpositive argument only, so large |x| cannot overflow
-        z = np.abs(x, out=np.empty_like(x))
-        np.exp(np.negative(z, out=z), out=z)
-        d = np.add(1.0, z, out=np.empty_like(x))
+        # e = exp(-|x|) cannot overflow; e / (1 + e), then 1 / (1 + e) where x >= 0
+        z = np.copysign(x, -1.0, out=np.empty_like(x))
+        np.exp(z, out=z)
+        d = np.add(1.0, z)
         np.divide(z, d, out=z)
-        np.copyto(z, np.divide(1.0, d, out=d), where=x >= 0.0)
+        np.divide(1.0, d, out=z, where=x >= 0.0)
         return z
     if a is Activation.RELU:
         return np.maximum(x, 0.0)
@@ -202,14 +202,15 @@ def gaussian_kernel(x, z, spec: KernelSpec) -> float:
 def _scaled(spec: KernelSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The column samples ``x`` scaled, and their squared norms."""
     s = spec.scale(x)
-    return s, np.sum(s * s, axis=0)
+    return s, np.add.reduce(s * s, axis=0)
 
 
 def _gaussian(sa: np.ndarray, na: np.ndarray, sb: np.ndarray, nb: np.ndarray) -> np.ndarray:
-    """``exp(-max(na_i + nb_j - 2 sa_i . sb_j, 0))`` from scaled column samples
+    """``exp(min(2 sa_i . sb_j - (na_i + nb_j), 0))`` from scaled column samples
     and their squared norms in one n x m buffer: one matrix product (split up,
-    it would round differently), then the rest in place, about 32k entries at
-    a time, with the rounding of ``np.exp(-np.maximum(na + nb - 2.0 * (sa.T @ sb), 0))``.
+    it would round differently), then four passes in place, about 32k entries
+    at a time.  As a - b is exactly -(b - a), only a NaN's sign bit differs
+    from ``np.exp(-np.maximum(na + nb - 2.0 * (sa.T @ sb), 0))``.
     One buffer on both sides of the product would take numpy's symmetric
     (syrk) path, which rounds differently, so ``sb`` is then copied."""
     if np.may_share_memory(sa, sb):
@@ -219,9 +220,8 @@ def _gaussian(sa: np.ndarray, na: np.ndarray, sb: np.ndarray, nb: np.ndarray) ->
     for i in range(0, k.shape[0], step):
         block = k[i : i + step]
         block *= 2.0
-        np.subtract(na[i : i + step, None] + nb[None, :], block, out=block)
-        np.maximum(block, 0.0, out=block)
-        np.negative(block, out=block)
+        block -= na[i : i + step, None] + nb[None, :]
+        np.minimum(block, 0.0, out=block)
         np.exp(block, out=block)
     return k
 

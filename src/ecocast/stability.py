@@ -88,11 +88,12 @@ def rollout(
     reason = "completed"
     for step in range(1, steps + 1):
         y = predict(x[:, None])[:, 0]
-        if not np.all(np.isfinite(y)):
+        peak = float(np.abs(y).max())  # NaN or inf exactly when y is not finite
+        if not peak < np.inf:
             reason = "non-finite"
             break
         preds.append(y)
-        if float(np.max(np.abs(y))) > bound:
+        if peak > bound:
             reason = "bound"
             break
         x = y

@@ -266,23 +266,26 @@ class StackedModel:
             raise ValueError(f"expected {schema.context_total} context entries, got {context.size}")
         if scaling is not None:
             _, context = adimensionalize(np.empty((ns, 0)), context, scaling, schema)
-            # the series rows of adimensionalize
+            # the series rows of adimensionalize, and of the output's way back
             offsets, scales = scaling.offsets[:ns, None], scaling.scales[:ns, None]
         if self.context is not None and np.any(context != self.context):
             raise ValueError("context values differ from the context the model was trained on")
-        reads_full = [b.input_dim == schema.input_dim(k) for k, b in enumerate(self.bricks, 1)]
+        # each brick's bound apply and whether it reads the full layout
+        steps = [(b.apply_columns, b.input_dim == schema.input_dim(k))
+                 for k, b in enumerate(self.bricks, 1)]  # fmt: skip
+        any_full = any(full_layout for _, full_layout in steps)
 
         def predict(series_columns) -> np.ndarray:
             series = np.asarray(series_columns, dtype=float)
             if series.ndim != 2 or series.shape[0] != ns:
                 raise ValueError(f"expected {ns} series rows, got shape {series.shape}")
             x = series if scaling is None else (series - offsets) / scales
-            full = schema.full_input(x, context) if any(reads_full) else None
+            full = schema.full_input(x, context) if any_full else None
             y = None
-            for brick, full_layout in zip(self.bricks, reads_full):
+            for apply, full_layout in steps:
                 rows = full if full_layout else x
-                y = brick.apply_columns(rows if y is None else np.vstack([rows, y]))
-            return _raw_units(y, scaling, ns)
+                y = apply(rows if y is None else np.concatenate((rows, y)))
+            return y if scaling is None else y * scales + offsets
 
         return predict
 
@@ -296,13 +299,6 @@ class StackedModel:
         if series.ndim != 1:
             raise ValueError("series_values must be a 1-d vector")
         return self.predict_columns(series[:, None], context_values)[:, 0]
-
-
-def _raw_units(y: np.ndarray, scaling: ScalingSet | None, ns: int) -> np.ndarray:
-    """Last-brick outputs mapped back to raw series units."""
-    if scaling is None:
-        return y
-    return y * scaling.scales[:ns, None] + scaling.offsets[:ns, None]
 
 
 def brick_config_list(configs, n_bricks: int | None) -> list[BrickConfig]:
@@ -450,7 +446,8 @@ def _train_stack(
     (us, c), vs = schema.split_context(u, context), v
     if scaling is not None:
         us, c = adimensionalize(us, c, scaling, schema)
-        vs = (v - scaling.offsets[:ns, None]) / scaling.scales[:ns, None]
+        offsets, scales = scaling.offsets[:ns, None], scaling.scales[:ns, None]
+        vs = (v - offsets) / scales
 
     earlier = reuse or ()
     n_kept = 0
@@ -486,7 +483,7 @@ def _train_stack(
         context=c,
     )
     if reuse is None:
-        model.__dict__[_PREDICTIONS_KEY] = _raw_units(y, scaling, ns)
+        model.__dict__[_PREDICTIONS_KEY] = y if scaling is None else y * scales + offsets
     return model, tuple(fits)
 
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -38,6 +39,31 @@ class TestActivations:
     def test_sigmoid_saturates_without_overflow(self):
         out = activate(Activation.SIGMOID, np.array([-1000.0, 1000.0]))
         assert out[0] == 0.0 and out[1] == 1.0
+
+    @staticmethod
+    def ten_call_sigmoid(x):
+        """The sigmoid as ``activate`` computed it in ten numpy calls."""
+        z = np.abs(x, out=np.empty_like(x))
+        np.exp(np.negative(z, out=z), out=z)
+        d = np.add(1.0, z, out=np.empty_like(x))
+        np.divide(z, d, out=z)
+        np.copyto(z, np.divide(1.0, d, out=d), where=x >= 0.0)
+        return z
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_sigmoid_has_the_bits_of_the_ten_call_version(self, order):
+        edges = [0.0, 5e-324, 1e-310, 36.7, 709.8, 745.2, 1000.0, np.inf]
+        x = np.concatenate([
+            [sign * v for v in edges for sign in (1.0, -1.0)] + [np.nan],
+            np.random.default_rng(11).standard_normal(100_000) * 50.0,
+        ])[:100_000].reshape(400, 250)
+        x = np.asarray(x, order=order)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = activate(Activation.SIGMOID, x)
+            want = self.ten_call_sigmoid(x)
+        assert got.tobytes() == want.tobytes()
+        assert got.flags.f_contiguous == (order == "F")
 
     def test_step_indicator_of_nonnegative(self):
         out = activate(Activation.STEP, np.array([-1e-9, 0.0, 1e-9]))
@@ -650,6 +676,31 @@ class TestGaussianBuffer:
         na, nb = np.sum(sa * sa, axis=0), np.sum(sb * sb, axis=0)
         want = np.exp(-np.maximum(na[:, None] + nb[None, :] - 2.0 * (sa.T @ sb), 0))
         assert _gaussian(sa, na, sb, nb).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n, m, shared", [
+        (50, 0, False),
+        (1600, 1, False),
+        (100, 300, False),
+        (400, 300, False),
+        (400, 400, True),
+    ], ids=["m=0", "m=1", "one-block", "several-blocks", "shared-buffer-gram"])
+    def test_finite_entries_keep_the_bits_of_the_negated_form(self, n, m, shared):
+        """Four passes form min(2k - s, 0) where the formula negates
+        max(s - 2k, 0): every finite entry has the same bits, and a NaN stays
+        NaN (only its sign bit differs)."""
+        rng = np.random.default_rng(n + m)
+        sa = rng.standard_normal((3, n)) * 4.0
+        sb = sa if shared else rng.standard_normal((3, m)) * 4.0
+        if m:
+            sa[1, n // 2] = np.nan
+        na, nb = np.sum(sa * sa, axis=0), np.sum(sb * sb, axis=0)
+        got = _gaussian(sa, na, sb, nb)
+        want = np.exp(-np.maximum(na[:, None] + nb[None, :] - 2.0 * (sa.T @ sb.copy()), 0))
+        assert got.shape == (n, m)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert nan.any() == (m > 0)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
 
     def test_a_cross_kernel_apply_holds_one_n_by_m_buffer(self):
         n, m = 800, 600

@@ -160,6 +160,7 @@ class TestStopReason:
         (0.5, "completed", 30, 30),
         (2.0, "bound", 20, 20),  # 10 * 2^20 is the first step over 1e6 * 10
         (1e308, "non-finite", 1, 0),  # the first prediction overflows and is dropped
+        (np.nan, "non-finite", 1, 0),
     ])
     def test_reason_and_step(self, scale, reason, stopped_at, completed):
         with np.errstate(over="ignore"):

@@ -80,3 +80,28 @@ def test_a_traced_train_times_the_scaling_transform(tmp_path):
         tracer.uninstall()
     assert code == 0
     assert any(span[2] == "scaling.adimensionalize" for span in tracer.spans)
+
+
+@pytest.mark.parametrize("kind, span_name", [("kernel", "bricks.apply.kernel"),
+                                             ("dsn", "bricks.apply.dsn")])
+def test_every_rollout_step_applies_each_brick_through_its_traced_method(tmp_path, kind,
+                                                                          span_name):
+    """A step that bypassed ``apply_columns`` would leave the per-layer
+    ``bricks.apply.*`` metrics blind: 5 steps of 2 bricks are 10 spans."""
+    series, model = tmp_path / "series.csv", tmp_path / "model.json"
+    report = ["--report", str(tmp_path / "report.json")]
+    assert cli.main(["simulate", "--dt", "0.05", "--steps", "60", "--output", str(series)]
+                    + report) == 0
+    assert cli.main(["train", "--series", str(series), "--brick-kind", kind, "--bricks", "2",
+                     "--ridge", "1e-6", "--model-out", str(model)] + report) == 0
+    tracer = TRACER.Tracer("test")
+    tracer.install()
+    try:
+        code = cli.main(["rollout", "--series", str(series), "--model-in", str(model),
+                         "--steps", "5", "--output", str(tmp_path / "roll.csv")] + report)
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    names = [span[2] for span in tracer.spans]
+    assert names.count(span_name) == 10
+    assert not any(n.startswith("bricks.apply.") and n != span_name for n in names)
