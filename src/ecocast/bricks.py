@@ -38,9 +38,10 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .linalg import EXACT_SVD, InverseConfig, NonFiniteError, pseudo_inverse, readonly
+from .linalg import EXACT_SVD, NonFiniteError, pseudo_inverse, readonly, tikhonov
 
 __all__ = [
+    "BRICK_CLASSES",
     "DSN_MODES",
     "Activation",
     "Brick",
@@ -371,8 +372,7 @@ class _DualBrick(_Brick):
             raise ValueError("one dual coefficient column per retained training input required")
         if self.spec.dim != self.training_inputs.shape[0]:
             raise ValueError("kernel spec does not match the training input dimension")
-        if not self.ridge >= 0.0:
-            raise ValueError("ridge must be >= 0")
+        tikhonov(self.ridge)
 
     @property
     def input_dim(self) -> int:
@@ -485,6 +485,11 @@ class KernelTensorBrick(_DualBrick):
 
 Brick = LinearBrick | DSNBrick | KernelBrick | TensorBrick | KernelTensorBrick
 
+# every brick kind by its name, in the order the command line lists them
+BRICK_CLASSES = {
+    cls.kind: cls for cls in (LinearBrick, DSNBrick, KernelBrick, TensorBrick, KernelTensorBrick)
+}
+
 
 def _as_pairs(inputs, targets) -> tuple[np.ndarray, np.ndarray]:
     u = np.asarray(inputs, dtype=float)
@@ -545,7 +550,7 @@ def fold_context(brick: Brick, context, at: int) -> Brick:
 
 
 def train_linear_brick(
-    inputs, targets, cfg: InverseConfig = EXACT_SVD, context=None
+    inputs, targets, cfg: float = EXACT_SVD, context=None
 ) -> LinearBrick:
     """Closed-form linear predictor ``targets @ pinv(inputs)``.
 
@@ -584,7 +589,7 @@ def _output_solve_loss(
     u: np.ndarray,
     v: np.ndarray,
     a: Activation,
-    cfg: InverseConfig,
+    cfg: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Closed-form output weights for hidden weights ``w`` and bias ``b``,
     the hidden pre-activation and the output residual they give, plus the
@@ -594,7 +599,7 @@ def _output_solve_loss(
     h = activate(a, pre)
     out = v @ pseudo_inverse(h, cfg)
     resid = out @ h - v
-    loss = float(np.sum(resid * resid) + cfg.lam * np.sum(out * out))
+    loss = float(np.sum(resid * resid) + cfg * np.sum(out * out))
     return out, pre, resid, loss
 
 
@@ -605,7 +610,7 @@ def _refine_hidden_weights(
     u: np.ndarray,
     v: np.ndarray,
     a: Activation,
-    cfg: InverseConfig,
+    cfg: float,
 ) -> tuple[np.ndarray, np.ndarray | None, tuple[float, ...], bool]:
     """Gradient descent on the reduced objective Q(w) with the output weights
     re-solved in closed form each step.
@@ -663,7 +668,7 @@ def train_dsn_brick(
     hidden_size: int,
     activation: Activation = Activation.SIGMOID,
     mode: str = "fixed-random",
-    cfg: InverseConfig = EXACT_SVD,
+    cfg: float = EXACT_SVD,
     seed: int = 0,
     hidden_weights=None,
     context=None,
@@ -713,7 +718,7 @@ def train_dsn_brick(
 
 
 def dsn_objective_gradient(
-    weights, inputs, targets, activation: Activation, cfg: InverseConfig = EXACT_SVD
+    weights, inputs, targets, activation: Activation, cfg: float = EXACT_SVD
 ) -> np.ndarray:
     """Analytic gradient of the refined DSN objective at the given hidden
     weights (output weights re-solved in closed form).  Exposed for gradient
@@ -724,7 +729,7 @@ def dsn_objective_gradient(
     return 2.0 * ((out.T @ resid) * activation_derivative(activation, pre)) @ u.T
 
 
-def dsn_objective(weights, inputs, targets, activation: Activation, cfg: InverseConfig = EXACT_SVD) -> float:
+def dsn_objective(weights, inputs, targets, activation: Activation, cfg: float = EXACT_SVD) -> float:
     """Refined DSN objective Q(w) with output weights re-solved in closed form."""
     u, v = _as_pairs(inputs, targets)
     w = np.asarray(weights, dtype=float)
@@ -735,7 +740,7 @@ def _train_dual(v: np.ndarray, lam: float, gram: np.ndarray) -> tuple[np.ndarray
     """The coefficients ``v @ (gram + lam I)^-1`` and the ridge, from the
     ridge-free Gram matrix of the inputs, which comes back as it went in: the
     saved diagonal is written back after the solve."""
-    lam = InverseConfig(float(lam)).lam  # refuses a ridge that is not finite and >= 0
+    lam = tikhonov(lam)
     if lam > 0.0:
         # gram + lam I in place: the off-diagonal entries are >= 0, so the
         # zeros that sum would add leave them unchanged
@@ -750,7 +755,7 @@ def _train_dual(v: np.ndarray, lam: float, gram: np.ndarray) -> tuple[np.ndarray
         return dual, lam
     # ridge-free fit: exact interpolation when the Gram matrix allows it,
     # minimum-norm pseudo-inverse solution otherwise
-    return v @ pseudo_inverse(gram, EXACT_SVD), lam
+    return v @ pseudo_inverse(gram), lam
 
 
 def _fit_dual(spec: KernelSpec, inputs, targets, lam: float, gram: np.ndarray | None) -> dict:
@@ -796,7 +801,7 @@ def train_tensor_brick(
     hidden_size_a: int,
     hidden_size_b: int,
     activation: Activation = Activation.SIGMOID,
-    cfg: InverseConfig = EXACT_SVD,
+    cfg: float = EXACT_SVD,
     seed: int = 0,
     hidden_weights_a=None,
     hidden_weights_b=None,

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bricks import DSN_MODES, Activation
+from .bricks import BRICK_CLASSES, DSN_MODES, Activation
 from .datasets import (
     TimeSeriesSet,
     build_training_pairs,
@@ -53,7 +53,6 @@ from .lotka import (
     simulate_lv,
 )
 from .stack import (
-    _BRICK_KINDS,
     BrickConfig,
     InputSchema,
     count_free_parameters,
@@ -530,7 +529,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--series", required=True)
     p.add_argument("--grid", dest="grids", action="append", help="context map (repeatable)")
     p.add_argument("--bricks", type=int)
-    p.add_argument("--brick-kind", choices=_BRICK_KINDS)
+    p.add_argument("--brick-kind", choices=BRICK_CLASSES)
     p.add_argument("--ridge", type=float)
     p.add_argument("--hidden-size", type=int)
     p.add_argument("--hidden-size-a", type=int)
@@ -568,7 +567,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map-pixels", dest="map_pixels", type=int, action="append",
                    help="pixel count of one context map (repeatable)")
     p.add_argument("--bricks", type=int)
-    p.add_argument("--brick-kind", choices=_BRICK_KINDS)
+    p.add_argument("--brick-kind", choices=BRICK_CLASSES)
     p.add_argument("--per-brick-scaling", action="store_true")
     p.add_argument("--series-length", type=int)
 

@@ -16,16 +16,7 @@ from datetime import datetime
 
 import numpy as np
 
-from .bricks import (
-    Activation,
-    DSNBrick,
-    KernelBrick,
-    KernelSpec,
-    KernelTensorBrick,
-    LinearBrick,
-    TensorBrick,
-    fold_context,
-)
+from .bricks import BRICK_CLASSES, Activation, KernelSpec, fold_context
 from .datasets import ContextMap, TimeSeriesSet, cadence_break
 from .scaling import ScalingSet
 from .stack import InputSchema, StackedModel
@@ -381,7 +372,8 @@ def _array_from(value) -> np.ndarray:
 
 
 def _decoded(decode, value, where: str):
-    """``decode(value)``, with any ValueError naming the model-file field."""
+    """``decode(value)``, with any ValueError naming where in the model file
+    it arose."""
     try:
         return decode(value)
     except ValueError as exc:
@@ -395,10 +387,6 @@ def _spec_dict(spec: KernelSpec) -> dict:
 def _spec_from(d: dict) -> KernelSpec:
     return KernelSpec(scales=d["scales"], slices=d["slices"])
 
-
-_BRICK_CLASSES = {
-    cls.kind: cls for cls in (LinearBrick, DSNBrick, KernelBrick, TensorBrick, KernelTensorBrick)
-}
 
 # model-file key of a brick field, where it differs from the field name
 _KEYS = {"spec": "kernel", "spec_a": "kernel_a", "spec_b": "kernel_b"}
@@ -432,7 +420,7 @@ def _brick_from(d: dict, index: int, schema: InputSchema, context: np.ndarray | 
     """Inverse of ``_brick_dict`` for the ``index``-th (1-based) brick: a
     recorded ``context`` is put back into every column of the retained
     training inputs."""
-    cls = _BRICK_CLASSES.get(d["kind"])
+    cls = BRICK_CLASSES.get(d["kind"])
     if cls is None:
         raise ValueError(f"unknown brick kind {d['kind']!r} in model file")
     kwargs = {}
@@ -443,7 +431,7 @@ def _brick_from(d: dict, index: int, schema: InputSchema, context: np.ndarray | 
             kwargs[f.name] = _decoded(decode, d[key], f"brick {index} field {key!r}")
     if context is not None and "training_inputs" in kwargs:
         kwargs["training_inputs"] = schema.full_input(kwargs["training_inputs"], context)
-    return cls(**kwargs)
+    return _decoded(lambda kw: cls(**kw), kwargs, f"brick {index}")
 
 
 def _first_retained_context(bricks, schema: InputSchema) -> np.ndarray | None:
@@ -523,8 +511,11 @@ def model_from_json(text: str) -> StackedModel:
 
 
 def save_model(model: StackedModel, path) -> None:
+    """Write ``model`` to ``path``; a model that JSON cannot carry raises
+    before the file is opened, so an existing file keeps its bytes."""
+    text = model_to_json(model)
     with open(path, "w", newline="") as fh:
-        fh.write(model_to_json(model))
+        fh.write(text)
 
 
 def load_model(path) -> StackedModel:

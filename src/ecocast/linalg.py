@@ -6,13 +6,13 @@ differ only in how singular values are filtered.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "EXACT_SVD",
-    "InverseConfig",
     "NonFiniteError",
     "SpectralEstimate",
     "pseudo_inverse",
@@ -23,21 +23,8 @@ __all__ = [
 # Singular values below RANK_CUTOFF * sigma_max count as zero (numerical rank).
 RANK_CUTOFF = 1e-12
 
-
-@dataclass(frozen=True)
-class InverseConfig:
-    """Pseudo-inverse policy: ``lam`` is the ridge parameter; ``lam = 0``
-    gives the exact inverse to numerical rank instead of failing on
-    rank-deficient input."""
-
-    lam: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.lam) and self.lam >= 0.0):
-            raise ValueError(f"the ridge lam must be finite and >= 0; got {self.lam}")
-
-
-EXACT_SVD = InverseConfig()
+# The ridge of the exact inverse to numerical rank.
+EXACT_SVD = 0.0
 
 
 def readonly(a) -> np.ndarray:
@@ -51,9 +38,13 @@ def readonly(a) -> np.ndarray:
     return a
 
 
-def tikhonov(lam: float) -> InverseConfig:
-    """Ridge pseudo-inverse configuration with parameter ``lam``."""
-    return InverseConfig(float(lam))
+def tikhonov(lam: float) -> float:
+    """The ridge ``lam`` as a float, refused unless it is finite and >= 0:
+    the one rule for every ridge in the package."""
+    lam = float(lam)
+    if not (math.isfinite(lam) and lam >= 0.0):
+        raise ValueError(f"the ridge lam must be finite and >= 0; got {lam}")
+    return lam
 
 
 @dataclass(frozen=True)
@@ -82,17 +73,18 @@ def _as_matrix(a, name: str) -> np.ndarray:
     return a
 
 
-def pseudo_inverse(a, cfg: InverseConfig = EXACT_SVD) -> np.ndarray:
-    """Regularized Moore-Penrose inverse of ``a``.
+def pseudo_inverse(a, lam: float = EXACT_SVD) -> np.ndarray:
+    """Regularized Moore-Penrose inverse of ``a`` with the ridge ``lam``.
 
     With ``lam = 0`` it satisfies the four Penrose identities to numerical
     rank.  With ``lam > 0`` it equals ``(a.T a + lam I)^-1 a.T`` through the
     singular-value filter ``s / (s^2 + lam)``.
     """
     a = _as_matrix(a, "a")
+    lam = tikhonov(lam)
     u, s, vt = np.linalg.svd(a, full_matrices=False)
-    if cfg.lam > 0.0:
-        filt = s / (s * s + cfg.lam)
+    if lam > 0.0:
+        filt = s / (s * s + lam)
     else:
         keep = s > RANK_CUTOFF * s[0]
         filt = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)

@@ -127,9 +127,11 @@ class StabilityReport:
     """Reliability-horizon report.
 
     ``horizon`` is the first rollout step whose normalized error exceeds
-    ``epsilon`` (the validation length when none does); ``rollout`` is the
-    run it was read from.  ``spectral_radius`` is present only for
-    single-brick linear models.
+    ``epsilon``.  When none does, it is the step at which a diverged rollout
+    stopped (a non-finite prediction is dropped, so no error scores that
+    step), else the validation length.  ``rollout`` is the run it was read
+    from.  ``spectral_radius`` is present only for single-brick linear
+    models.
     """
 
     horizon: int
@@ -197,7 +199,7 @@ def estimate_horizon(
     if exceeded.size:
         horizon = int(exceeded[0]) + 1
     elif result.diverged:
-        horizon = span
+        horizon = result.stopped_at
     else:
         horizon = validation.n_points
     estimate = linear_stability(model)

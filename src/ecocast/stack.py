@@ -13,12 +13,14 @@ layout, context rows included.
 from __future__ import annotations
 
 import functools
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .bricks import (
+    BRICK_CLASSES,
     Activation,
     Brick,
     KernelSpec,
@@ -30,7 +32,7 @@ from .bricks import (
     train_linear_brick,
     train_tensor_brick,
 )
-from .linalg import InverseConfig, readonly, tikhonov
+from .linalg import readonly, tikhonov
 from .scaling import ScalingSet, adimensionalize
 
 __all__ = [
@@ -43,8 +45,6 @@ __all__ = [
     "take_training_predictions",
     "train_stack",
 ]
-
-_BRICK_KINDS = ("linear", "dsn", "kernel", "tensor", "kernel-tensor")
 
 
 class BrickTrainingError(RuntimeError):
@@ -182,12 +182,11 @@ class BrickConfig:
     mode: str = "fixed-random"
 
     def __post_init__(self) -> None:
-        if self.kind not in _BRICK_KINDS:
-            raise ValueError(f"unknown brick kind {self.kind!r}; expected one of {_BRICK_KINDS}")
-        self.solve_config()  # refuses a ridge that is not finite and >= 0
-
-    def solve_config(self) -> InverseConfig:
-        return tikhonov(self.ridge)
+        if self.kind not in BRICK_CLASSES:
+            raise ValueError(
+                f"unknown brick kind {self.kind!r}; expected one of {tuple(BRICK_CLASSES)}"
+            )
+        tikhonov(self.ridge)
 
 
 @dataclass(frozen=True)
@@ -196,8 +195,8 @@ class StackedModel:
 
     When a scaling set is present, inputs are adimensionalized before the
     bricks run and the final output is mapped back to raw series units.
-    ``training_abs_max`` (largest absolute raw target seen at training) seeds
-    the default rollout divergence bound; ``last_training_state`` is the raw
+    ``training_abs_max`` (largest absolute raw target seen at training,
+    finite and >= 0) seeds the default rollout divergence bound; ``last_training_state`` is the raw
     final training target, the natural start for held-out rollouts.
     ``context`` is the training context as the bricks see it (adimensionalized
     when a scaling set is present).  When it is recorded, every brick that
@@ -239,6 +238,9 @@ class StackedModel:
                 raise ValueError(f"brick {k} output dimension {b.output_dim} != series count {ns}")
         if self.scaling is not None and self.scaling.n_datasets != self.schema.n_datasets:
             raise ValueError("scaling set does not match the schema's dataset count")
+        peak = self.training_abs_max
+        if peak is not None and not (math.isfinite(peak) and peak >= 0.0):
+            raise ValueError(f"training_abs_max must be finite and >= 0; got {peak}")
         if self.last_training_state is not None:
             state = readonly(self.last_training_state)
             if state.shape != (ns,):
@@ -334,7 +336,7 @@ def _train_one(
     earlier fit of a dual brick on the same inputs."""
     ns = schema.n_series
     if cfg.kind == "linear":
-        return train_linear_brick(inputs, targets, cfg.solve_config(), context=context), None
+        return train_linear_brick(inputs, targets, cfg.ridge, context=context), None
     if cfg.kind == "dsn":
         brick = train_dsn_brick(
             inputs,
@@ -342,7 +344,7 @@ def _train_one(
             hidden_size=cfg.hidden_size,
             activation=cfg.activation,
             mode=cfg.mode,
-            cfg=cfg.solve_config(),
+            cfg=cfg.ridge,
             seed=seed,
             context=context,
             context_row=ns,
@@ -355,7 +357,7 @@ def _train_one(
             hidden_size_a=cfg.hidden_size_a,
             hidden_size_b=cfg.hidden_size_b,
             activation=cfg.activation,
-            cfg=cfg.solve_config(),
+            cfg=cfg.ridge,
             seed=seed,
             context=context,
             context_row=ns,
@@ -527,7 +529,7 @@ def count_free_parameters(
     coefficient.  ``series_length`` adds data-point totals: series points are
     ``n_series * series_length`` and every context pixel counts once.
     """
-    if brick_kind not in _BRICK_KINDS:
+    if brick_kind not in BRICK_CLASSES:
         raise ValueError(f"unknown brick kind {brick_kind!r}")
     if n_bricks < 1:
         raise ValueError("n_bricks must be >= 1")

@@ -160,6 +160,36 @@ class TestDSNBrick:
         rel = np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-8)
         assert np.max(rel) < 1e-4
 
+    @pytest.mark.parametrize("act, hidden", [(Activation.RELU, 4), (Activation.IDENTITY, 2)])
+    def test_gradient_matches_central_finite_differences_for_relu_and_identity(self, act, hidden):
+        # with as many identity units as input rows the objective is flat in w
+        rng = np.random.default_rng(5)
+        u = rng.standard_normal((3, 40))
+        v = rng.standard_normal((2, 40))
+        w = rng.standard_normal((hidden, 3)) * 0.5
+        grad = dsn_objective_gradient(w, u, v, act)
+        step = 1e-6
+        fd = np.empty_like(w)
+        for i in range(w.shape[0]):
+            for j in range(w.shape[1]):
+                wp, wm = w.copy(), w.copy()
+                wp[i, j] += step
+                wm[i, j] -= step
+                fd[i, j] = (dsn_objective(wp, u, v, act) - dsn_objective(wm, u, v, act)) / (2 * step)
+        assert np.max(np.abs(fd)) > 0.1
+        assert np.max(np.abs(grad - fd)) < 1e-6 * np.max(np.abs(fd))
+
+    def test_the_step_activation_has_a_zero_gradient(self):
+        rng = np.random.default_rng(6)
+        u, v = rng.standard_normal((3, 40)), rng.standard_normal((2, 40))
+        w = rng.standard_normal((4, 3))
+        assert not np.any(dsn_objective_gradient(w, u, v, Activation.STEP))
+
+    def test_refinement_on_zero_targets_stops_at_once_as_converged(self):
+        u = np.random.default_rng(6).standard_normal((3, 40))
+        brick = train_dsn_brick(u, np.zeros((2, 40)), hidden_size=4, mode="gradient-refined")
+        assert brick.refine_converged is True and brick.refine_trace == (0.0,)
+
     def test_refinement_never_increases_objective(self):
         rng = np.random.default_rng(6)
         u = rng.standard_normal((5, 30))
@@ -342,6 +372,15 @@ class TestKernelBrick:
             train_kernel_brick(u, v, spec, lam)
         with pytest.raises(ValueError, match="^the ridge lam must be finite and >= 0"):
             train_kt_brick(u, v, spec, spec, lam)
+
+    @pytest.mark.parametrize("lam", [math.inf, math.nan, -1e-3])
+    def test_a_dual_brick_refuses_a_ridge_that_is_not_finite_and_non_negative(self, lam):
+        spec = uniform_kernel_spec(2)
+        fit = dict(training_inputs=np.eye(2), dual_coefficients=np.ones((1, 2)), ridge=lam)
+        with pytest.raises(ValueError, match="^the ridge lam must be finite and >= 0"):
+            bricks.KernelBrick(spec=spec, **fit)
+        with pytest.raises(ValueError, match="^the ridge lam must be finite and >= 0"):
+            bricks.KernelTensorBrick(spec_a=spec, spec_b=spec, **fit)
 
     def test_singular_gram_zero_ridge_falls_back(self):
         u = np.array([[1.0, 1.0], [2.0, 2.0]])  # duplicated training point

@@ -490,10 +490,38 @@ class TestModelFile:
             load_model(path)
 
     def test_a_value_json_cannot_carry_is_refused_not_written(self):
-        model, _, _ = small_model("kernel")  # a hand-built brick may hold an infinite ridge
-        bricks = (replace(model.bricks[0], ridge=math.inf), *model.bricks[1:])
+        model, _, _ = small_model("dsn")  # a hand-built brick may hold an infinite trace
+        bricks = (replace(model.bricks[0], refine_trace=(math.inf,)), *model.bricks[1:])
         with pytest.raises(ValueError, match="not JSON compliant"):
             model_to_json(replace(model, bricks=bricks))
+
+    def test_a_failed_save_leaves_the_existing_file_as_it_was(self, tmp_path):
+        path = tmp_path / "m.json"
+        model, _, _ = small_model("dsn")
+        save_model(model, path)
+        before = path.read_bytes()
+        bricks = (replace(model.bricks[0], refine_trace=(math.inf,)), *model.bricks[1:])
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            save_model(replace(model, bricks=bricks), path)
+        assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("kind", ["kernel", "kernel-tensor"])
+    def test_an_infinite_ridge_in_a_model_file_is_refused_naming_the_brick(self, kind):
+        model, _, _ = small_model(kind)
+        text = model_to_json(model)
+        assert text.count('"ridge":0.0001') == 2
+        with pytest.raises(ValueError) as info:
+            model_from_json(text.replace('"ridge":0.0001', '"ridge":1e999', 1))
+        assert str(info.value) == "model file brick 1: the ridge lam must be finite and >= 0; got inf"
+
+    @pytest.mark.parametrize("peak", ["1e999", "-1e999", "-1.0"])
+    def test_a_training_abs_max_that_is_not_finite_and_non_negative_is_refused(self, peak):
+        model, _, _ = small_model("linear")
+        text = model_to_json(model)
+        want = f'"training_abs_max":{model.training_abs_max!r}'
+        assert want in text
+        with pytest.raises(ValueError, match="^training_abs_max must be finite and >= 0"):
+            model_from_json(text.replace(want, f'"training_abs_max":{peak}'))
 
     def test_dsn_refinement_diagnostics_round_trip(self, tmp_path):
         model = pinned_model("dsn-refined")

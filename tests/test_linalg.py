@@ -3,7 +3,6 @@ import pytest
 
 from ecocast.linalg import (
     EXACT_SVD,
-    InverseConfig,
     pseudo_inverse,
     spectral_radius,
     tikhonov,
@@ -66,7 +65,7 @@ class TestPseudoInverse:
         got = pseudo_inverse(a, tikhonov(0.0))
         assert max(penrose_residuals(a, got)) < 1e-8
         # a zero ridge is the exact inverse, bit for bit
-        assert tikhonov(0.0) == EXACT_SVD == InverseConfig()
+        assert tikhonov(0.0) == EXACT_SVD == 0.0
         assert np.array_equal(got, pseudo_inverse(a, EXACT_SVD))
 
     def test_tikhonov_continuity(self):
@@ -89,7 +88,7 @@ class TestPseudoInverse:
     @pytest.mark.parametrize("lam", [-1.0, -1e-300, np.nan, np.inf, -np.inf])
     def test_config_rejects_a_negative_or_non_finite_ridge(self, lam):
         with pytest.raises(ValueError, match="lam"):
-            InverseConfig(lam)
+            pseudo_inverse(np.eye(2), lam)
         with pytest.raises(ValueError, match="lam"):
             tikhonov(lam)
 

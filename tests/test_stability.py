@@ -274,6 +274,24 @@ class TestHorizon:
         for seen in spy.seen:
             assert not any(np.array_equal(seen, val.values[:, j]) for j in range(val.n_points))
 
+    def test_a_run_that_stops_non_finite_reads_the_step_it_stopped_at(self):
+        ts = lv_series(60)
+        train, val = split_train_validate(ts, 0.8)
+        start = train.values[:, -1]
+        # a NaN at step 1: no prediction is kept, and the horizon is that step
+        nan_first = LinearBrick(np.nan * np.eye(2))
+        take_previous = LinearBrick(np.hstack([np.zeros((2, 2)), np.eye(2)]))
+        model = StackedModel(bricks=(nan_first, take_previous),
+                             schema=InputSchema(series_names=("prey", "predators")))
+        report = estimate_horizon(model, val, start=start)
+        assert (report.rollout.stop_reason, report.rollout.stopped_at) == ("non-finite", 1)
+        assert report.error_curve.size == 0 and report.horizon == 1
+        # two exact steps, then a NaN at step 3
+        states = np.hstack([val.values[:, :2], np.full((2, 1), np.nan)])
+        report = estimate_horizon(ReplayModel(states), val, start=start)
+        assert report.rollout.stopped_at == 3 and np.array_equal(report.error_curve, [0.0, 0.0])
+        assert report.horizon == 3
+
     def test_epsilon_validation(self):
         ts = lv_series(40)
         train, val = split_train_validate(ts, 0.5)

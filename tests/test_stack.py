@@ -212,7 +212,7 @@ class TestTrainStack:
         scaled = schema.full_input(*adimensionalize(*schema.split_context(u), scaling, schema))
         full = train_dsn_brick(scaled, (v - scaling.offsets[:2, None])
                                / scaling.scales[:2, None], 4, Activation.SIGMOID,
-                               "gradient-refined", cfg.solve_config(), seed=3)
+                               "gradient-refined", cfg.ridge, seed=3)
         assert full.input_dim == folded.input_dim + 3 and folded.hidden_bias is not None
         # the same descent in exact arithmetic; the steps agree to rounding
         assert len(folded.refine_trace) == len(full.refine_trace) > 10
@@ -402,6 +402,15 @@ class TestPredict:
             StackedModel(bricks=model.bricks, schema=schema, context=context + 1.0)
         with pytest.raises(ValueError, match="one entry per context pixel"):
             StackedModel(bricks=model.bricks, schema=schema, context=context[:2])
+
+    @pytest.mark.parametrize("peak", [math.inf, math.nan, -1.0])
+    def test_a_training_abs_max_that_is_not_finite_and_non_negative_is_refused(self, peak):
+        schema = InputSchema(series_names=("a", "b"))
+        bricks = (LinearBrick(np.eye(2)),)
+        with pytest.raises(ValueError, match="^training_abs_max must be finite and >= 0"):
+            StackedModel(bricks=bricks, schema=schema, training_abs_max=peak)
+        for fine in (None, 0.0, 3.0):
+            assert StackedModel(bricks=bricks, schema=schema, training_abs_max=fine)
 
     def test_model_brick_dimension_checks(self):
         schema = InputSchema(series_names=("a", "b"))
