@@ -347,6 +347,11 @@ def _cmd_predict(cfg: RunConfig) -> dict:
     _require(cfg, series=cfg.series, model_in=cfg.model_in, output=cfg.output)
     model, ts, context = _model_inputs(cfg)
     predictions = model.predict_columns(ts.values, context)
+    finite = np.isfinite(predictions).all(axis=0)
+    if not finite.all():  # the model's fault, not the series'
+        j = int(np.argmin(finite))
+        t = float(ts.times[j])
+        raise ValueError(f"series row {j + 2} (t = {t!r}): the model's forecast is not finite")
     out = TimeSeriesSet(
         names=model.schema.series_names,
         times=ts.times + ts.dt,

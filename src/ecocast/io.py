@@ -330,23 +330,29 @@ def _stem(path) -> str:
 
 
 # ---------------------------------------------------------------------------
-# model file: compact, sorted-key, versioned JSON.  Versions 3 and 4 store
-# every array as a payload object {"f8": <base64 of its raw little-endian
-# float64 bytes>, "shape": [...]}; version 2 held the same arrays as nested
-# decimal lists.  Versions 2-4 store the model's context once, at the top
-# level, and each brick that retains training inputs without their context
-# rows; loading puts them back bit for bit.  Version 4 linear, DSN and tensor
-# bricks store the weights of their non-context rows and the bias that the
-# context adds; in versions 2 and 3 they hold full-width weights, which are
-# folded on load into those weights and bias.  Version 1 files (indented
-# decimal lists, full retained inputs, no top-level context) still load: their
-# context is read from column 0 of the first brick that retains inputs, and
-# their feature bricks fold only when one does.  Saving always writes
-# version 4.
+# model file: compact, sorted-key, versioned JSON, each field coded by its
+# annotation (``_encode``).  Versions 3 and 4 store every array as a payload
+# object {"f8": <base64 of its raw little-endian float64 bytes>, "shape": [...]};
+# version 2 held the same arrays as nested decimal lists; all of them finite.
+# Versions 2-4 store the model's context once, at the top level, and each
+# brick that retains training inputs without their context rows; loading puts
+# them back bit for bit.  Version 4 linear, DSN and tensor bricks store the
+# weights of their non-context rows and the bias that the context adds; in
+# versions 2 and 3 they hold full-width weights, which are folded on load into
+# those weights and bias.  Version 1 files (indented decimal lists, full
+# retained inputs, no top-level context) still load: their context is read
+# from column 0 of the first brick that retains inputs, and their feature
+# bricks fold only when one does.  Saving always writes version 4.
+
+
+def _finite(a: np.ndarray) -> np.ndarray:
+    if not np.isfinite(a).all():
+        raise ValueError("array values must be finite")
+    return a
 
 
 def _array_doc(a: np.ndarray) -> dict:
-    a = np.ascontiguousarray(a, dtype="<f8")
+    a = _finite(np.ascontiguousarray(a, dtype="<f8"))
     return {"f8": base64.b64encode(a.tobytes()).decode("ascii"), "shape": list(a.shape)}
 
 
@@ -355,7 +361,7 @@ def _array_from(value) -> np.ndarray:
     nested decimal lists of format versions 1 and 2 are read as well.  The
     payload is checked as outside input."""
     if isinstance(value, list):
-        return np.array(value, dtype=float)
+        return _finite(np.array(value, dtype=float))
     if not isinstance(value, dict) or set(value) != {"f8", "shape"}:
         raise ValueError("expected an array payload with exactly the keys 'f8' and 'shape'")
     shape = value["shape"]
@@ -368,39 +374,71 @@ def _array_from(value) -> np.ndarray:
     need = 8 * math.prod(shape)
     if len(raw) != need:
         raise ValueError(f"payload holds {len(raw)} bytes, shape {shape} needs {need}")
-    return np.frombuffer(raw, dtype="<f8").reshape(shape)
+    return _finite(np.frombuffer(raw, dtype="<f8").reshape(shape))
+
+
+# the classes a model file holds as objects of their fields
+_OBJECTS = {cls.__name__: cls for cls in (InputSchema, KernelSpec, ScalingSet)}
+# model-file key of a field, where it differs from the field name
+_KEYS = {"spec": "kernel", "spec_a": "kernel_a", "spec_b": "kernel_b"}
+
+
+def _encode(value, annotation: str):
+    """``value`` as the model file holds a field annotated ``annotation``:
+    arrays as payloads, ``_OBJECTS`` as objects of their fields, an
+    ``Activation`` by its value, floats as floats, tuples as lists, None and
+    anything else as it is."""
+    kind = annotation.removesuffix(" | None")
+    if value is None:
+        return None
+    if kind == "np.ndarray":
+        return _array_doc(value)
+    if kind in _OBJECTS:
+        return {f.name: _encode(getattr(value, f.name), f.type) for f in fields(value)}
+    if kind == "Activation":
+        return value.value
+    if kind == "float":
+        return float(value)
+    return list(value) if kind.startswith("tuple[") else value
 
 
 def _decoded(decode, value, where: str):
-    """``decode(value)``, with any ValueError naming where in the model file
-    it arose."""
+    """``decode(value)``, with any ValueError or TypeError raised as a
+    ValueError naming where in the model file it arose."""
     try:
         return decode(value)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"model file {where}: {exc}") from None
 
 
-def _spec_dict(spec: KernelSpec) -> dict:
-    return {"scales": list(spec.scales), "slices": [list(s) for s in spec.slices]}
+def _decode(value, annotation: str, part: str, path: str):
+    """Inverse of ``_encode`` for the field at ``path`` (dotted if nested) of
+    the file's ``part`` ("" or "brick 2 "), naming it in errors."""
+    kind = annotation.removesuffix(" | None")
+    if value is None and kind != annotation:
+        return None
+    decode = {"np.ndarray": _array_from, "Activation": Activation, "float": float}.get(kind)
+    if kind in _OBJECTS:
+        cls = _OBJECTS[kind]
+        decode, value = (lambda kw: cls(**kw)), _fields_from(cls, value, part, f"{path}.")
+    elif kind.startswith("tuple["):
+        decode = tuple
+    elif decode is None:
+        return value
+    return _decoded(decode, value, f"{part}field {path!r}")
 
 
-def _spec_from(d: dict) -> KernelSpec:
-    return KernelSpec(scales=d["scales"], slices=d["slices"])
-
-
-# model-file key of a brick field, where it differs from the field name
-_KEYS = {"spec": "kernel", "spec_a": "kernel_a", "spec_b": "kernel_b"}
-
-# (to JSON, from JSON) per annotated field type; other fields are stored as is
-_PLAIN = (lambda v: v, lambda v: v)
-_CODECS = {
-    "np.ndarray": (_array_doc, _array_from),
-    "KernelSpec": (_spec_dict, _spec_from),
-    "Activation": (lambda a: a.value, Activation),
-    "np.ndarray | None": (_array_doc, _array_from),
-    "float": (float, float),
-    "tuple[float, ...] | None": (list, tuple),
-}
+def _fields_from(cls, doc, part: str, path: str = "", may_lack=()) -> dict:
+    """The init fields of ``cls`` decoded from the object ``doc`` (one that is
+    not an object lacks them all); only the keys in ``may_lack`` may be absent."""
+    doc, kwargs = doc if isinstance(doc, dict) else {}, {}
+    for f in fields(cls):
+        key = _KEYS.get(f.name, f.name)
+        if f.init and key in doc:
+            kwargs[f.name] = _decode(doc[key], f.type, part, path + key)
+        elif f.init and key not in may_lack:
+            raise ValueError(f"model file {part}field {path + key!r} is missing")
+    return kwargs
 
 
 def _brick_dict(brick, context_rows: slice | None) -> dict:
@@ -412,102 +450,55 @@ def _brick_dict(brick, context_rows: slice | None) -> dict:
         if f.name == "training_inputs" and context_rows is not None:
             value = np.delete(value, context_rows, axis=0)
         if value is not None:
-            d[_KEYS.get(f.name, f.name)] = _CODECS.get(f.type, _PLAIN)[0](value)
+            d[_KEYS.get(f.name, f.name)] = _encode(value, f.type)
     return d
 
 
-def _brick_from(d: dict, index: int, schema: InputSchema, context: np.ndarray | None):
+def _brick_from(d, index: int, schema: InputSchema, context: np.ndarray | None):
     """Inverse of ``_brick_dict`` for the ``index``-th (1-based) brick: a
     recorded ``context`` is put back into every column of the retained
     training inputs."""
-    cls = BRICK_CLASSES.get(d["kind"])
+    part = f"brick {index} "
+    if not isinstance(d, dict) or "kind" not in d:
+        raise ValueError(f"model file {part}field 'kind' is missing")
+    cls = BRICK_CLASSES.get(d["kind"]) if isinstance(d["kind"], str) else None
     if cls is None:
-        raise ValueError(f"unknown brick kind {d['kind']!r} in model file")
-    kwargs = {}
-    for f in fields(cls):
-        key = _KEYS.get(f.name, f.name)
-        if f.init and key in d:
-            decode = _CODECS.get(f.type, _PLAIN)[1]
-            kwargs[f.name] = _decoded(decode, d[key], f"brick {index} field {key!r}")
-    if context is not None and "training_inputs" in kwargs:
-        kwargs["training_inputs"] = schema.full_input(kwargs["training_inputs"], context)
-    return _decoded(lambda kw: cls(**kw), kwargs, f"brick {index}")
+        raise ValueError(f"model file {part}field 'kind': unknown brick kind {d['kind']!r}")
+    optional = [_KEYS.get(f.name, f.name) for f in fields(cls) if f.type.endswith(" | None")]
 
+    def build(kw: dict):
+        if context is not None and np.ndim(kw.get("training_inputs")) == 2:
+            kw["training_inputs"] = schema.full_input(kw["training_inputs"], context)
+        return cls(**kw)
 
-def _first_retained_context(bricks, schema: InputSchema) -> np.ndarray | None:
-    """Column 0's context rows of the first brick that retains training
-    inputs (how a version 1 file holds its context), or None."""
-    for b in bricks:
-        retained = getattr(b, "training_inputs", None)
-        if retained is not None:
-            return retained[schema.context_rows, 0]
-    return None
+    return _decoded(build, _fields_from(cls, d, part, may_lack=optional), f"brick {index}")
 
 
 def model_to_json(model: StackedModel) -> str:
     rows = None if model.context is None else model.schema.context_rows
-    doc = {
-        "format": MODEL_FORMAT,
-        "format_version": MODEL_VERSION,
-        "schema": {
-            "series_names": list(model.schema.series_names),
-            "context_names": list(model.schema.context_names),
-            "context_sizes": list(model.schema.context_sizes),
-        },
-        "scaling": None
-        if model.scaling is None
-        else {
-            "offsets": _array_doc(model.scaling.offsets),
-            "scales": _array_doc(model.scaling.scales),
-        },
-        "training_abs_max": None
-        if model.training_abs_max is None
-        else float(model.training_abs_max),
-        "last_training_state": None
-        if model.last_training_state is None
-        else _array_doc(model.last_training_state),
-        "context": None if model.context is None else _array_doc(model.context),
-        "bricks": [_brick_dict(b, rows) for b in model.bricks],
-    }
+    doc = {f.name: _encode(getattr(model, f.name), f.type) for f in fields(model)}
+    doc.update(format=MODEL_FORMAT, format_version=MODEL_VERSION)
+    doc["bricks"] = [_brick_dict(b, rows) for b in model.bricks]  # brick by brick
     return json.dumps(doc, separators=(",", ":"), sort_keys=True, allow_nan=False) + "\n"
 
 
 def model_from_json(text: str) -> StackedModel:
     doc = json.loads(text)
-    if doc.get("format") != MODEL_FORMAT:
-        raise ValueError(f"not a model file (format {doc.get('format')!r})")
+    form = doc.get("format") if isinstance(doc, dict) else None
+    if form != MODEL_FORMAT:
+        raise ValueError(f"not a model file (format {form!r})")
     version = doc.get("format_version")
     if version not in (1, 2, 3, MODEL_VERSION):
         raise ValueError(f"unsupported model format version {version!r}")
-    schema = InputSchema(
-        series_names=tuple(doc["schema"]["series_names"]),
-        context_names=tuple(doc["schema"]["context_names"]),
-        context_sizes=tuple(doc["schema"]["context_sizes"]),
-    )
-
-    def array(value, where: str) -> np.ndarray | None:
-        return None if value is None else _decoded(_array_from, value, f"field {where!r}")
-
-    scaling = None
-    if doc["scaling"] is not None:
-        scaling = ScalingSet(
-            offsets=array(doc["scaling"]["offsets"], "scaling.offsets"),
-            scales=array(doc["scaling"]["scales"], "scaling.scales"),
-        )
-    context = array(doc.get("context"), "context")
-    bricks = tuple(_brick_from(b, k, schema, context) for k, b in enumerate(doc["bricks"], start=1))
-    if version == 1:
-        context = _first_retained_context(bricks, schema)
+    kwargs = _fields_from(StackedModel, doc, "", may_lack=("context",))
+    schema, context = kwargs["schema"], kwargs.get("context")
+    bricks = [_brick_from(b, k, schema, context) for k, b in enumerate(kwargs["bricks"], start=1)]
+    if version == 1:  # the context is column 0 of the first retained training inputs
+        retained = [b.training_inputs for b in bricks if hasattr(b, "training_inputs")]
+        context = retained[0][schema.context_rows, 0] if retained else None
     if version < MODEL_VERSION and context is not None:
-        bricks = tuple(fold_context(b, context, schema.n_series) for b in bricks)
-    return StackedModel(
-        bricks=bricks,
-        schema=schema,
-        scaling=scaling,
-        training_abs_max=doc["training_abs_max"],
-        last_training_state=array(doc["last_training_state"], "last_training_state"),
-        context=context,
-    )
+        bricks = [fold_context(b, context, schema.n_series) for b in bricks]
+    return StackedModel(**{**kwargs, "bricks": bricks, "context": context})
 
 
 def save_model(model: StackedModel, path) -> None:

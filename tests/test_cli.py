@@ -509,6 +509,23 @@ class TestPredictRolloutHorizon:
         assert doc["diagnostics"] == {"stop_reason": "non-finite", "stopped_at": 1}
         assert not out.exists()
 
+    def test_a_forecast_that_is_not_finite_names_the_row_not_the_series(self, tmp_path, capsys):
+        series = tmp_path / "series.csv"
+        # the forecasts of rows 4 and 5 overflow
+        series.write_text("t,prey,predators\n0,1,1\n0.5,2,1\n1,1e10,1\n1.5,1e20,1\n2,1,1\n")
+        schema = InputSchema(series_names=("prey", "predators"))
+        overflowing = StackedModel(bricks=(LinearBrick(np.full((2, 2), 1e300)),), schema=schema)
+        save_model(overflowing, tmp_path / "model.json")
+        out = tmp_path / "pred.csv"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["predict", "--series", str(series),
+                         "--model-in", str(tmp_path / "model.json"), "--output", str(out),
+                         "--report", str(tmp_path / "p.json")]) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {"type": "ValueError",
+                         "message": "series row 4 (t = 1.0): the model's forecast is not finite"}
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, flags", [
         ("predict", ["--output", "p.csv"]),
         ("rollout", ["--steps", "5", "--output", "r.csv"]),

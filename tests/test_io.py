@@ -2,14 +2,16 @@ import base64
 import csv
 import json
 import math
+import re
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ecocast.bricks import BRICK_CLASSES, KernelSpec
 from ecocast.datasets import (
     ContextMap,
     TimeSeriesSet,
@@ -31,7 +33,8 @@ from ecocast.io import (
     write_timeseries_csv,
 )
 from ecocast.lotka import REFERENCE_PARAMS, simulate_lv
-from ecocast.stack import BrickConfig, train_stack
+from ecocast.scaling import ScalingSet
+from ecocast.stack import BrickConfig, InputSchema, StackedModel, train_stack
 
 
 class TestTimeseriesCSV:
@@ -212,6 +215,25 @@ class TestTimeseriesCSV:
         with pytest.raises(ValueError, match=f"^{filled_error}$"):
             read_timeseries_csv(path, interpolate=True)
 
+    @pytest.mark.parametrize(
+        "text, interpolate, message",
+        [
+            ("", False, "empty file: a header row is required"),
+            ("t\n0\n1\n", False, "header must name a time column and at least one series"),
+            ("t,a\n", False, "at least one data row is required"),
+            ("t,a\n2020-01-01,1\n1,2\n", False, "time column mixes dates and plain numbers"),
+            ("t,a,b\n0,1,2\n1,2,3\n2,,4\n", True,
+             "series 'a' is missing its first or last value; cannot interpolate"),
+        ],
+        ids=["empty", "no-series", "no-rows", "mixed-times", "open-gap"],
+    )
+    def test_every_file_check_is_reached(self, tmp_path, text, interpolate, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            read_timeseries_csv(path, interpolate=interpolate)
+        assert str(info.value) == message
+
     def test_cells_are_read_as_float_reads_them(self, tmp_path):
         cells = [" 1.5 ", "1_000", "\uff11\uff12", "5e-324", "-0", "\u20034\u2003", "+.5", "1e-400"]
         path = tmp_path / "odd.csv"
@@ -357,6 +379,31 @@ class TestAsciiGrid:
         with pytest.raises(ValueError, match="cell count"):
             read_ascii_grid(path)
 
+    @pytest.mark.parametrize(
+        "old, new, fill, message",
+        [
+            ("NODATA_value -9999.0\n1.0 1.0\n1.0 1.0\n", "", None,
+             "grid header must have six lines"),
+            ("ncols 2\n", "ncols 2 2\n", None, "malformed header line 'ncols 2 2'"),
+            ("nrows 2\n", "nrows two\n", None, "ncols and nrows must be integers"),
+            ("cellsize 100.0", "cellsize wide", None, "grid header values must be numeric"),
+            ("ncols 2\n", "ncols 0\n", None, "grid dimensions must be positive"),
+            ("1.0 1.0\n1.0 1.0\n", "1.0 1.0\n", None,
+             "cell count mismatch: expected 2 data rows, got 1"),
+            ("1.0 1.0\n1.0 1.0\n", "-9999.0 -9999.0\n-9999.0 -9999.0\n", "mean",
+             "grid has no valid cells to average for mean-fill"),
+        ],
+        ids=["short-header", "header-line", "integer-size", "numeric-header", "empty-grid",
+             "row-count", "nothing-to-average"],
+    )
+    def test_every_file_check_is_reached(self, tmp_path, old, new, fill, message):
+        assert old in GRID_TEXT
+        path = tmp_path / "bad.asc"
+        path.write_text(GRID_TEXT.replace(old, new))
+        with pytest.raises(ValueError) as info:
+            read_ascii_grid(path, nodata_fill=fill)
+        assert str(info.value) == message
+
     def test_non_numeric_cell(self, tmp_path):
         path = tmp_path / "bad.asc"
         path.write_text(GRID_TEXT.replace("1.0 1.0\n1.0 1.0", "1.0 x\n1.0 1.0"))
@@ -489,6 +536,11 @@ class TestModelFile:
         with pytest.raises(ValueError, match="version"):
             load_model(path)
 
+    @pytest.mark.parametrize("text", ["[]", "4", '"ecocast-stacked-model"', "null"])
+    def test_a_document_that_is_not_an_object_is_not_a_model_file(self, text):
+        with pytest.raises(ValueError, match=r"^not a model file \(format None\)$"):
+            model_from_json(text)
+
     def test_a_value_json_cannot_carry_is_refused_not_written(self):
         model, _, _ = small_model("dsn")  # a hand-built brick may hold an infinite trace
         bricks = (replace(model.bricks[0], refine_trace=(math.inf,)), *model.bricks[1:])
@@ -503,6 +555,18 @@ class TestModelFile:
         bricks = (replace(model.bricks[0], refine_trace=(math.inf,)), *model.bricks[1:])
         with pytest.raises(ValueError, match="not JSON compliant"):
             save_model(replace(model, bricks=bricks), path)
+        assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_a_non_finite_array_is_refused_before_the_file_is_opened(self, tmp_path, value):
+        path = tmp_path / "m.json"
+        model, _, _ = small_model("kernel")
+        save_model(model, path)
+        before = path.read_bytes()
+        state = np.array(model.last_training_state)
+        state[1] = value
+        with pytest.raises(ValueError, match="^array values must be finite$"):
+            save_model(replace(model, last_training_state=state), path)
         assert path.read_bytes() == before
 
     @pytest.mark.parametrize("kind", ["kernel", "kernel-tensor"])
@@ -606,7 +670,23 @@ def unknown_key(d):
     d["dtype"] = "<f8"
 
 
+def set_entry(d, index, value):
+    a = payload(d).copy()
+    a.flat[index] = value
+    d["f8"] = base64.b64encode(a.tobytes()).decode("ascii")
+
+
+def not_a_number(d):
+    set_entry(d, 0, np.nan)
+
+
+def infinite(d):
+    set_entry(d, -1, -np.inf)
+
+
 MALFORMED = {
+    not_a_number: "array values must be finite",
+    infinite: "array values must be finite",
     truncated: "payload holds",
     invalid_base64: "invalid base64",
     wrong_byte_count: "payload holds",
@@ -663,6 +743,16 @@ class TestMalformedPayload:
         assert MALFORMED[damage] in error["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_a_non_finite_decimal_is_refused_naming_the_field(self, value):
+        doc = json.loads((PINNED_DIR / PINNED_FILES[2].format("kernel")).read_text())
+        doc["last_training_state"][0] = value
+        with pytest.raises(ValueError) as info:
+            model_from_json(json.dumps(doc))
+        assert str(info.value) == (
+            "model file field 'last_training_state': array values must be finite"
+        )
+
     def test_decimal_lists_still_read(self):
         model, _, _ = small_model("kernel")
         doc = json.loads(model_to_json(model))
@@ -670,6 +760,107 @@ class TestMalformedPayload:
         brick["dual_coefficients"] = payload(brick["dual_coefficients"]).tolist()
         back = model_from_json(json.dumps(doc))
         assert np.array_equal(back.bricks[1].dual_coefficients, model.bricks[1].dual_coefficients)
+
+
+def array_doc(a) -> dict:
+    """``a`` as a model file's array payload."""
+    a = np.ascontiguousarray(a, dtype="<f8")
+    return {"f8": base64.b64encode(a.tobytes()).decode("ascii"), "shape": list(a.shape)}
+
+
+def first_brick(doc, **arrays):
+    doc["bricks"][0].update({key: array_doc(a) for key, a in arrays.items()})
+
+
+# an edit to a saved model of the kind named, and the error it makes on load
+MODEL_FILE_CHECKS = {
+    "no-series": ("linear", lambda d: d["schema"].update(series_names=[]),
+                  "model file field 'schema': at least one series is required"),
+    "duplicate-series": ("linear", lambda d: d["schema"].update(series_names=["a", "a"]),
+                         "model file field 'schema': series names must be unique"),
+    "context-names": ("linear", lambda d: d["schema"].update(context_names=["m", "n"]),
+                      "model file field 'schema': one name per context dataset is required"),
+    "empty-context": ("linear", lambda d: d["schema"].update(context_sizes=[0]),
+                      "model file field 'schema': context datasets must have at least one entry"),
+    "no-bricks": ("linear", lambda d: d.update(bricks=[]),
+                  "a stacked model needs at least one brick"),
+    "output-dimension": ("linear",
+                         lambda d: first_brick(d, matrix=np.zeros((3, 2)), bias=np.zeros(3)),
+                         "brick 1 output dimension 3 != series count 2"),
+    "scaling-count": ("linear",
+                      lambda d: d.update(scaling={"offsets": array_doc(np.zeros(2)),
+                                                  "scales": array_doc(np.ones(2))}),
+                      "scaling set does not match the schema's dataset count"),
+    "scaling-shape": ("linear", lambda d: d["scaling"].update(offsets=array_doc(np.zeros(2))),
+                      "model file field 'scaling': offsets and scales must be 1-d arrays of"
+                      " equal length"),
+    "zero-scale": ("linear", lambda d: d["scaling"].update(scales=array_doc(np.zeros(3))),
+                   "model file field 'scaling': all scale factors must be positive and finite"),
+    "state-length": ("linear", lambda d: d.update(last_training_state=array_doc(np.zeros(3))),
+                     "last_training_state must have one entry per series"),
+    "no-slices": ("kernel", lambda d: d["bricks"][0].update(kernel={"scales": [], "slices": []}),
+                  "model file brick 1 field 'kernel': at least one slice is required"),
+    "scale-count": ("kernel", lambda d: d["bricks"][0]["kernel"]["scales"].append(1.0),
+                    "model file brick 1 field 'kernel': one scale per slice is required"),
+    "bias-length": ("linear", lambda d: first_brick(d, bias=np.zeros(3)),
+                    "model file brick 1: bias must be a vector of length 2"),
+    "linear-1d": ("linear", lambda d: first_brick(d, matrix=np.zeros(4)),
+                  "model file brick 1: matrix must be 2-d"),
+    "dsn-1d": ("dsn", lambda d: first_brick(d, hidden_weights=np.zeros(10)),
+               "model file brick 1: weights must be 2-d"),
+    "dsn-hidden": ("dsn", lambda d: first_brick(d, output_weights=np.zeros((2, 4))),
+                   "model file brick 1: output weights do not match the hidden layer size"),
+    "dual-1d": ("kernel", lambda d: first_brick(d, dual_coefficients=np.zeros(24)),
+                "model file brick 1: training inputs and dual coefficients must be 2-d"),
+    "dual-columns": ("kernel", lambda d: first_brick(d, dual_coefficients=np.zeros((2, 23))),
+                     "model file brick 1: one dual coefficient column per retained training"
+                     " input required"),
+    "dual-rows": ("kernel", lambda d: first_brick(d, training_inputs=np.zeros((3, 24))),
+                  "model file brick 1: kernel spec does not match the training input dimension"),
+    "tensor-inputs": ("tensor", lambda d: first_brick(d, hidden_weights_b=np.zeros((3, 3))),
+                      "model file brick 1: both hidden layers must share the input dimension"),
+    "tensor-features": ("tensor", lambda d: first_brick(d, output_weights=np.zeros((2, 5))),
+                        "model file brick 1: output weights do not match the tensor feature"
+                        " length"),
+    "unknown-kind": ("linear", lambda d: d["bricks"][0].update(kind="nope"),
+                     "model file brick 1 field 'kind': unknown brick kind 'nope'"),
+    # a key the file must hold
+    "no-ridge": ("kernel", lambda d: d["bricks"][0].pop("ridge"),
+                 "model file brick 1 field 'ridge' is missing"),
+    "no-kind": ("linear", lambda d: d["bricks"][1].pop("kind"),
+                "model file brick 2 field 'kind' is missing"),
+    "no-scaling": ("linear", lambda d: d.pop("scaling"), "model file field 'scaling' is missing"),
+    "no-context-names": ("linear", lambda d: d["schema"].pop("context_names"),
+                         "model file field 'schema.context_names' is missing"),
+    "no-kernel-scales": ("kernel", lambda d: d["bricks"][1]["kernel"].pop("scales"),
+                         "model file brick 2 field 'kernel.scales' is missing"),
+}
+
+
+class TestModelFileChecks:
+    @pytest.mark.parametrize("case", list(MODEL_FILE_CHECKS))
+    def test_an_edited_model_file_is_refused_naming_the_brick_or_field(self, case):
+        kind, edit, message = MODEL_FILE_CHECKS[case]
+        model, _, _ = small_model(kind)
+        doc = json.loads(model_to_json(model))
+        edit(doc)
+        with pytest.raises(ValueError) as info:
+            model_from_json(json.dumps(doc))
+        assert str(info.value) == message
+
+    def test_every_field_is_coded_or_json_native(self):
+        # a field of another type needs a rule in io._encode and io._decode
+        coded = {"np.ndarray", "Activation", "float", "InputSchema", "KernelSpec", "ScalingSet"}
+        native = {"str", "bool", "int", "float"}
+        for cls in (StackedModel, InputSchema, ScalingSet, KernelSpec, *BRICK_CLASSES.values()):
+            for f in fields(cls):
+                kind = f.type.removesuffix(" | None")
+                if kind.startswith("tuple["):
+                    # bricks are coded one by one; other elements are JSON values
+                    inner = set(re.findall(r"\w+", kind[len("tuple["):])) - {"tuple"}
+                    assert inner <= native or kind == "tuple[Brick, ...]", (cls, f.name)
+                else:
+                    assert kind in coded | native, (cls, f.name)
 
 
 # Pinned model files: model_<name>.json are format version 1, written by the
