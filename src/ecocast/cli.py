@@ -21,8 +21,10 @@ import json
 import os
 import re
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -206,12 +208,6 @@ def _brick_config(cfg: RunConfig) -> BrickConfig:
     )
 
 
-def _require(cfg: RunConfig, **paths) -> None:
-    for flag, value in paths.items():
-        if not value:
-            raise ValueError(f"--{flag.replace('_', '-')} is required for {cfg.command}")
-
-
 def _write_curve_csv(path, times, curve, label: str) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(f"step,t,{label}\n")
@@ -220,7 +216,6 @@ def _write_curve_csv(path, times, curve, label: str) -> None:
 
 
 def _cmd_simulate(cfg: RunConfig) -> dict:
-    _require(cfg, output=cfg.output)
     params = LVParams(cfg.alpha, cfg.beta, cfg.gamma, cfg.delta)
     traj = simulate_lv(params, cfg.prey0, cfg.predators0, cfg.dt, cfg.steps)
     write_timeseries_csv(traj, cfg.output)
@@ -245,7 +240,6 @@ def _traj_from_csv(cfg: RunConfig) -> PopulationTrajectory:
 
 
 def _cmd_fit_lv(cfg: RunConfig) -> dict:
-    _require(cfg, series=cfg.series)
     traj = _traj_from_csv(cfg)
     params = fit_lv(traj, clamp_nonneg=cfg.clamp_nonneg)
     return {
@@ -263,7 +257,6 @@ def _rmse(predictions, targets) -> float:
 
 
 def _cmd_train(cfg: RunConfig) -> dict:
-    _require(cfg, series=cfg.series, model_out=cfg.model_out)
     if not 0.0 < cfg.split_fraction <= 1.0:
         raise ValueError("train needs --split-fraction in (0, 1]")
     ts = read_timeseries_csv(cfg.series, interpolate=cfg.interpolate)
@@ -344,7 +337,6 @@ def _model_inputs(cfg: RunConfig):
 
 
 def _cmd_predict(cfg: RunConfig) -> dict:
-    _require(cfg, series=cfg.series, model_in=cfg.model_in, output=cfg.output)
     model, ts, context = _model_inputs(cfg)
     predictions = model.predict_columns(ts.values, context)
     finite = np.isfinite(predictions).all(axis=0)
@@ -363,7 +355,6 @@ def _cmd_predict(cfg: RunConfig) -> dict:
 
 
 def _cmd_rollout(cfg: RunConfig) -> dict:
-    _require(cfg, series=cfg.series, model_in=cfg.model_in, output=cfg.output)
     model, ts, context = _model_inputs(cfg)
     reference = None
     if cfg.reference:
@@ -401,7 +392,6 @@ def _cmd_rollout(cfg: RunConfig) -> dict:
 
 
 def _cmd_horizon(cfg: RunConfig) -> dict:
-    _require(cfg, series=cfg.series, model_in=cfg.model_in)
     if not 0.0 < cfg.split_fraction < 1.0:
         raise ValueError("horizon needs --split-fraction in (0, 1)")
     model, ts, context = _model_inputs(cfg)
@@ -429,7 +419,7 @@ def _cmd_horizon(cfg: RunConfig) -> dict:
 
 
 def _cmd_count_params(cfg: RunConfig) -> dict:
-    if cfg.series_count is None or cfg.series_count < 1:
+    if cfg.series_count < 1:
         raise ValueError("--series-count must be a positive integer")
     schema = InputSchema(
         series_names=tuple(f"s{i}" for i in range(cfg.series_count)),
@@ -447,7 +437,6 @@ def _cmd_count_params(cfg: RunConfig) -> dict:
 
 
 def _cmd_usle(cfg: RunConfig) -> dict:
-    _require(cfg, output=cfg.output)
     if len(cfg.grids) != 5:
         raise ValueError("usle needs exactly five --grid maps in order R, K, LS, C, P")
     maps = _read_maps(cfg)
@@ -456,24 +445,58 @@ def _cmd_usle(cfg: RunConfig) -> dict:
     return {"grid": cfg.output, "rows": product.n_rows, "cols": product.n_cols}
 
 
+class _Command(NamedTuple):
+    handler: Callable[[RunConfig], dict | tuple]
+    help: str
+    required: tuple[str, ...]  # RunConfig fields without which the command fails
+    optional: tuple[str, ...]
+
+
+_INPUT_SETTINGS = ("grids", "interpolate", "nodata_fill")
+
+# The commands, each with the RunConfig fields it takes besides seed and report,
+# which every command takes; the parser gives each field one flag (``_flag``)
 _COMMANDS = {
-    "simulate": _cmd_simulate,
-    "fit-lv": _cmd_fit_lv,
-    "train": _cmd_train,
-    "predict": _cmd_predict,
-    "rollout": _cmd_rollout,
-    "horizon": _cmd_horizon,
-    "count-params": _cmd_count_params,
-    "usle": _cmd_usle,
+    "simulate": _Command(_cmd_simulate, "integrate the predator-prey model to CSV", ("output",),
+                         ("alpha", "beta", "gamma", "delta", "prey0", "predators0", "dt", "steps")),
+    "fit-lv": _Command(_cmd_fit_lv, "fit predator-prey rate constants from a CSV", ("series",),
+                       ("clamp_nonneg", "interpolate")),
+    "train": _Command(_cmd_train, "train a stacked one-step predictor", ("series", "model_out"),
+                      (*_INPUT_SETTINGS, "bricks", "brick_kind", "ridge", "hidden_size",
+                       "hidden_size_a", "hidden_size_b", "activation", "dsn_mode", "rho_grid",
+                       "split_fraction")),
+    "predict": _Command(_cmd_predict, "one-step predictions for every input state",
+                        ("series", "model_in", "output"), _INPUT_SETTINGS),
+    "rollout": _Command(_cmd_rollout, "iterate the predictor from the last input state",
+                        ("series", "model_in", "output"),
+                        (*_INPUT_SETTINGS, "steps", "reference", "bound", "errors_output")),
+    "horizon": _Command(_cmd_horizon, "reliability horizon against a held-out suffix",
+                        ("series", "model_in"),
+                        (*_INPUT_SETTINGS, "split_fraction", "epsilon", "errors_output")),
+    "count-params": _Command(_cmd_count_params, "free-parameter and data-point arithmetic",
+                             ("series_count",),
+                             ("map_pixels", "bricks", "brick_kind", "per_brick_scaling",
+                              "series_length")),
+    "usle": _Command(_cmd_usle, "pointwise soil-loss product of five factor maps",
+                     ("grids", "output"), ("nodata_fill",)),
 }
+
+
+def _flag(name: str) -> str:
+    """The flag of a RunConfig field: its name with dashes, where ``grids``
+    is given one ``--grid`` at a time."""
+    return "--" + ("grid" if name == "grids" else name).replace("_", "-")
 
 
 def run(cfg: RunConfig) -> dict:
     """Execute one command and emit its report; returns the report document."""
-    handler = _COMMANDS.get(cfg.command)
-    if handler is None:
+    command = _COMMANDS.get(cfg.command)
+    if command is None:
         raise ValueError(f"unknown command {cfg.command!r}")
-    result = handler(cfg)  # the outputs, or the outputs and the diagnostics
+    for name in command.required:
+        if getattr(cfg, name) in (None, "", ()):
+            raise ValueError(f"{_flag(name)} is required for {cfg.command}")
+    result = command.handler(cfg)  # the outputs, or the outputs and the diagnostics
     return _emit_report(cfg, *(result if isinstance(result, tuple) else (result,)))
 
 
@@ -488,10 +511,32 @@ def _floats(text: str) -> tuple[float, ...]:
 # NaN that ``float`` reads, in any case, so such a value reaches its own check.
 _NEGATIVE_NUMBER = re.compile(r"^-(?:(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?|inf(?:inity)?|nan)$", re.I)
 
+# How a flag reads its value, by the annotation of its RunConfig field: a flag
+# of any other field stores its text
+_ACTIONS = {"bool": "store_true", "tuple[str, ...]": "append", "tuple[int, ...]": "append"}
+_TYPES = {"int": int, "float": float, "tuple[int, ...]": int, "tuple[float, ...]": _floats}
+_CHOICES = {"brick_kind": BRICK_CLASSES, "activation": [a.value for a in Activation],
+            "dsn_mode": DSN_MODES}
+_HELP = {
+    "series": "time-series CSV (for fit-lv, one with prey and predators columns)",
+    "grids": "context map (repeatable); for usle the five factor maps R, K, LS, C, P in order",
+    "output": "output path: the CSV of simulate, predict and rollout, the grid of usle",
+    "errors_output": "per-step error curve CSV (normalized for horizon)",
+    "report": "write the JSON report here instead of stdout",
+    "reference": "CSV with ground-truth series for the error curve",
+    "nodata_fill": "'mean' or a constant for NODATA cells",
+    "bound": "divergence bound override",
+    "rho_grid": "comma-separated multipliers; enables the scale search",
+    "split_fraction": "leading fraction of the series to train on (1.0 = all of it) "
+                      "or, for horizon, to start the rollout from",
+    "map_pixels": "pixel count of one context map (repeatable)",
+}
+
 
 @functools.cache  # built once per process; parse_args leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
-    """Every command's flags; one left out takes its default from RunConfig."""
+    """Every command's flags, read off ``_COMMANDS`` and RunConfig's
+    annotations; one left out takes its default from RunConfig."""
     parser = argparse.ArgumentParser(
         prog="ecocast",
         description="One-step ecosystem forecasting from stacked shallow learners",
@@ -499,89 +544,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser._negative_number_matcher = _NEGATIVE_NUMBER
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_command(name: str, help: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS, allow_abbrev=False)
+    kinds = {f.name: f.type.removesuffix(" | None") for f in dataclasses.fields(RunConfig)}
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help, argument_default=argparse.SUPPRESS,
+                           allow_abbrev=False)
         p._negative_number_matcher = _NEGATIVE_NUMBER
-        p.add_argument("--seed", type=int)
-        p.add_argument("--report", help="write the JSON report here instead of stdout")
-        return p
-
-    def add_model_inputs(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--series", required=True)
-        p.add_argument("--model-in", required=True)
-        p.add_argument("--grid", dest="grids", action="append", help="context map (repeatable)")
-        p.add_argument("--interpolate", action="store_true")
-        p.add_argument("--nodata-fill", help="'mean' or a constant for NODATA cells")
-
-    p = add_command("simulate", "integrate the predator-prey model to CSV")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--prey0", type=float)
-    p.add_argument("--predators0", type=float)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--output", required=True, help="trajectory CSV path")
-
-    p = add_command("fit-lv", "fit predator-prey rate constants from a CSV")
-    p.add_argument("--series", required=True, help="CSV with prey and predator columns")
-    p.add_argument("--clamp-nonneg", action="store_true")
-    p.add_argument("--interpolate", action="store_true")
-
-    p = add_command("train", "train a stacked one-step predictor")
-    p.add_argument("--series", required=True)
-    p.add_argument("--grid", dest="grids", action="append", help="context map (repeatable)")
-    p.add_argument("--bricks", type=int)
-    p.add_argument("--brick-kind", choices=BRICK_CLASSES)
-    p.add_argument("--ridge", type=float)
-    p.add_argument("--hidden-size", type=int)
-    p.add_argument("--hidden-size-a", type=int)
-    p.add_argument("--hidden-size-b", type=int)
-    p.add_argument("--activation", choices=[a.value for a in Activation])
-    p.add_argument("--dsn-mode", choices=DSN_MODES)
-    p.add_argument("--rho-grid", type=_floats,
-                   help="comma-separated multipliers; enables the scale search")
-    p.add_argument("--split-fraction", type=float,
-                   help="train on the leading fraction (1.0 = use everything)")
-    p.add_argument("--interpolate", action="store_true")
-    p.add_argument("--nodata-fill", help="'mean' or a constant for NODATA cells")
-    p.add_argument("--model-out", required=True)
-
-    p = add_command("predict", "one-step predictions for every input state")
-    add_model_inputs(p)
-    p.add_argument("--output", required=True)
-
-    p = add_command("rollout", "iterate the predictor from the last input state")
-    add_model_inputs(p)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--reference", help="CSV with ground-truth series for the error curve")
-    p.add_argument("--bound", type=float, help="divergence bound override")
-    p.add_argument("--output", required=True, help="predicted trajectory CSV")
-    p.add_argument("--errors-output", help="per-step error curve CSV")
-
-    p = add_command("horizon", "reliability horizon against a held-out suffix")
-    add_model_inputs(p)
-    p.add_argument("--split-fraction", type=float)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--errors-output", help="normalized error curve CSV")
-
-    p = add_command("count-params", "free-parameter and data-point arithmetic")
-    p.add_argument("--series-count", type=int, required=True)
-    p.add_argument("--map-pixels", dest="map_pixels", type=int, action="append",
-                   help="pixel count of one context map (repeatable)")
-    p.add_argument("--bricks", type=int)
-    p.add_argument("--brick-kind", choices=BRICK_CLASSES)
-    p.add_argument("--per-brick-scaling", action="store_true")
-    p.add_argument("--series-length", type=int)
-
-    p = add_command("usle", "pointwise soil-loss product of five factor maps")
-    p.add_argument("--grid", dest="grids", action="append", required=True,
-                   help="factor maps in order R, K, LS, C, P (five times)")
-    p.add_argument("--nodata-fill")
-    p.add_argument("--output", required=True)
-
+        for field in ("seed", "report", *command.required, *command.optional):
+            options = {"action": _ACTIONS.get(kinds[field]), "type": _TYPES.get(kinds[field]),
+                       "choices": _CHOICES.get(field), "help": _HELP.get(field)}
+            p.add_argument(_flag(field), dest=field, required=field in command.required,
+                           **{k: v for k, v in options.items() if v is not None})
     return parser
 
 

@@ -49,10 +49,6 @@ def write_timeseries_csv(ts: TimeSeriesSet, path) -> None:
         fh.writelines(",".join(map(repr, row)) + "\n" for row in table)
 
 
-def _nonfinite_time(row: int, cell: str) -> ValueError:
-    return ValueError(f"row {row}: time stamp {cell!r} is not finite")
-
-
 def _parse_time_cell(cell: str, row: int):
     """A time cell is a finite real number or an ISO-8601 date/datetime."""
     try:
@@ -61,18 +57,12 @@ def _parse_time_cell(cell: str, row: int):
         pass
     else:
         if not math.isfinite(t):
-            raise _nonfinite_time(row, cell)
+            raise ValueError(f"row {row}: time stamp {cell!r} is not finite")
         return t, None
     try:
         return None, datetime.fromisoformat(cell)
     except ValueError:
         raise ValueError(f"row {row}: cannot parse time value {cell!r}") from None
-
-
-def _nonfinite_cell(row: int, cell: str, name: str) -> ValueError:
-    if cell and math.isinf(float(cell)):
-        return ValueError(f"row {row}: value {cell!r} for series {name!r} is not finite")
-    return ValueError(f"row {row}: missing value (pass interpolate to gap-fill)")
 
 
 def _parse_cells(rows: list[list[str]], names: list[str], interpolate: bool = False):
@@ -100,8 +90,12 @@ def _parse_cells(rows: list[list[str]], names: list[str], interpolate: bool = Fa
                 raise ValueError(
                     f"row {line_no}: cannot parse value {cell!r} for series {names[i]!r}"
                 ) from None
-            if math.isinf(values[i, j]) or (math.isnan(values[i, j]) and not interpolate):
-                raise _nonfinite_cell(line_no, cell, names[i])
+            if math.isinf(values[i, j]):
+                raise ValueError(
+                    f"row {line_no}: value {cell!r} for series {names[i]!r} is not finite"
+                )
+            if math.isnan(values[i, j]) and not interpolate:
+                raise ValueError(f"row {line_no}: missing value (pass interpolate to gap-fill)")
     epoch = None
     if any(d is not None for d in dates):
         if not all(d is not None for d in dates):
@@ -162,16 +156,10 @@ def read_timeseries_csv(path, interpolate: bool = False) -> TimeSeriesSet:
         table = np.array(rows[1:], dtype=float)
     except ValueError:  # ragged rows, blank cells, dates or bad cells
         table = None
-    if table is not None and table.shape[1] == len(header):
+    if table is not None and table.shape[1] == len(header) and np.isfinite(table).all():
         times, values, epoch = table[:, 0], table[:, 1:].T, None
-    else:
+    else:  # the cell-by-cell reader names the first bad cell
         times, values, epoch = _parse_cells(rows, names, interpolate)
-    bad_values = np.isinf(values.T) if interpolate else ~np.isfinite(values.T)
-    bad = np.argwhere(np.column_stack([~np.isfinite(times), bad_values]))
-    if bad.size:
-        j, i = bad[0]  # (point, column), in file order; column 0 is the time
-        cell = rows[j + 1][i].strip()
-        raise _nonfinite_time(j + 2, cell) if i == 0 else _nonfinite_cell(j + 2, cell, names[i - 1])
 
     if n_points >= 2 and np.any(np.diff(times) <= 0.0):
         order = np.argsort(times, kind="stable")
@@ -224,10 +212,6 @@ def write_ascii_grid(cmap: ContextMap, path) -> None:
         fh.writelines(" ".join(map(repr, row)) + "\n" for row in cmap.values.tolist())
 
 
-def _non_finite_cell(cell: str, row: int) -> ValueError:
-    return ValueError(f"non-finite cell {cell!r} on data row {row}")
-
-
 def _parse_grid_cells(data_lines: list[str], n_cols: int, nodata: float) -> np.ndarray:
     """The cell table parsed cell by cell, naming the first data row that
     cannot be read or holds a non-finite value other than ``nodata``."""
@@ -244,7 +228,7 @@ def _parse_grid_cells(data_lines: list[str], n_cols: int, nodata: float) -> np.n
             except ValueError:
                 raise ValueError(f"non-numeric cell {cell!r} on data row {i + 1}") from None
             if not (math.isfinite(values[i, j]) or values[i, j] == nodata):
-                raise _non_finite_cell(cell, i + 1)
+                raise ValueError(f"non-finite cell {cell!r} on data row {i + 1}")
     return values
 
 
@@ -292,14 +276,11 @@ def read_ascii_grid(path, nodata_fill=None) -> ContextMap:
         values = np.array([ln.split() for ln in data_lines], dtype=float)
     except ValueError:  # ragged rows or bad cells
         values = None
-    if values is None or values.shape != (n_rows, n_cols):
-        values = _parse_grid_cells(data_lines, n_cols, nodata)
+    if (values is None or values.shape != (n_rows, n_cols)
+            or not (np.isfinite(values) | (values == nodata)).all()):
+        values = _parse_grid_cells(data_lines, n_cols, nodata)  # names the first bad cell
 
     mask = values == nodata
-    bad = np.argwhere(~(np.isfinite(values) | mask))
-    if bad.size:
-        i, j = bad[0]
-        raise _non_finite_cell(data_lines[i].split()[j], i + 1)
     nodata_value: float | None = nodata
     if mask.any():
         if nodata_fill is None:
@@ -411,6 +392,12 @@ def _decoded(decode, value, where: str):
         raise ValueError(f"model file {where}: {exc}") from None
 
 
+def _tuple(value) -> tuple:
+    if not isinstance(value, list):
+        raise ValueError(f"expected a list, got {value!r}")
+    return tuple(value)
+
+
 def _decode(value, annotation: str, part: str, path: str):
     """Inverse of ``_encode`` for the field at ``path`` (dotted if nested) of
     the file's ``part`` ("" or "brick 2 "), naming it in errors."""
@@ -422,7 +409,7 @@ def _decode(value, annotation: str, part: str, path: str):
         cls = _OBJECTS[kind]
         decode, value = (lambda kw: cls(**kw)), _fields_from(cls, value, part, f"{path}.")
     elif kind.startswith("tuple["):
-        decode = tuple
+        decode = _tuple
     elif decode is None:
         return value
     return _decoded(decode, value, f"{part}field {path!r}")
@@ -488,7 +475,7 @@ def model_from_json(text: str) -> StackedModel:
     if form != MODEL_FORMAT:
         raise ValueError(f"not a model file (format {form!r})")
     version = doc.get("format_version")
-    if version not in (1, 2, 3, MODEL_VERSION):
+    if type(version) is not int or version not in (1, 2, 3, MODEL_VERSION):
         raise ValueError(f"unsupported model format version {version!r}")
     kwargs = _fields_from(StackedModel, doc, "", may_lack=("context",))
     schema, context = kwargs["schema"], kwargs.get("context")

@@ -106,6 +106,117 @@ class TestRunConfig:
             config_from_dict({**doc["config"], "ridges": [1e-3]})
 
 
+INPUT_FLAGS = ("--grid", "--interpolate", "--nodata-fill")
+# Each command's flags besides --seed and --report, which every command takes:
+# the required ones, then the rest
+COMMAND_FLAGS = {
+    "simulate": (("--output",), ("--alpha", "--beta", "--gamma", "--delta", "--prey0",
+                                 "--predators0", "--dt", "--steps")),
+    "fit-lv": (("--series",), ("--clamp-nonneg", "--interpolate")),
+    "train": (("--series", "--model-out"),
+              (*INPUT_FLAGS, "--bricks", "--brick-kind", "--ridge", "--hidden-size",
+               "--hidden-size-a", "--hidden-size-b", "--activation", "--dsn-mode", "--rho-grid",
+               "--split-fraction")),
+    "predict": (("--series", "--model-in", "--output"), INPUT_FLAGS),
+    "rollout": (("--series", "--model-in", "--output"),
+                (*INPUT_FLAGS, "--steps", "--reference", "--bound", "--errors-output")),
+    "horizon": (("--series", "--model-in"),
+                (*INPUT_FLAGS, "--split-fraction", "--epsilon", "--errors-output")),
+    "count-params": (("--series-count",),
+                     ("--map-pixels", "--bricks", "--brick-kind", "--per-brick-scaling",
+                      "--series-length")),
+    "usle": (("--grid", "--output"), ("--nodata-fill",)),
+}
+CHOICES = {
+    "--brick-kind": ("linear", "dsn", "kernel", "tensor", "kernel-tensor"),
+    "--activation": ("step", "sigmoid", "relu", "identity"),
+    "--dsn-mode": ("fixed-random", "gradient-refined"),
+}
+# Each flag's values on a command line (a flag without one is given alone, a
+# repeatable one once per value), the RunConfig field it sets, and the value
+# that field then holds
+FLAG_VALUES = {
+    "--seed": (["3"], "seed", 3),
+    "--report": (["r.json"], "report", "r.json"),
+    "--series": (["s.csv"], "series", "s.csv"),
+    "--grid": (["a", "b"], "grids", ("a", "b")),
+    "--model-in": (["m.json"], "model_in", "m.json"),
+    "--model-out": (["n.json"], "model_out", "n.json"),
+    "--output": (["o.csv"], "output", "o.csv"),
+    "--errors-output": (["e.csv"], "errors_output", "e.csv"),
+    "--reference": (["ref.csv"], "reference", "ref.csv"),
+    "--alpha": (["1.5"], "alpha", 1.5),
+    "--beta": (["0.5"], "beta", 0.5),
+    "--gamma": (["2"], "gamma", 2.0),
+    "--delta": (["-1e-3"], "delta", -1e-3),
+    "--prey0": (["7"], "prey0", 7.0),
+    "--predators0": (["3"], "predators0", 3.0),
+    "--dt": (["0.01"], "dt", 0.01),
+    "--steps": (["20"], "steps", 20),
+    "--clamp-nonneg": ([], "clamp_nonneg", True),
+    "--bricks": (["2"], "bricks", 2),
+    "--brick-kind": (["tensor"], "brick_kind", "tensor"),
+    "--ridge": (["1e-4"], "ridge", 1e-4),
+    "--hidden-size": (["5"], "hidden_size", 5),
+    "--hidden-size-a": (["6"], "hidden_size_a", 6),
+    "--hidden-size-b": (["7"], "hidden_size_b", 7),
+    "--activation": (["relu"], "activation", "relu"),
+    "--dsn-mode": (["gradient-refined"], "dsn_mode", "gradient-refined"),
+    "--rho-grid": (["0.5,2"], "rho_grid", (0.5, 2.0)),
+    "--split-fraction": (["0.75"], "split_fraction", 0.75),
+    "--epsilon": (["0.1"], "epsilon", 0.1),
+    "--bound": (["50"], "bound", 50.0),
+    "--interpolate": ([], "interpolate", True),
+    "--nodata-fill": (["mean"], "nodata_fill", "mean"),
+    "--series-count": (["4"], "series_count", 4),
+    "--map-pixels": (["4", "4"], "map_pixels", (4, 4)),
+    "--series-length": (["30"], "series_length", 30),
+    "--per-brick-scaling": ([], "per_brick_scaling", True),
+}
+
+
+def command_parsers():
+    actions = _build_parser()._subparsers._group_actions
+    return actions[0].choices
+
+
+class TestCommandSurface:
+    def test_the_parser_offers_exactly_the_pinned_commands(self):
+        assert list(command_parsers()) == list(COMMAND_FLAGS)
+
+    @pytest.mark.parametrize("command", list(COMMAND_FLAGS))
+    def test_each_command_takes_exactly_its_pinned_flags(self, command):
+        required, optional = COMMAND_FLAGS[command]
+        actions = [a for a in command_parsers()[command]._actions if a.dest != "help"]
+        assert sorted(a.option_strings[0] for a in actions) == sorted(
+            ["--seed", "--report", *required, *optional])
+        assert {a.option_strings[0] for a in actions if a.required} == set(required)
+        for a in actions:
+            want = CHOICES.get(a.option_strings[0])
+            assert (None if a.choices is None else tuple(a.choices)) == want, a.option_strings
+
+    @pytest.mark.parametrize("command", list(COMMAND_FLAGS))
+    def test_each_flag_parses_to_its_pinned_value(self, command):
+        required, optional = COMMAND_FLAGS[command]
+        flags = ["--seed", "--report", *required, *optional]
+        argv = [command]
+        for flag in flags:
+            values = FLAG_VALUES[flag][0]
+            argv += [flag] if not values else [t for v in values for t in (flag, v)]
+        cfg = config_from_dict(vars(_build_parser().parse_args(argv)))
+        for flag in flags:
+            _, field, want = FLAG_VALUES[flag]
+            assert repr(getattr(cfg, field)) == repr(want), flag  # the type counts too
+
+    @pytest.mark.parametrize("command", list(COMMAND_FLAGS))
+    def test_run_requires_what_the_command_line_requires(self, command):
+        required = {FLAG_VALUES[f][1]: FLAG_VALUES[f][2] for f in COMMAND_FLAGS[command][0]}
+        for flag in COMMAND_FLAGS[command][0]:
+            others = {k: v for k, v in required.items() if k != FLAG_VALUES[flag][1]}
+            with pytest.raises(ValueError, match=f"^{flag} is required for {command}$"):
+                run(RunConfig(command=command, **others))
+
+
 class TestCountParams:
     def test_large_layout_totals(self, tmp_path):
         report = tmp_path / "counts.json"

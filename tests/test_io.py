@@ -822,6 +822,17 @@ MODEL_FILE_CHECKS = {
     "tensor-features": ("tensor", lambda d: first_brick(d, output_weights=np.zeros((2, 5))),
                         "model file brick 1: output weights do not match the tensor feature"
                         " length"),
+    # a version is an integer: JSON true and 4.0 equal 1 and 4 in Python
+    "version-true": ("linear", lambda d: d.update(format_version=True),
+                     "unsupported model format version True"),
+    "version-float": ("linear", lambda d: d.update(format_version=4.0),
+                      "unsupported model format version 4.0"),
+    # a tuple field is a JSON list, not a string or object that Python iterates
+    "series-names-string": ("linear", lambda d: d["schema"].update(series_names="ab"),
+                            "model file field 'schema.series_names': expected a list, got 'ab'"),
+    "context-sizes-object": ("linear", lambda d: d["schema"].update(context_sizes={"2": 0}),
+                             "model file field 'schema.context_sizes': expected a list,"
+                             " got {'2': 0}"),
     "unknown-kind": ("linear", lambda d: d["bricks"][0].update(kind="nope"),
                      "model file brick 1 field 'kind': unknown brick kind 'nope'"),
     # a key the file must hold
