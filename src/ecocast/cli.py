@@ -298,14 +298,8 @@ def _cmd_train(cfg: RunConfig) -> dict:
         )
         scaling = search.scaling
         configs = [dataclasses.replace(configs, ridge=r) for r in search.ridges]
-        outputs["scale_search"] = {
-            "loss_trace": list(search.loss_trace),
-            "evaluations": search.evaluations,
-            "ridges": list(search.ridges),
-            "passes": search.passes,
-            "converged": search.converged,
-            "rejected": search.rejected,
-        }
+        outputs["scale_search"] = {f.name: getattr(search, f.name)
+                                   for f in dataclasses.fields(search) if f.name != "scaling"}
     _log(f"training {cfg.bricks} brick(s) on {inputs.shape[1]} pairs")
     model = fit(scaling, configs)
     outputs["training_rmse"] = _rmse(take_training_predictions(model), targets)
@@ -501,7 +495,10 @@ def run(cfg: RunConfig) -> dict:
 
 
 def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(",") if v.strip())
+    values = tuple(float(v) for v in text.split(",") if v.strip())
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers; got {text!r}")
+    return values
 
 
 # Argparse reads a value such as "-1e-3" or "-inf" as a flag, because its

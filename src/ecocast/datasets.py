@@ -296,7 +296,8 @@ def optimize_scaling(
     initial: ScalingSet,
     context=None,
 ) -> ScalingSearchResult:
-    """Coordinate descent over per-dataset scales and per-brick ridges.
+    """Coordinate descent over one point: the per-dataset scales in schema
+    order, then the per-brick ridges.
 
     ``inputs`` and ``context`` are read as :func:`~ecocast.stack.train_stack`
     reads them, and the context is checked once, before anything trains.
@@ -304,27 +305,29 @@ def optimize_scaling(
     leading split and scored by one-step RMSE on the trailing split
     (per-series, normalized by the training-segment standard deviation so
     candidates are comparable).  Each coordinate sweeps the multiplicative
-    ``grid``; only strict improvements are accepted and passes repeat until a
-    full sweep accepts nothing.  The search starts from the ``initial``
-    scaling and the configs' ridges; the loss trace starts at that
-    configuration and is non-increasing by construction.
+    ``grid``, whose multipliers must be distinct; only strict improvements
+    are accepted and passes repeat until a full sweep accepts nothing.  The
+    search starts from the ``initial`` scaling and the configs' ridges; the
+    loss trace starts at that point and is non-increasing by construction.
 
     A scale candidate retrains the whole stack.  A ridge candidate for brick
-    k reuses the accepted configuration's bricks 1..k-1 and re-solves brick k
-    from its kept Gram matrix (dual kinds) before training the bricks above;
-    a candidate scored before returns its stored loss.  Both give the bits of
+    k reuses the accepted point's bricks 1..k-1 and re-solves brick k from
+    its kept Gram matrix (dual kinds) before training the bricks above; a
+    candidate scored before returns its stored loss.  Both give the bits of
     a full retrain, and every candidate counts in ``evaluations``.
 
     A multiple that overflows to infinity or underflows to zero is never
     tried.  A candidate whose training meets non-finite values, or whose
     validation loss is not finite, scores +inf and counts in ``rejected``;
-    the initial configuration, scored once before the sweep, raises instead.
+    the initial point, scored once before the sweep, raises instead.
     """
     grid = tuple(float(g) for g in grid)
     if not grid:
         raise ValueError("the candidate grid must not be empty")
     if not all(0.0 < g < math.inf for g in grid):
         raise ValueError(f"scale-search grid multipliers must be positive and finite; got {grid}")
+    if len(set(grid)) != len(grid):
+        raise ValueError(f"scale-search grid multipliers must be distinct; got {grid}")
     u = np.asarray(inputs, dtype=float)
     v = np.asarray(targets, dtype=float)
     if u.ndim != 2 or v.ndim != 2 or u.shape[1] != v.shape[1]:
@@ -339,85 +342,54 @@ def optimize_scaling(
     series, c = schema.split_context(u, context)
     u_train, u_val = series[:, :n_train], series[:, n_train:]
     v_train, v_val = v[:, :n_train], v[:, n_train:]
-
     config_list = brick_config_list(configs, n_bricks)
-    scaling = initial
-    ridges = [cfg.ridge for cfg in config_list]
-
+    nd = initial.n_datasets
     norm = np.std(v_train, axis=1)
     norm[norm <= 0.0] = 1.0
 
-    def train_and_score(cand_scaling: ScalingSet, cand_ridges, reuse=()) -> tuple[float, tuple]:
-        """A candidate's validation loss and brick fits."""
-        cfgs = [replace(cfg, ridge=r) for cfg, r in zip(config_list, cand_ridges)]
-        model, fits = _train_stack(u_train, v_train, schema, cfgs, seed, cand_scaling, reuse, c)
+    def train(point: tuple, reuse: tuple) -> tuple[float, tuple]:
+        """The validation loss and brick fits of the stack at ``point``."""
+        scaling = ScalingSet(offsets=initial.offsets, scales=np.array(point[:nd]))
+        cfgs = [replace(cfg, ridge=r) for cfg, r in zip(config_list, point[nd:])]
+        model, fits = _train_stack(u_train, v_train, schema, cfgs, seed, scaling, reuse, c)
         err = (model.predict_columns(u_val, c) - v_val) / norm[:, None]
         return float(np.sqrt(np.mean(err * err))), fits
 
-    def key(cand_scaling: ScalingSet, cand_ridges) -> tuple:
-        return tuple(cand_scaling.scales.tolist()), tuple(cand_ridges)
-
-    # Only the brick fits of the accepted configuration outlive a candidate.
-    # A candidate scored before never beats the best loss, so an accepted
-    # candidate comes with its fits.
-    best, accepted = train_and_score(scaling, ridges)
+    point = (*initial.scales.tolist(), *(cfg.ridge for cfg in config_list))
+    best, accepted = train(point, ())
     if not math.isfinite(best):
         raise ValueError(f"the initial scaling gives a non-finite validation loss ({best})")
-    trace = [best]
-    scored = {key(scaling, ridges): best}
-    evaluations, rejected = 1, 0
-
-    def score(cand_scaling: ScalingSet, cand_ridges, reuse) -> tuple[float, tuple]:
-        """The candidate's loss and brick fits: +inf and no fits when its
-        training meets non-finite values or its loss is not finite, and the
-        stored loss and no fits for a candidate scored before."""
-        nonlocal evaluations, rejected
-        evaluations += 1
-        k = key(cand_scaling, cand_ridges)
-        if k in scored:
-            loss, fits = scored[k], ()
-        else:
-            try:
-                loss, fits = train_and_score(cand_scaling, cand_ridges, reuse)
-            except BrickTrainingError as exc:
-                if not isinstance(exc.__cause__, NonFiniteError):
-                    raise
-                loss = math.inf
-            if not math.isfinite(loss):
-                loss, fits = math.inf, ()
-            scored[k] = loss
-        if loss == math.inf:
-            rejected += 1
-        return loss, fits
-
-    def consider(cand_scaling: ScalingSet, cand_ridges: list[float], reuse=()) -> bool:
-        """Score a candidate and accept it if it lowers the best loss."""
-        nonlocal best, scaling, ridges, accepted
-        loss, fits = score(cand_scaling, cand_ridges, reuse)
-        if not loss < best:
-            return False
-        best, scaling, ridges, accepted = loss, cand_scaling, cand_ridges, fits
-        trace.append(best)
-        return True
-
-    passes = 0
-    converged = False
+    trace, scored = [best], {point: best}
+    evaluations, rejected, passes, converged = 1, 0, 0, False
     while passes < _MAX_PASSES and not converged:
         passes += 1
         converged = True
-        for d in range(schema.n_datasets):
-            for s in _steps(float(scaling.scales[d]), grid):
-                if consider(scaling.with_scale(d, s), ridges):
-                    converged = False
-        for k in range(len(config_list)):
-            for r in _steps(ridges[k], grid):
-                cand_ridges = list(ridges)
-                cand_ridges[k] = r
-                if consider(scaling, cand_ridges, accepted):
+        for i in range(len(point)):
+            for x in _steps(point[i], grid):
+                cand = (*point[:i], x, *point[i + 1:])
+                evaluations += 1
+                # Only the accepted point's fits outlive a candidate, and a
+                # candidate scored before never beats the best loss, so an
+                # accepted candidate comes with its fits.
+                loss, fits = scored.get(cand), ()
+                if loss is None:
+                    try:  # a ridge candidate reuses the accepted fits
+                        loss, fits = train(cand, accepted if i >= nd else ())
+                    except BrickTrainingError as exc:
+                        if not isinstance(exc.__cause__, NonFiniteError):
+                            raise
+                        loss = math.inf
+                    if not math.isfinite(loss):
+                        loss, fits = math.inf, ()
+                    scored[cand] = loss
+                rejected += loss == math.inf
+                if loss < best:
+                    best, point, accepted = loss, cand, fits
+                    trace.append(best)
                     converged = False
     return ScalingSearchResult(
-        scaling=scaling,
-        ridges=tuple(ridges),
+        scaling=ScalingSet(offsets=initial.offsets, scales=np.array(point[:nd])),
+        ridges=point[nd:],
         loss_trace=tuple(trace),
         evaluations=evaluations,
         passes=passes,

@@ -420,6 +420,24 @@ class TestTrain:
         assert "grid multipliers must be positive and finite" in message and "inf" in message
         assert not model.exists()
 
+    @pytest.mark.parametrize("text", [",", "", " , "])
+    def test_a_scale_search_grid_without_a_number_is_refused(self, tmp_path, small_series,
+                                                             capsys, text):
+        model = tmp_path / "model.json"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["train", "--series", str(small_series), "--split-fraction", "0.8",
+                  "--rho-grid", text, "--model-out", str(model)])
+        assert exit_info.value.code == 2
+        assert f"argument --rho-grid: expected comma-separated numbers; got {text!r}" in (
+            capsys.readouterr().err)
+        assert not model.exists()
+        # an empty grid in a config still means no search
+        report = tmp_path / "train.json"
+        run(config_from_dict({"command": "train", "series": str(small_series), "rho_grid": [],
+                              "split_fraction": 0.8, "model_out": str(model),
+                              "report": str(report)}))
+        assert "scale_search" not in read_report(report)["outputs"]
+
     @pytest.mark.parametrize("fraction", ["1.5", "0", "-0.2", "nan"])
     def test_split_fraction_outside_the_unit_interval_fails(self, tmp_path, small_series, capsys,
                                                             fraction):

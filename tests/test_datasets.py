@@ -263,17 +263,17 @@ def lv_pairs(points=81, maps=()):
 
 def reference_search(u, v, schema, configs, grid, split_fraction, initial, seed=0, max_passes=20):
     """The scale search from ``initial`` with every candidate retrained by
-    train_stack."""
+    train_stack; also returns each candidate evaluated, as (scales, ridges),
+    in order and with repeats."""
     n_train = int(round(u.shape[1] * split_fraction))
     u_train, u_val, v_train, v_val = u[:, :n_train], u[:, n_train:], v[:, :n_train], v[:, n_train:]
     ns = schema.n_series
     norm = np.std(v_train, axis=1)
     norm[norm <= 0.0] = 1.0
-    evaluations = 0
+    candidates = []
 
     def evaluate(scaling, ridges):
-        nonlocal evaluations
-        evaluations += 1
+        candidates.append((tuple(scaling.scales.tolist()), tuple(ridges)))
         cfgs = [replace(c, ridge=r) for c, r in zip(configs, ridges)]
         model = train_stack(u_train, v_train, schema, cfgs, seed=seed, scaling=scaling)
         err = (model.predict_columns(u_val[:ns], u[ns:, 0]) - v_val) / norm[:, None]
@@ -306,7 +306,7 @@ def reference_search(u, v, schema, configs, grid, split_fraction, initial, seed=
                         trace.append(best)
         if not improved:
             break
-    return scaling, tuple(ridges), tuple(trace), evaluations
+    return scaling, tuple(ridges), tuple(trace), candidates
 
 
 class TestOptimizeScaling:
@@ -361,15 +361,18 @@ class TestOptimizeScaling:
             optimize_scaling(u, v, schema, BrickConfig(kind="kernel"), grid=(),
                              split_fraction=0.75, n_bricks=1, initial=pairs_scaling(u, schema))
 
-    @pytest.mark.parametrize("bad", [np.inf, np.nan, 0.0, -2.0])
-    def test_bad_grid_multiplier_rejected_before_any_evaluation(self, monkeypatch, bad):
+    @pytest.mark.parametrize("bad, message", [
+        *((bad, "grid multipliers must be positive and finite") for bad in (np.inf, np.nan, 0.0, -2.0)),
+        (0.5, r"^scale-search grid multipliers must be distinct; got \(0\.5, 0\.5\)$"),
+    ], ids=["inf", "nan", "0.0", "-2.0", "repeated"])
+    def test_bad_grid_multiplier_rejected_before_any_evaluation(self, monkeypatch, bad, message):
         u, v, schema = self.pairs()
 
         def no_training(*args, **kwargs):
             raise AssertionError("a candidate was trained")
 
         monkeypatch.setattr(datasets, "_train_stack", no_training)
-        with pytest.raises(ValueError, match="grid multipliers must be positive and finite"):
+        with pytest.raises(ValueError, match=message):
             optimize_scaling(u, v, schema, BrickConfig(kind="kernel", ridge=1e-3),
                              grid=(0.5, bad), split_fraction=0.75, n_bricks=1,
                              initial=pairs_scaling(u, schema))
@@ -474,13 +477,25 @@ class TestOptimizeScaling:
         monkeypatch.setattr(datasets, "_train_stack", lambda *a: trainings.append(a) or train(*a))
         initial = pairs_scaling(u, schema)
         result = optimize_scaling(u, v, schema, configs, grid=grid, seed=3, initial=initial)
-        scaling, ridges, trace, evaluations = reference_search(u, v, schema, configs, grid, 0.8,
-                                                               initial, 3)
+        scaling, ridges, trace, candidates = reference_search(u, v, schema, configs, grid, 0.8,
+                                                              initial, 3)
         assert result.scaling.scales.tobytes() == scaling.scales.tobytes()
         assert result.ridges == ridges
         assert result.loss_trace == trace
-        assert result.evaluations == evaluations
-        assert len(trace) > 2 and len(trainings) < evaluations
+        assert result.evaluations == len(candidates)
+        assert len(trace) > 2 and len(trainings) < len(candidates)
+        # each candidate trains once, when it is first evaluated
+        trained = [(tuple(a[5].scales.tolist()), tuple(c.ridge for c in a[3])) for a in trainings]
+        assert trained == list(dict.fromkeys(candidates))
+
+    def test_an_initial_scaling_of_another_dataset_count_is_refused(self):
+        u, v, schema = lv_pairs(maps=[make_map("dtm", 2, 2, seed=1)])
+        full = pairs_scaling(u, schema)
+        for n in (schema.n_datasets - 1, schema.n_datasets + 1):
+            initial = ScalingSet(offsets=np.resize(full.offsets, n), scales=np.resize(full.scales, n))
+            with pytest.raises(ValueError, match="^scaling set does not match the schema's dataset count$"):
+                optimize_scaling(u, v, schema, BrickConfig(kind="kernel", ridge=1e-3),
+                                 grid=(0.5, 2.0), n_bricks=1, initial=initial)
 
     def test_context_apart_searches_as_the_full_layout(self):
         u, v, schema = lv_pairs(maps=[make_map("dtm", 2, 2, seed=1)])
