@@ -3,10 +3,12 @@
 Subcommands: simulate, fit-lv, train, predict, rollout, horizon,
 count-params, usle.  Every run echoes its fully resolved configuration
 (seed included) into a JSON report, so any report can be replayed
-bit-identically.  Rollout and horizon reports say why and where the rollout
-stopped in a diagnostics block, and a searched train with a validation split
-gives there the validation RMSE of its starting point.  Module errors exit
-nonzero with a machine-readable error JSON on stderr.
+bit-identically under the numerical environment (numpy's version, the BLAS
+build and its thread settings) that the report also records.  Rollout and
+horizon reports say why and where the rollout stopped in a diagnostics
+block, and a searched train with a validation split gives there the
+validation RMSE of its starting point.  Module errors exit nonzero with a
+machine-readable error JSON on stderr.
 
 Environment overrides (the only ones): ECOCAST_OUTPUT_DIR prefixes relative
 output paths, ECOCAST_VERBOSE enables progress lines on stderr.
@@ -158,8 +160,21 @@ def _log(message: str) -> None:
         print(message, file=sys.stderr)
 
 
+def _environment() -> dict:
+    """numpy's version, its BLAS build and the BLAS thread settings, which a
+    bit-identical replay needs besides the config."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (KeyError, TypeError):  # an older numpy takes no mode
+        blas = {}
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    return {"numpy": np.__version__, "blas": {key: blas.get(key) for key in ("name", "version")},
+            "blas_threads": {var: os.environ.get(var) for var in threads}}  # fmt: skip
+
+
 def _emit_report(cfg: RunConfig, outputs: dict, diagnostics: dict | None = None) -> dict:
-    doc = {"command": cfg.command, "config": dataclasses.asdict(cfg), "outputs": outputs}
+    doc = {"command": cfg.command, "config": dataclasses.asdict(cfg),
+           "environment": _environment(), "outputs": outputs}  # fmt: skip
     if diagnostics is not None:
         doc["diagnostics"] = diagnostics
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -82,13 +82,25 @@ def pseudo_inverse(a, lam: float = EXACT_SVD) -> np.ndarray:
     """
     a = _as_matrix(a, "a")
     lam = tikhonov(lam)
+    if a.shape[0] < a.shape[1]:
+        # LAPACK factors a tall matrix faster than a wide one: factor the
+        # p x n ``a`` as a.T = U S V^T (U n x p), so pinv(a) = U f(S) V^T,
+        # the products that the SVD of ``a`` formed, with U scaled in place
+        u, filt, vt = _filtered_svd(a.T, lam)
+        u *= filt
+        return u @ vt
+    u, filt, vt = _filtered_svd(a, lam)
+    return (vt.T * filt) @ u.T
+
+
+def _filtered_svd(a: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The thin SVD factors of ``a`` with the singular values replaced by the
+    inverse's filter: ``s / (s^2 + lam)``, or ``1 / s`` to numerical rank."""
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     if lam > 0.0:
-        filt = s / (s * s + lam)
-    else:
-        keep = s > RANK_CUTOFF * s[0]
-        filt = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
-    return (vt.T * filt) @ u.T
+        return u, s / (s * s + lam), vt
+    keep = s > RANK_CUTOFF * s[0]
+    return u, np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0), vt
 
 
 def spectral_radius(m) -> SpectralEstimate:

@@ -803,6 +803,24 @@ class TestErrorsAndEnv:
         ])
         assert "training" in capsys.readouterr().err
 
+    def test_report_records_the_numerical_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        assert main(["simulate", "--steps", "10", "--output", str(tmp_path / "traj.csv"),
+                     "--report", str(tmp_path / "sim.json")]) == 0
+        doc = read_report(tmp_path / "sim.json")
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert doc["environment"] == {
+            "numpy": np.__version__,
+            "blas": {"name": blas["name"], "version": blas["version"]},
+            "blas_threads": {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": None},
+        }
+        assert isinstance(blas["name"], str) and isinstance(blas["version"], str)
+        # beside the config and the outputs, never inside them, so the config
+        # still replays and the outputs still compare exactly
+        assert "environment" not in doc["outputs"] and "environment" not in doc["config"]
+        config_from_dict(doc["config"])
+
     def test_report_to_stdout_by_default(self, capsys, tmp_path):
         main(["count-params", "--series-count", "3"])
         doc = json.loads(capsys.readouterr().out)

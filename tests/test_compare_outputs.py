@@ -1,12 +1,15 @@
 """scripts/compare_outputs.py: what its comparison flags, and that a failed
 command fails the comparison even where both trees fail alike."""
 
+import base64
 import importlib.util
 import json
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import numpy as np
 
 REPO = Path(__file__).resolve().parents[1]
 SCRIPT = REPO / "scripts" / "compare_outputs.py"
@@ -62,7 +65,8 @@ class TestDifferences:
         write_report(b / "w" / "more.horizon.json")
         write_report(a / "w" / "more.horizon.json", diagnostics={"steps": 4})
         assert COMPARE.differences(a, b) == [
-            "w/more.horizon.json: diagnostics differs", "w/same.train.json: outputs differs"]
+            "w/more.horizon.json: diagnostics differs\n    diagnostics.steps: 4 -> 3 (relative 0.25)",
+            "w/same.train.json: outputs differs\n    outputs.rmse: 0.5 -> 0.25 (relative 0.5)"]
 
     def test_a_report_whose_config_alone_differs_is_not_flagged(self, tmp_path):
         a, b = self.trees(tmp_path)
@@ -75,6 +79,57 @@ class TestDifferences:
         write_report(a / "w" / "k.model.json")
         (b / "w" / "k.model.json").write_text(json.dumps(REPORT, indent=1))
         assert COMPARE.differences(a, b) == ["w/k.model.json: bytes differ"]
+
+
+def payload(values) -> dict:
+    a = np.asarray(values, dtype="<f8")
+    return {"f8": base64.b64encode(a.tobytes()).decode("ascii"), "shape": list(a.shape)}
+
+
+class TestDifferenceSizes:
+    """How large each difference is: CSV columns and model-file payloads by
+    the largest difference relative to the parent column's largest
+    magnitude, report numbers each by its own relative difference."""
+
+    def pair(self, tmp_path, name, parent, change):
+        a, b = tmp_path / "a", tmp_path / "b"
+        for tree, text in ((a, parent), (b, change)):
+            (tree / "w").mkdir(parents=True)
+            (tree / "w" / name).write_text(text)
+        return COMPARE.differences(a, b)
+
+    def test_a_csv_is_measured_per_column(self, tmp_path):
+        # 2 -> 3 is half of column a's largest magnitude, though only 0.005
+        # of the table's; column b moves by 1e-4 of its own
+        found = self.pair(tmp_path, "x.csv", "t,a,b\n0,1,100\n1,2,200\n",
+                          "t,a,b\n0,1,100\n1,3,200.02\n")
+        assert found == ["w/x.csv: bytes differ\n    largest relative difference 0.5"]
+
+    def test_a_csv_of_another_shape_is_not_measured(self, tmp_path):
+        found = self.pair(tmp_path, "x.csv", "t,a\n0,1\n", "t,a\n0,1\n1,2\n")
+        assert found == ["w/x.csv: bytes differ"]
+
+    def test_a_model_file_is_measured_per_payload_and_per_number(self, tmp_path):
+        parent = {"ridge": 0.001, "bricks": [{"w": payload([[1.0, 100.0], [4.0, 50.0]]),
+                                              "b": payload([1.0, 2.0])}]}
+        change = {"ridge": 0.002, "bricks": [{"w": payload([[1.0, 100.0], [5.0, 50.0]]),
+                                              "b": payload([1.0, 2.0])}]}
+        found = self.pair(tmp_path, "k.model.json", json.dumps(parent), json.dumps(change))
+        assert found == ["w/k.model.json: bytes differ"
+                         "\n    model.bricks[0].w: largest relative difference 0.25"
+                         "\n    model.ridge: 0.001 -> 0.002 (relative 1)"]
+
+    def test_report_numbers_each_with_their_relative_difference(self, tmp_path):
+        parent = {**REPORT, "outputs": {"rmse": 0.5, "horizon": 4, "curve": [1.0, 2.0, 4.0],
+                                        "errors": [1.0], "stop": "completed"}}
+        change = {**REPORT, "outputs": {"rmse": 0.5000005, "horizon": 4, "curve": [1.0, 2.0, 4.000004],
+                                        "errors": [1.0, 2.0], "stop": "diverged"}}
+        found = self.pair(tmp_path, "r.horizon.json", json.dumps(parent), json.dumps(change))
+        assert found == ["w/r.horizon.json: outputs differs"
+                         "\n    outputs.curve: 1 of 3 numbers differ, largest relative difference 1e-06 at [2]"
+                         "\n    outputs.errors: 1 items -> 2 items"
+                         "\n    outputs.rmse: 0.5 -> 0.5000005 (relative 1e-06)"
+                         '\n    outputs.stop: "completed" -> "diverged"']
 
 
 def test_a_tiny_self_comparison_of_the_checkout_agrees(tmp_path):

@@ -93,6 +93,58 @@ class TestPseudoInverse:
             tikhonov(lam)
 
 
+# Wide matrices (fewer rows than columns), each exact and with a ridge; the
+# last has rank 3 and its two smallest singular values fall to the cutoff.
+WIDE = {"3x7": (3, 7, None), "16x200": (16, 200, None), "1x9": (1, 9, None),
+        "5x9-rank-3": (5, 9, 3)}  # fmt: skip
+
+
+class TestWidePseudoInverse:
+    """A wide matrix is factored through its transpose, which LAPACK factors
+    faster, and obeys every rule that a tall one does."""
+
+    def wide(self, case):
+        rows, cols, rank = WIDE[case]
+        return random_matrix(np.random.default_rng(rows * cols), rows, cols, rank)
+
+    @pytest.mark.parametrize("case", sorted(WIDE))
+    def test_exact_inverse_meets_the_penrose_identities(self, case):
+        a = self.wide(case)
+        got = pseudo_inverse(a, EXACT_SVD)
+        assert got.shape == a.T.shape
+        assert max(penrose_residuals(a, got)) < 1e-8
+
+    @pytest.mark.parametrize("case", sorted(WIDE))
+    def test_the_cutoff_keeps_the_rank_of_the_transpose(self, case):
+        a = self.wide(case)
+        rows, _, rank = WIDE[case]
+        kept = np.linalg.matrix_rank(pseudo_inverse(a, EXACT_SVD))
+        assert kept == np.linalg.matrix_rank(pseudo_inverse(a.T, EXACT_SVD))
+        assert kept == (rank or rows)
+
+    @pytest.mark.parametrize("case", sorted(WIDE))
+    def test_tikhonov_matches_normal_equations(self, case):
+        a = self.wide(case)
+        lam = 0.3
+        # a solve, not inv(): at 200 x 200 the explicit inverse alone is
+        # 1.5e-12 off
+        oracle = np.linalg.solve(a.T @ a + lam * np.eye(a.shape[1]), a.T)
+        got = pseudo_inverse(a, tikhonov(lam))
+        assert np.linalg.norm(got - oracle) / np.linalg.norm(oracle) < 1e-12
+
+    @pytest.mark.parametrize("lam", [EXACT_SVD, 0.3])
+    def test_a_wide_matrix_is_factored_through_its_transpose(self, lam):
+        a = self.wide("16x200")
+        # a.T = U S V^T gives pinv(a) = U f(S) V^T, bit for bit
+        u, s, vt = np.linalg.svd(a.T, full_matrices=False)
+        filt = 1.0 / s if lam == EXACT_SVD else s / (s * s + lam)
+        assert np.array_equal(pseudo_inverse(a, lam), (u * filt) @ vt)
+        # the transpose's inverse forms V f(S) U^T, which agrees to a few ulps
+        # but not bit for bit, as the filter rounds with the other factor
+        got, other = pseudo_inverse(a, lam), pseudo_inverse(a.T, lam).T
+        assert np.max(np.abs(got - other)) <= 4 * np.finfo(float).eps * np.max(np.abs(got))
+
+
 class TestSpectralRadius:
     def test_diagonal(self):
         est = spectral_radius(np.diag([0.5, -0.9]))
