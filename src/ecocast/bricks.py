@@ -124,7 +124,9 @@ class KernelSpec:
     accumulated, so the kernel is
     ``exp(-sum_d ||(x_d - z_d) / scales[d]||^2)``.  An infinite scale switches
     its segment of finite inputs off, which in the all-infinite limit turns
-    the kernel into the constant-one kernel.
+    the kernel into the constant-one kernel.  Adjacent segments of equal
+    scale are merged into one, so a spec is fully described by its per-row
+    scales: two specs with the same row scales are equal.
     """
 
     scales: tuple[float, ...]
@@ -133,8 +135,6 @@ class KernelSpec:
     def __post_init__(self) -> None:
         scales = tuple(float(s) for s in self.scales)
         slices = tuple((int(a), int(b)) for a, b in self.slices)
-        object.__setattr__(self, "scales", scales)
-        object.__setattr__(self, "slices", slices)
         if not slices:
             raise ValueError("at least one slice is required")
         if len(scales) != len(slices):
@@ -147,6 +147,10 @@ class KernelSpec:
         for s in scales:
             if not s > 0.0:
                 raise ValueError("all scales must be positive")
+        keep = [i for i in range(len(scales)) if i == 0 or scales[i] != scales[i - 1]]
+        starts = [slices[i][0] for i in keep]
+        object.__setattr__(self, "scales", tuple(scales[i] for i in keep))
+        object.__setattr__(self, "slices", tuple(zip(starts, [*starts[1:], pos])))
 
     @property
     def dim(self) -> int:

@@ -360,6 +360,8 @@ def _array_from(value) -> np.ndarray:
 
 # the classes a model file holds as objects of their fields
 _OBJECTS = {cls.__name__: cls for cls in (InputSchema, KernelSpec, ScalingSet)}
+# the kinds a model file holds as a JSON value of another kind
+_DECODERS = {"np.ndarray": _array_from, "Activation": Activation}
 # model-file key of a field, where it differs from the field name
 _KEYS = {"spec": "kernel", "spec_a": "kernel_a", "spec_b": "kernel_b"}
 
@@ -392,26 +394,44 @@ def _decoded(decode, value, where: str):
         raise ValueError(f"model file {where}: {exc}") from None
 
 
-def _tuple(value) -> tuple:
+# the JSON types a scalar field takes, and their name; a boolean is no number
+_SCALARS = {"float": ((int, float), "a number"), "int": ((int,), "an integer"),
+            "str": ((str,), "a string"), "bool": ((bool,), "a boolean")}
+
+
+def _typed(value, kind: str):
+    """``value`` as a field annotated ``kind`` holds it, once its JSON type is
+    that of ``kind``: a scalar by ``_SCALARS`` (a float as a float), a tuple
+    from a list whose elements follow their own annotations (any number for
+    ``tuple[X, ...]``, one per annotation otherwise); other kinds as they are."""
+    if kind in _SCALARS:
+        types, name = _SCALARS[kind]
+        if not isinstance(value, types) or (kind != "bool" and type(value) is bool):
+            raise ValueError(f"expected {name}, got {value!r}")
+        return float(value) if kind == "float" else value
+    if not kind.startswith("tuple["):
+        return value
     if not isinstance(value, list):
         raise ValueError(f"expected a list, got {value!r}")
-    return tuple(value)
+    inner = kind[len("tuple[") : -1]
+    items = [inner[: -len(", ...")]] * len(value) if inner.endswith(", ...") else inner.split(", ")
+    if len(value) != len(items):
+        raise ValueError(f"expected a list of {len(items)}, got {value!r}")
+    return tuple(map(_typed, value, items))
 
 
 def _decode(value, annotation: str, part: str, path: str):
     """Inverse of ``_encode`` for the field at ``path`` (dotted if nested) of
-    the file's ``part`` ("" or "brick 2 "), naming it in errors."""
+    the file's ``part`` ("" or "brick 2 "), naming it in errors; each value's
+    JSON type is checked against its annotation, none is converted to fit."""
     kind = annotation.removesuffix(" | None")
     if value is None and kind != annotation:
         return None
-    decode = {"np.ndarray": _array_from, "Activation": Activation, "float": float}.get(kind)
     if kind in _OBJECTS:
         cls = _OBJECTS[kind]
         decode, value = (lambda kw: cls(**kw)), _fields_from(cls, value, part, f"{path}.")
-    elif kind.startswith("tuple["):
-        decode = _tuple
-    elif decode is None:
-        return value
+    else:
+        decode = _DECODERS.get(kind, lambda v: _typed(v, kind))
     return _decoded(decode, value, f"{part}field {path!r}")
 
 

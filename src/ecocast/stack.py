@@ -12,7 +12,6 @@ layout, context rows included.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
@@ -23,7 +22,6 @@ from .bricks import (
     BRICK_CLASSES,
     Activation,
     Brick,
-    KernelSpec,
     kernel_matrix,
     merge_kernel_specs,
     train_dsn_brick,
@@ -31,6 +29,7 @@ from .bricks import (
     train_kt_brick,
     train_linear_brick,
     train_tensor_brick,
+    uniform_kernel_spec,
 )
 from .linalg import readonly, tikhonov
 from .scaling import ScalingSet, adimensionalize
@@ -139,30 +138,6 @@ class InputSchema:
         full[ns:end] = context[:, None]
         full[end:] = rows[ns:]
         return full
-
-    def dataset_slices(self, brick_index: int = 1) -> tuple[tuple[int, int], ...]:
-        """Contiguous dataset segments of the brick input: one per series, one
-        per context dataset and, from brick 2 on, one per previous output."""
-        if brick_index < 1:
-            raise ValueError("brick indices are 1-based")
-        sizes = [1] * self.n_series + list(self.context_sizes)
-        if brick_index >= 2:
-            sizes += [1] * self.n_series
-        ends = np.cumsum(sizes).tolist()
-        return tuple(zip([0] + ends[:-1], ends))
-
-    def kernel_spec(self, brick_index: int) -> KernelSpec:
-        """Unit-scale kernel spec over the brick's dataset segments: the
-        scaling set, not the spec, carries the distance scales."""
-        if brick_index < 1:
-            raise ValueError("brick indices are 1-based")
-        return self._kernel_specs[brick_index >= 2]
-
-    @functools.cached_property
-    def _kernel_specs(self) -> tuple[KernelSpec, KernelSpec]:
-        """The specs of brick 1 and of the bricks from 2 on, built once."""
-        slices = (self.dataset_slices(1), self.dataset_slices(2))
-        return tuple(KernelSpec(scales=(1.0,) * len(s), slices=s) for s in slices)
 
 
 @dataclass(frozen=True)
@@ -325,7 +300,6 @@ def _train_one(
     context: np.ndarray,
     targets: np.ndarray,
     schema: InputSchema,
-    brick_index: int,
     seed: int,
     gram: np.ndarray | None = None,
 ) -> tuple[Brick, np.ndarray | None]:
@@ -364,7 +338,8 @@ def _train_one(
         )
         return brick, None
     full = schema.full_input(inputs, context)
-    spec = schema.kernel_spec(brick_index)
+    # the scaling set carries the distance scales: the spec is one unit segment
+    spec = uniform_kernel_spec(full.shape[0])
     if gram is None:
         # a kernel-tensor brick's two kernels both have this spec
         merged = spec if cfg.kind == "kernel" else merge_kernel_specs(spec, spec)
@@ -464,7 +439,7 @@ def _train_stack(
         old = earlier[k - 1] if k == n_kept + 1 and k <= len(earlier) else None
         kept = old.gram if old is not None and replace(old.cfg, ridge=cfg.ridge) == cfg else None
         try:
-            brick, gram = _train_one(cfg, x, c, vs, schema, k, seed + k, kept)
+            brick, gram = _train_one(cfg, x, c, vs, schema, seed + k, kept)
         except Exception as exc:
             raise BrickTrainingError(k, str(exc)) from exc
         # a dual brick's outputs on its own training inputs from its Gram

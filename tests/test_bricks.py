@@ -315,6 +315,26 @@ class TestGaussianKernel:
                 assert eigs.min() >= -1e-10 * np.trace(gram)
 
 
+class TestMergedSegments:
+    """Adjacent segments of equal scale are one segment: a spec is its
+    per-row scales."""
+
+    def test_equal_adjacent_scales_are_one_segment(self):
+        assert KernelSpec(scales=(1.0, 1.0), slices=((0, 2), (2, 5))) == uniform_kernel_spec(5)
+
+    def test_distinct_adjacent_scales_keep_their_segments(self):
+        spec = KernelSpec(scales=(1.3, 0.7, 0.7, 1.3), slices=((0, 2), (2, 3), (3, 4), (4, 6)))
+        assert spec.scales == (1.3, 0.7, 1.3)
+        assert spec.slices == ((0, 2), (2, 4), (4, 6))
+
+    def test_merged_unit_specs_are_one_segment_with_the_same_row_scales(self):
+        # one unit segment per dataset, as a stack's kernel specs once had
+        unit = KernelSpec(scales=(1.0, 1.0, 1.0), slices=((0, 1), (1, 2), (2, 5)))
+        merged = merge_kernel_specs(unit, unit)
+        assert merged == uniform_kernel_spec(5, 0.7071067811865475)
+        assert merged._row_scales.tobytes() == np.full(5, 0.7071067811865475).tobytes()
+
+
 class TestKernelBrick:
     def test_single_pair_interpolates_exactly(self):
         u = np.array([[1.0], [2.0]])

@@ -833,6 +833,29 @@ MODEL_FILE_CHECKS = {
     "context-sizes-object": ("linear", lambda d: d["schema"].update(context_sizes={"2": 0}),
                              "model file field 'schema.context_sizes': expected a list,"
                              " got {'2': 0}"),
+    # each value has its annotation's JSON type: none is converted to fit
+    "slice-bound-float": ("kernel",
+                          lambda d: d["bricks"][0]["kernel"].update(slices=[[0, 1.9], [1.9, 8]]),
+                          "model file brick 1 field 'kernel.slices': expected an integer,"
+                          " got 1.9"),
+    "slice-bound-true": ("kernel",
+                         lambda d: d["bricks"][0]["kernel"].update(slices=[[0, True], [True, 8]]),
+                         "model file brick 1 field 'kernel.slices': expected an integer,"
+                         " got True"),
+    "slice-three-bounds": ("kernel", lambda d: d["bricks"][0]["kernel"].update(slices=[[0, 4, 8]]),
+                           "model file brick 1 field 'kernel.slices': expected a list of 2,"
+                           " got [0, 4, 8]"),
+    "scale-string": ("kernel", lambda d: d["bricks"][0]["kernel"].update(scales=["0.001"]),
+                     "model file brick 1 field 'kernel.scales': expected a number, got '0.001'"),
+    "ridge-string": ("kernel", lambda d: d["bricks"][1].update(ridge="0.001"),
+                     "model file brick 2 field 'ridge': expected a number, got '0.001'"),
+    "peak-true": ("linear", lambda d: d.update(training_abs_max=True),
+                  "model file field 'training_abs_max': expected a number, got True"),
+    "series-names-numbers": ("linear", lambda d: d["schema"].update(series_names=[1, 2]),
+                             "model file field 'schema.series_names': expected a string, got 1"),
+    "converged-number": ("dsn", lambda d: d["bricks"][0].update(refine_converged=1),
+                         "model file brick 1 field 'refine_converged': expected a boolean,"
+                         " got 1"),
     "unknown-kind": ("linear", lambda d: d["bricks"][0].update(kind="nope"),
                      "model file brick 1 field 'kind': unknown brick kind 'nope'"),
     # a key the file must hold

@@ -12,6 +12,7 @@ from ecocast.bricks import (
     train_dsn_brick,
     train_kernel_brick,
     train_kt_brick,
+    uniform_kernel_spec,
 )
 from ecocast.datasets import ContextMap, TimeSeriesSet, build_training_pairs, default_scaling
 from ecocast.linalg import NonFiniteError
@@ -59,9 +60,6 @@ class TestSchema:
         )
         size = n_series + sum(sizes) + (n_series if brick_index >= 2 else 0)
         assert schema.input_dim(brick_index) == size
-        slices = schema.dataset_slices(brick_index)
-        assert slices[-1][1] == size
-        assert len(slices) == schema.n_datasets + (n_series if brick_index >= 2 else 0)
 
 
 def lv_like_pairs(n_series=2, n_pairs=60, context_size=0, seed=0):
@@ -105,7 +103,7 @@ class TestTrainStack:
     def test_single_brick_stack_equals_bare_brick(self):
         u, v, schema, _ = lv_like_pairs()
         model = train_stack(u, v, schema, BrickConfig(kind="kernel", ridge=1e-3), n_bricks=1, seed=0)
-        bare = train_kernel_brick(u, v, schema.kernel_spec(1), 1e-3)
+        bare = train_kernel_brick(u, v, uniform_kernel_spec(schema.input_dim(1)), 1e-3)
         x = u[:, 5]
         assert np.array_equal(model.predict_one_step(x), bare.apply(x))
 
@@ -114,10 +112,21 @@ class TestTrainStack:
         u, v, schema, _ = lv_like_pairs()  # u is a strided view of the series
         u = {"strided": u, "fortran": np.asfortranarray(u), "c": np.ascontiguousarray(u)}[layout]
         model = train_stack(u, v, schema, BrickConfig(kind="kernel", ridge=1e-3), n_bricks=1)
-        bare = train_kernel_brick(u, v, schema.kernel_spec(1), 1e-3)
+        bare = train_kernel_brick(u, v, uniform_kernel_spec(schema.input_dim(1)), 1e-3)
         assert model.bricks[0].dual_coefficients.tobytes() == bare.dual_coefficients.tobytes()
         for x in (u, u[:, 5:6], u[:, ::3], np.ascontiguousarray(u[:, ::3])):
             assert model.predict_columns(x).tobytes() == bare.apply_columns(x).tobytes()
+
+    @pytest.mark.parametrize("kind", ["kernel", "kernel-tensor"])
+    def test_each_dual_brick_has_one_unit_segment(self, kind):
+        # the scaling set carries the distance scales, so the specs carry none
+        u, v, schema, _ = lv_like_pairs(context_size=4)
+        model = train_stack(u, v, schema, BrickConfig(kind=kind, ridge=1e-3), n_bricks=3,
+                            scaling=pairs_scaling(u, schema))
+        for k, brick in enumerate(model.bricks, start=1):
+            specs = (brick.spec,) if kind == "kernel" else (brick.spec_a, brick.spec_b)
+            for spec in specs:
+                assert spec.scales == (1.0,) and spec.slices == ((0, schema.input_dim(k)),)
 
     def test_deterministic_given_seed(self):
         u, v, schema, _ = lv_like_pairs()
@@ -302,7 +311,7 @@ class TestGramOutputs:
         vs = (v - 2.0) / np.array([[0.5], [0.7]])
         x = us
         for k, brick in enumerate(model.bricks, start=1):
-            spec = schema.kernel_spec(k)
+            spec = uniform_kernel_spec(schema.input_dim(k))
             want = (train_kernel_brick(x, vs, spec, ridge) if kind == "kernel"
                     else train_kt_brick(x, vs, spec, spec, ridge))
             assert want.dual_coefficients.tobytes() == brick.dual_coefficients.tobytes()
