@@ -751,7 +751,14 @@ def _train_dual(v: np.ndarray, lam: float, gram: np.ndarray) -> tuple[np.ndarray
         diagonal = gram.diagonal().copy()
         gram.flat[:: gram.shape[0] + 1] += lam
         try:
-            dual = np.linalg.solve(gram, v.T).T
+            # the coefficients solve dual @ (gram + lam I) = v, the fit that
+            # apply_columns reproduces on the training inputs, as the system
+            # (gram + lam I).T dual.T = v.T.  numpy copies that transpose view
+            # into LAPACK's column-major buffer contiguously, where a C-ordered
+            # matrix takes a transposing copy.  A Gram matrix that the BLAS
+            # product made exactly symmetric gives LAPACK the buffer, and so
+            # the bits, of the C-ordered solve.
+            dual = np.linalg.solve(gram.T, v.T).T
         finally:
             gram.flat[:: gram.shape[0] + 1] = diagonal
         if not np.all(np.isfinite(dual)):
@@ -779,8 +786,8 @@ def train_kernel_brick(
     inputs, targets, spec: KernelSpec, lam: float, gram: np.ndarray | None = None
 ) -> KernelBrick:
     """Kernel ridge in dual form: coefficients ``targets @ (K + lam I)^-1``.
-    ``gram`` is K when the caller has it: a writable n x n matrix, whose
-    diagonal the solve changes and then restores."""
+    ``gram`` is K when the caller has it: ``kernel_matrix(spec, inputs,
+    inputs)``, writable, whose diagonal the solve changes and then restores."""
     return KernelBrick(spec=spec, **_fit_dual(spec, inputs, targets, lam, gram))
 
 

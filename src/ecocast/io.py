@@ -337,12 +337,17 @@ def _array_doc(a: np.ndarray) -> dict:
     return {"f8": base64.b64encode(a.tobytes()).decode("ascii"), "shape": list(a.shape)}
 
 
+def _numbers(value: list) -> list:
+    """The nested list ``value`` as floats, once every entry is a JSON number."""
+    return [_numbers(x) if isinstance(x, list) else _typed(x, "float") for x in value]
+
+
 def _array_from(value) -> np.ndarray:
     """Inverse of ``_array_doc`` (a read-only view of the decoded bytes); the
-    nested decimal lists of format versions 1 and 2 are read as well.  The
-    payload is checked as outside input."""
+    nested decimal lists of format versions 1 and 2 are read as well, once
+    every entry is a JSON number.  The payload is checked as outside input."""
     if isinstance(value, list):
-        return _finite(np.array(value, dtype=float))
+        return _finite(np.array(_numbers(value), dtype=float))
     if not isinstance(value, dict) or set(value) != {"f8", "shape"}:
         raise ValueError("expected an array payload with exactly the keys 'f8' and 'shape'")
     shape = value["shape"]
@@ -489,8 +494,12 @@ def model_to_json(model: StackedModel) -> str:
     return json.dumps(doc, separators=(",", ":"), sort_keys=True, allow_nan=False) + "\n"
 
 
+def _refuse_constant(token: str):
+    raise ValueError(f"model file holds {token}, which is not a JSON number")
+
+
 def model_from_json(text: str) -> StackedModel:
-    doc = json.loads(text)
+    doc = json.loads(text, parse_constant=_refuse_constant)
     form = doc.get("format") if isinstance(doc, dict) else None
     if form != MODEL_FORMAT:
         raise ValueError(f"not a model file (format {form!r})")

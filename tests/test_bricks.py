@@ -25,7 +25,7 @@ from ecocast.bricks import (
     train_tensor_brick,
     uniform_kernel_spec,
 )
-from ecocast.linalg import EXACT_SVD, NonFiniteError, tikhonov
+from ecocast.linalg import EXACT_SVD, NonFiniteError, pseudo_inverse, tikhonov
 
 
 class TestActivations:
@@ -714,6 +714,87 @@ class TestTrainingGram:
         u, v = self.data()
         with pytest.raises(ValueError, match="Gram matrix must be 30 x 30"):
             self.train(1, u, v, 1e-3, self.gram(1, u[:, :29]))
+
+
+def gram_inputs(rows: int, n: int, context_rows: int = 0) -> np.ndarray:
+    """``n`` column samples of ``rows`` varying rows, at distances that keep
+    the kernel away from 0, over ``context_rows`` rows of one constant
+    context."""
+    rng = np.random.default_rng(rows * 1000 + n + context_rows)
+    series = rng.standard_normal((rows, n)) / math.sqrt(rows) + 2.0
+    context = np.repeat(rng.uniform(0.0, 1.0, (context_rows, 1)), n, axis=1)
+    return np.vstack([series, context])
+
+
+def gram_specs(dim: int) -> dict:
+    """The kernel specs of a stack's kernel and kernel-tensor bricks over
+    ``dim`` rows, and two of several segments: the scales of
+    ``TestTrainingGram.SPECS`` over ``dim`` rows, alone and merged."""
+    unit = uniform_kernel_spec(dim)
+    segments = KernelSpec(scales=(1.5, 40.0), slices=((0, 1), (1, dim)))
+    other = KernelSpec(scales=(0.7, 3.0), slices=((0, 1), (1, dim)))
+    return {"unit": unit, "kernel-tensor": merge_kernel_specs(unit, unit),
+            "segments": segments, "merged-segments": merge_kernel_specs(segments, other)}
+
+
+# (varying rows, samples, constant context rows) of the Gram matrices of the
+# benchmark workloads: kernel-series (1 600 samples of 2 series, and of 4 rows
+# past the first brick), kernel-context (400 samples of those over 401 context
+# rows) and scale-search (192 samples over 100 context rows, and 104 varying
+# rows), and two small ones
+BENCH_GRAMS = [
+    (2, 1600, 0), (4, 1600, 0), (2, 400, 401), (4, 400, 401),
+    (2, 192, 100), (4, 192, 100), (104, 192, 0), (5, 30, 0), (3, 7, 0),
+]
+
+
+class TestSymmetricGram:
+    """A dual brick solves ``dual @ (K + lam I) = v`` through the transpose
+    view of K, which numpy hands LAPACK without a transposing copy.  Where
+    ``kernel_matrix(spec, a, a)`` is exactly symmetric, LAPACK gets the buffer
+    of the C-ordered solve and outputs keep its bits.  The BLAS product
+    decides that: the benchmark's Gram matrices are symmetric on the builds
+    this was measured on, but a blocked product may round entry (i, j)
+    differently from (j, i) at other widths."""
+
+    @pytest.mark.parametrize("spec_name", ["unit", "kernel-tensor", "segments", "merged-segments"])
+    @pytest.mark.parametrize("rows, n, context_rows", BENCH_GRAMS)
+    def test_a_benchmark_gram_matrix_equals_its_transpose_bit_for_bit(self, spec_name, rows, n,
+                                                                     context_rows):
+        a = gram_inputs(rows, n, context_rows)
+        gram = kernel_matrix(gram_specs(a.shape[0])[spec_name], a, a)
+        assert gram.tobytes() == np.ascontiguousarray(gram.T).tobytes()
+
+    @pytest.mark.parametrize("spec_name", ["unit", "kernel-tensor", "merged-segments"])
+    @pytest.mark.parametrize("rows, n, context_rows", BENCH_GRAMS)
+    def test_a_benchmark_dual_solve_has_the_bits_of_the_c_ordered_solve(self, spec_name, rows, n,
+                                                                       context_rows):
+        lam = 1e-6
+        a = gram_inputs(rows, n, context_rows)
+        v = np.random.default_rng(n).standard_normal((2, n))
+        gram = kernel_matrix(gram_specs(a.shape[0])[spec_name], a, a)
+        shifted = gram + lam * np.eye(n)
+        assert shifted.flags.c_contiguous
+        dual, ridge = bricks._train_dual(v, lam, gram)
+        assert ridge == lam
+        assert dual.tobytes() == np.linalg.solve(shifted, v.T).T.tobytes()
+
+    @pytest.mark.parametrize("rows, n, lam", [
+        (4, 513, 1e-3), (2, 1001, 1e-3), (5, 30, 1e-3), (4, 513, 0.0), (5, 30, 0.0),
+    ])
+    def test_the_dual_coefficients_solve_the_fit_that_apply_reproduces(self, rows, n, lam):
+        """At any width, the coefficients are those of ``dual @ (K + lam I)
+        = v`` as LAPACK solves it from an explicit transposed copy; without
+        a ridge, ``v @ pinv(K)``."""
+        a = gram_inputs(rows, n)
+        v = np.random.default_rng(n).standard_normal((2, n))
+        gram = kernel_matrix(uniform_kernel_spec(rows), a, a)
+        if lam > 0.0:
+            transposed = np.ascontiguousarray((gram + lam * np.eye(n)).T)
+            want = np.linalg.solve(transposed, v.T).T
+        else:
+            want = v @ pseudo_inverse(gram)
+        assert bricks._train_dual(v, lam, gram)[0].tobytes() == want.tobytes()
 
 
 class TestGaussianBuffer:

@@ -743,12 +743,16 @@ class TestMalformedPayload:
         assert MALFORMED[damage] in error["message"]
         assert not out.exists()
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
-    def test_a_non_finite_decimal_is_refused_naming_the_field(self, value):
+    @pytest.mark.parametrize("number", ["1e999", "-1e999"])
+    def test_a_non_finite_decimal_is_refused_naming_the_field(self, number):
+        # a JSON number too large for a float reads as infinite; the constants
+        # NaN and Infinity are refused before any field is read
         doc = json.loads((PINNED_DIR / PINNED_FILES[2].format("kernel")).read_text())
-        doc["last_training_state"][0] = value
+        doc["last_training_state"][0] = 1234.5
+        text = json.dumps(doc)
+        assert text.count("1234.5") == 1
         with pytest.raises(ValueError) as info:
-            model_from_json(json.dumps(doc))
+            model_from_json(text.replace("1234.5", number))
         assert str(info.value) == (
             "model file field 'last_training_state': array values must be finite"
         )
@@ -770,6 +774,17 @@ def array_doc(a) -> dict:
 
 def first_brick(doc, **arrays):
     doc["bricks"][0].update({key: array_doc(a) for key, a in arrays.items()})
+
+
+def decimals_with(doc: dict, leaf) -> list:
+    """The array payload ``doc`` as the nested decimal list of format
+    versions 1 and 2, with its first entry replaced by ``leaf``."""
+    decimals = payload(doc).tolist()
+    row = decimals
+    while isinstance(row[0], list):
+        row = row[0]
+    row[0] = leaf
+    return decimals
 
 
 # an edit to a saved model of the kind named, and the error it makes on load
@@ -856,6 +871,22 @@ MODEL_FILE_CHECKS = {
     "converged-number": ("dsn", lambda d: d["bricks"][0].update(refine_converged=1),
                          "model file brick 1 field 'refine_converged': expected a boolean,"
                          " got 1"),
+    # a decimal list (format versions 1 and 2) holds JSON numbers only
+    "decimal-string": ("kernel",
+                       lambda d: d["scaling"].update(
+                           scales=decimals_with(d["scaling"]["scales"], "0.32035630146224875")),
+                       "model file field 'scaling.scales': expected a number,"
+                       " got '0.32035630146224875'"),
+    "decimal-true": ("kernel",
+                     lambda d: d["scaling"].update(
+                         offsets=decimals_with(d["scaling"]["offsets"], True)),
+                     "model file field 'scaling.offsets': expected a number, got True"),
+    "decimal-null": ("kernel",
+                     lambda d: d["bricks"][1].update(
+                         dual_coefficients=decimals_with(d["bricks"][1]["dual_coefficients"],
+                                                         None)),
+                     "model file brick 2 field 'dual_coefficients': expected a number,"
+                     " got None"),
     "unknown-kind": ("linear", lambda d: d["bricks"][0].update(kind="nope"),
                      "model file brick 1 field 'kind': unknown brick kind 'nope'"),
     # a key the file must hold
@@ -881,6 +912,21 @@ class TestModelFileChecks:
         with pytest.raises(ValueError) as info:
             model_from_json(json.dumps(doc))
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("name, edit, token", [
+        ("v2_kernel", lambda d: d["bricks"][0]["kernel"].update(scales=[math.inf] * 3),
+         "Infinity"),
+        ("v2_dsn-refined", lambda d: d["bricks"][0].update(refine_trace=[0.5, math.nan]), "NaN"),
+        ("v2_dsn-refined", lambda d: d.update(training_abs_max=-math.inf), "-Infinity"),
+    ], ids=["kernel-scales", "refine-trace", "training-abs-max"])
+    def test_a_non_standard_json_constant_is_refused_naming_it(self, name, edit, token):
+        doc = json.loads((PINNED_DIR / f"model_{name}.json").read_text())
+        edit(doc)
+        text = json.dumps(doc)
+        assert token in text
+        with pytest.raises(ValueError) as info:
+            model_from_json(text)
+        assert str(info.value) == f"model file holds {token}, which is not a JSON number"
 
     def test_every_field_is_coded_or_json_native(self):
         # a field of another type needs a rule in io._encode and io._decode
