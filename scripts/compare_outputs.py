@@ -5,13 +5,20 @@ once per seed, at full size unless ``--size tiny`` is given, in one process
 per tree with that tree's ``src`` first on the import path and 2 BLAS
 threads, through the tree's own ``perfbench/worker.py`` (``generate_inputs``
 and ``run_rep``).  Both run in the same relative working paths, so paths
-written into reports agree.  The script then lists every command that failed
-in either tree, every CSV, grid and model file whose bytes differ, every
-report whose ``outputs`` or ``diagnostics`` block differs, and every file
-that only one tree wrote.  It says how large each difference is:
-- a CSV, and each array payload of a model file, by the largest difference
-  relative to the parent column's largest magnitude (the rule of
-  ``ARRAY_RTOL`` in ``perfbench/worker.py``);
+written into reports agree.  Each tree then loads every model file it wrote
+with its own ``ecocast.io.load_model``, and writes every array of the loaded
+model beside it (``<name>.model.loaded.json``): the context, the scaling,
+``last_training_state`` and each brick's array fields.
+
+The script then lists every command or model load that failed in either
+tree, every CSV, grid and model file whose bytes differ, every model file
+whose loaded arrays differ (compared exactly, array by array, next to the
+bytes: a format change that keeps every array reads "every loaded array
+equal"), every report whose ``outputs`` or ``diagnostics`` block differs, and
+every file that only one tree wrote.  It says how large each difference is:
+- a CSV, each array payload of a model file and each loaded array, by the
+  largest difference relative to the parent column's largest magnitude (the
+  rule of ``ARRAY_RTOL`` in ``perfbench/worker.py``);
 - a report block, and the rest of a model file, by each differing number
   with its difference relative to the parent's value (for a list of numbers,
   how many differ and the largest relative difference).
@@ -32,6 +39,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +48,7 @@ WORKLOADS = "kernel-series,kernel-context,feature-context,scale-search"
 BLAS_THREADS = "2"
 # report blocks compared; the config and environment blocks hold the run's own settings
 REPORT_BLOCKS = ("outputs", "diagnostics")
+MODEL, LOADED = ".model.json", ".model.loaded.json"
 
 
 def produce(tree: Path, out: Path, seeds: list[int], names: list[str], size: str) -> list[str]:
@@ -59,7 +68,46 @@ def produce(tree: Path, out: Path, seeds: list[int], names: list[str], size: str
             _, ops = worker.run_rep(w, inputs, seed, workdir)
             failed += [f"{workdir}: {op.key} {op.command} exited {op.rc}"
                        for op in setup_ops + ops if op.rc != 0]  # fmt: skip
+    models = sorted(Path().rglob(f"*{MODEL}"))
+    if models:  # the tree's own loader, once its src is on the path
+        from ecocast.io import load_model
+    for path in models:
+        try:
+            write_loaded(path, load_model)
+        except Exception as exc:
+            failed.append(f"{path}: load_model failed: {exc}")
     return failed
+
+
+def write_loaded(path: Path, load_model) -> None:
+    """Write every array of the model that ``load_model`` reads from the model
+    file ``path`` beside it, as array payloads keyed by ``loaded_arrays``."""
+    docs = {where: _payload_doc(a) for where, a in loaded_arrays(load_model(path)).items()}
+    loaded_path(path).write_text(json.dumps(docs, sort_keys=True))
+
+
+def loaded_arrays(value, where: str = "") -> dict[str, np.ndarray]:
+    """Every array that ``value``, a loaded model, holds, keyed by its path of
+    fields and brick indices ("context", "bricks[1].training_inputs")."""
+    if isinstance(value, np.ndarray):
+        return {where: value}
+    if is_dataclass(value):
+        items = [(f"{where}.{f.name}".lstrip("."), getattr(value, f.name)) for f in fields(value)]
+    elif isinstance(value, tuple):
+        items = [(f"{where}[{i}]", x) for i, x in enumerate(value)]
+    else:
+        return {}
+    return {k: a for path, x in items for k, a in loaded_arrays(x, path).items()}
+
+
+def loaded_path(model: Path) -> Path:
+    """Where the arrays loaded from the model file ``model`` are written."""
+    return model.with_name(model.name.removesuffix(MODEL) + LOADED)
+
+
+def _payload_doc(a: np.ndarray) -> dict:
+    a = np.ascontiguousarray(a, dtype="<f8")
+    return {"f8": base64.b64encode(a.tobytes()).decode("ascii"), "shape": list(a.shape)}
 
 
 def run_tree(tree: Path, out: Path, seeds: str, names: str, size: str) -> bool:
@@ -162,12 +210,16 @@ def differences(a: Path, b: Path) -> list[str]:
     parent's) and ``b``; an entry's indented lines say by how much."""
     files = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
     files |= {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
+    # the loaded arrays are compared with their model file
+    files = {rel for rel in files if not rel.name.endswith(LOADED)}
     found = []
     for rel in sorted(files):
         pa, pb = a / rel, b / rel
         if not (pa.exists() and pb.exists()):
             found.append(f"{rel}: only in {'the parent' if pa.exists() else 'the change'}")
-        elif rel.suffix == ".json" and not rel.name.endswith(".model.json"):
+        elif rel.name.endswith(MODEL):
+            found += model_differences(rel, pa, pb)
+        elif rel.suffix == ".json":
             doc_a, doc_b = json.loads(pa.read_text()), json.loads(pb.read_text())
             for block in REPORT_BLOCKS:
                 details = json_differences(doc_a.get(block), doc_b.get(block), block)
@@ -177,12 +229,28 @@ def differences(a: Path, b: Path) -> list[str]:
             if rel.suffix == ".csv":
                 worst = column_difference(csv_values(pa), csv_values(pb))
                 details = [] if worst is None else [f"largest relative difference {worst:.3g}"]
-            elif rel.name.endswith(".model.json"):
-                details = json_differences(json.loads(pa.read_text()), json.loads(pb.read_text()), "model")
             else:
                 details = []
             found.append(_with_details(f"{rel}: bytes differ", details))
     return found
+
+
+def model_differences(rel: Path, pa: Path, pb: Path) -> list[str]:
+    """The entry of the model file ``rel`` when it differs: by its bytes, and
+    by the arrays that each tree loaded from it, where either tree wrote them."""
+    heads, details = [], []
+    if pa.read_bytes() != pb.read_bytes():
+        heads.append("bytes differ")
+        details = json_differences(json.loads(pa.read_text()), json.loads(pb.read_text()), "model")
+    dumps = loaded_path(pa), loaded_path(pb)
+    if all(d.exists() for d in dumps):
+        loaded = json_differences(*(json.loads(d.read_text()) for d in dumps), "loaded")
+        if loaded or heads:
+            heads.append("loaded arrays differ" if loaded else "every loaded array equal")
+        details += loaded
+    elif any(d.exists() for d in dumps):  # one tree could not load it
+        heads.append(f"loaded arrays only in {'the parent' if dumps[0].exists() else 'the change'}")
+    return [_with_details(f"{rel}: {', '.join(heads)}", details)] if heads else []
 
 
 def main() -> int:
@@ -207,7 +275,7 @@ def main() -> int:
         ran = [run_tree(tree.resolve(), out, args.seeds, args.workloads, args.size)
                for tree, out in zip((args.parent, args.change), outs)]  # fmt: skip
         found = differences(*outs)
-        n_files = sum(1 for p in outs[0].rglob("*") if p.is_file())
+        n_files = sum(1 for p in outs[0].rglob("*") if p.is_file() and not p.name.endswith(LOADED))
     for line in found:
         print(line)
     print(f"{n_files} files compared: {len(found)} differences")

@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 MODEL_FORMAT = "ecocast-stacked-model"
-MODEL_VERSION = 4
+MODEL_VERSION = 5
 
 
 def _fmt(x: float) -> str:
@@ -133,7 +133,8 @@ def read_timeseries_csv(path, interpolate: bool = False) -> TimeSeriesSet:
     become days since the first date with that date recorded as the epoch).
     Without ``interpolate``, missing cells and non-uniform cadence are errors
     naming the offending row; with it, gaps are filled linearly and
-    non-uniform times are resampled onto a uniform grid.  A time stamp that
+    non-uniform times are resampled onto a uniform grid at the median step
+    between the first and last time stamps.  A time stamp that
     is not finite and an infinite value cell are errors either way, and the
     first bad cell in file order is named.
     """
@@ -176,7 +177,9 @@ def read_timeseries_csv(path, interpolate: bool = False) -> TimeSeriesSet:
     if broken is not None:
         if not interpolate:
             raise ValueError(f"row {broken + 3}: non-uniform cadence (pass interpolate to resample)")
-        uniform = np.linspace(times[0], times[-1], n_points)
+        # the data's own step, the median spacing, over the same span
+        n_uniform = round((times[-1] - times[0]) / np.median(np.diff(times))) + 1
+        uniform = np.linspace(times[0], times[-1], n_uniform)
         values = np.vstack([np.interp(uniform, times, values[i]) for i in range(len(names))])
         times = uniform
 
@@ -312,18 +315,20 @@ def _stem(path) -> str:
 
 # ---------------------------------------------------------------------------
 # model file: compact, sorted-key, versioned JSON, each field coded by its
-# annotation (``_encode``).  Versions 3 and 4 store every array as a payload
+# annotation (``_encode``).  Versions 3 to 5 store every array as a payload
 # object {"f8": <base64 of its raw little-endian float64 bytes>, "shape": [...]};
 # version 2 held the same arrays as nested decimal lists; all of them finite.
-# Versions 2-4 store the model's context once, at the top level, and each
-# brick that retains training inputs without their context rows; loading puts
-# them back bit for bit.  Version 4 linear, DSN and tensor bricks store the
+# Versions 2-5 store the model's context once, at the top level, and each
+# brick that retains training inputs without their context rows; version 5
+# also stores each later such brick without the series rows that the first one
+# holds, so that it keeps its previous-output rows alone.  Loading puts them
+# back bit for bit.  Versions 4 and 5 linear, DSN and tensor bricks store the
 # weights of their non-context rows and the bias that the context adds; in
 # versions 2 and 3 they hold full-width weights, which are folded on load into
 # those weights and bias.  Version 1 files (indented decimal lists, full
 # retained inputs, no top-level context) still load: their context is read
 # from column 0 of the first brick that retains inputs, and their feature
-# bricks fold only when one does.  Saving always writes version 4.
+# bricks fold only when one does.  Saving always writes version 5.
 
 
 def _finite(a: np.ndarray) -> np.ndarray:
@@ -453,23 +458,43 @@ def _fields_from(cls, doc, part: str, path: str = "", may_lack=()) -> dict:
     return kwargs
 
 
-def _brick_dict(brick, context_rows: slice | None) -> dict:
-    """One entry per brick field; fields holding None are left out, and
-    retained training inputs leave out ``context_rows`` when given."""
+def _stored_inputs(model: StackedModel) -> list[np.ndarray | None]:
+    """Each brick's retained training inputs as the file stores them: without
+    the context rows when the model records its context and, after the first
+    brick that retains inputs, without series rows of the same bits as that
+    brick's where the previous-output rows are what is left."""
+    ns, series, stored = model.schema.n_series, None, []
+    for b in model.bricks:
+        u = getattr(b, "training_inputs", None)
+        if u is not None and model.context is not None:
+            u = np.delete(u, model.schema.context_rows, axis=0)
+        if u is not None and series is None:
+            series = u[:ns]
+        elif u is not None and u.shape[0] == 2 * ns and u[:ns].tobytes() == series.tobytes():
+            u = u[ns:]
+        stored.append(u)
+    return stored
+
+
+def _brick_dict(brick, inputs: np.ndarray | None) -> dict:
+    """One entry per brick field, with ``inputs`` as the retained training
+    inputs; fields holding None are left out."""
     d = {}
     for f in fields(brick):
-        value = getattr(brick, f.name)
-        if f.name == "training_inputs" and context_rows is not None:
-            value = np.delete(value, context_rows, axis=0)
+        value = inputs if f.name == "training_inputs" else getattr(brick, f.name)
         if value is not None:
             d[_KEYS.get(f.name, f.name)] = _encode(value, f.type)
     return d
 
 
-def _brick_from(d, index: int, schema: InputSchema, context: np.ndarray | None):
+def _brick_from(d, index: int, schema: InputSchema, context: np.ndarray | None,
+                lead: np.ndarray | None, shared: bool):
     """Inverse of ``_brick_dict`` for the ``index``-th (1-based) brick: a
     recorded ``context`` is put back into every column of the retained
-    training inputs."""
+    training inputs.  With ``shared`` (version 5), inputs of a brick k >= 2
+    that holds ``n_series`` rows, its previous output alone, get ``lead`` put
+    back in front: the rows before the previous output of the first earlier
+    brick that retains inputs (None when there is none)."""
     part = f"brick {index} "
     if not isinstance(d, dict) or "kind" not in d:
         raise ValueError(f"model file {part}field 'kind' is missing")
@@ -479,18 +504,26 @@ def _brick_from(d, index: int, schema: InputSchema, context: np.ndarray | None):
     optional = [_KEYS.get(f.name, f.name) for f in fields(cls) if f.type.endswith(" | None")]
 
     def build(kw: dict):
-        if context is not None and np.ndim(kw.get("training_inputs")) == 2:
-            kw["training_inputs"] = schema.full_input(kw["training_inputs"], context)
+        u = kw.get("training_inputs")
+        if np.ndim(u) == 2 and shared and index >= 2 and u.shape[0] == schema.n_series:
+            if lead is None:
+                raise ValueError(
+                    f"the training inputs hold {u.shape[0]} rows, the previous output alone,"
+                    " and no earlier brick retains the series rows"
+                )
+            kw["training_inputs"] = np.vstack((lead, u))
+        elif context is not None and np.ndim(u) == 2:
+            kw["training_inputs"] = schema.full_input(u, context)
         return cls(**kw)
 
     return _decoded(build, _fields_from(cls, d, part, may_lack=optional), f"brick {index}")
 
 
 def model_to_json(model: StackedModel) -> str:
-    rows = None if model.context is None else model.schema.context_rows
     doc = {f.name: _encode(getattr(model, f.name), f.type) for f in fields(model)}
     doc.update(format=MODEL_FORMAT, format_version=MODEL_VERSION)
-    doc["bricks"] = [_brick_dict(b, rows) for b in model.bricks]  # brick by brick
+    stored = _stored_inputs(model)
+    doc["bricks"] = [_brick_dict(b, u) for b, u in zip(model.bricks, stored)]  # brick by brick
     return json.dumps(doc, separators=(",", ":"), sort_keys=True, allow_nan=False) + "\n"
 
 
@@ -504,15 +537,19 @@ def model_from_json(text: str) -> StackedModel:
     if form != MODEL_FORMAT:
         raise ValueError(f"not a model file (format {form!r})")
     version = doc.get("format_version")
-    if type(version) is not int or version not in (1, 2, 3, MODEL_VERSION):
+    if type(version) is not int or not 1 <= version <= MODEL_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
     kwargs = _fields_from(StackedModel, doc, "", may_lack=("context",))
     schema, context = kwargs["schema"], kwargs.get("context")
-    bricks = [_brick_from(b, k, schema, context) for k, b in enumerate(kwargs["bricks"], start=1)]
+    bricks, lead = [], None
+    for k, d in enumerate(kwargs["bricks"], start=1):
+        bricks.append(_brick_from(d, k, schema, context, lead, version == MODEL_VERSION))
+        if lead is None and hasattr(bricks[-1], "training_inputs"):
+            lead = bricks[-1].training_inputs[: schema.input_dim(1)]
     if version == 1:  # the context is column 0 of the first retained training inputs
         retained = [b.training_inputs for b in bricks if hasattr(b, "training_inputs")]
         context = retained[0][schema.context_rows, 0] if retained else None
-    if version < MODEL_VERSION and context is not None:
+    if version < 4 and context is not None:
         bricks = [fold_context(b, context, schema.n_series) for b in bricks]
     return StackedModel(**{**kwargs, "bricks": bricks, "context": context})
 

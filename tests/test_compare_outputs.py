@@ -11,8 +11,11 @@ from pathlib import Path
 
 import numpy as np
 
+from ecocast.io import load_model, model_to_json
+
 REPO = Path(__file__).resolve().parents[1]
 SCRIPT = REPO / "scripts" / "compare_outputs.py"
+PINNED_V4 = REPO / "tests" / "data" / "model_v4_kernel.json"
 
 
 def load_script():
@@ -130,6 +133,49 @@ class TestDifferenceSizes:
                          "\n    outputs.errors: 1 items -> 2 items"
                          "\n    outputs.rmse: 0.5 -> 0.5000005 (relative 1e-06)"
                          '\n    outputs.stop: "completed" -> "diverged"']
+
+
+class TestLoadedModels:
+    """Each tree's model files are compared by the arrays that its loader
+    reads, next to their bytes."""
+
+    def trees(self, tmp_path, parent_text, change_text):
+        a, b = tmp_path / "a", tmp_path / "b"
+        for tree, text in ((a, parent_text), (b, change_text)):
+            (tree / "w").mkdir(parents=True)
+            (tree / "w" / "k.model.json").write_text(text)
+            COMPARE.write_loaded(tree / "w" / "k.model.json", load_model)
+        return a, b
+
+    def test_the_loaded_arrays_are_every_array_of_the_model(self):
+        model = load_model(PINNED_V4)
+        arrays = COMPARE.loaded_arrays(model)
+        assert sorted(arrays) == [
+            "bricks[0].dual_coefficients", "bricks[0].training_inputs",
+            "bricks[1].dual_coefficients", "bricks[1].training_inputs",
+            "context", "last_training_state", "scaling.offsets", "scaling.scales"]
+        assert arrays["bricks[1].training_inputs"] is model.bricks[1].training_inputs
+
+    def test_a_format_change_that_keeps_every_array_reads_as_equal_after_load(self, tmp_path):
+        v4 = PINNED_V4.read_text()
+        v5 = model_to_json(load_model(PINNED_V4))  # series rows of brick 2 stored once
+        assert COMPARE.differences(*self.trees(tmp_path, v4, v5)) == [
+            "w/k.model.json: bytes differ, every loaded array equal"
+            "\n    model.bricks[1].training_inputs: shape [4, 11] -> [2, 11]"
+            "\n    model.format_version: 4 -> 5 (relative 0.25)"]
+
+    def test_a_loaded_array_that_differs_is_measured(self, tmp_path):
+        doc = json.loads(PINNED_V4.read_text())
+        state = np.frombuffer(base64.b64decode(doc["last_training_state"]["f8"]), dtype="<f8")
+        doc["last_training_state"] = payload(1.5 * state)
+        found = COMPARE.differences(*self.trees(tmp_path, PINNED_V4.read_text(), json.dumps(doc)))
+        assert found == ["w/k.model.json: bytes differ, loaded arrays differ"
+                         "\n    model.last_training_state: largest relative difference 0.5"
+                         "\n    loaded.last_training_state: largest relative difference 0.5"]
+
+    def test_the_same_bytes_loaded_alike_are_no_difference(self, tmp_path):
+        text = PINNED_V4.read_text()
+        assert COMPARE.differences(*self.trees(tmp_path, text, text)) == []
 
 
 def test_a_tiny_self_comparison_of_the_checkout_agrees(tmp_path):

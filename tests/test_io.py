@@ -21,6 +21,7 @@ from ecocast.datasets import (
 )
 from ecocast.cli import main
 from ecocast.io import (
+    MODEL_VERSION,
     _parse_cells,
     _parse_grid_cells,
     load_model,
@@ -82,6 +83,21 @@ class TestTimeseriesCSV:
         assert ts.n_points == 3
         assert np.allclose(np.diff(ts.times), 1.25)
         assert np.allclose(ts.values[0], ts.times)  # linear stays linear
+
+    def test_dropped_rows_are_resampled_at_the_data_cadence(self, tmp_path):
+        traj = simulate_lv(REFERENCE_PARAMS, 10.0, 5.0, 0.05, 600)
+        keep = np.r_[0:200, 400:601]  # rows 200-399 dropped: a gap of 200 steps
+        ts = TimeSeriesSet(names=("prey", "predators"), times=traj.times,
+                           values=np.vstack([traj.prey, traj.predators]))
+        path = tmp_path / "gap.csv"
+        rows = np.column_stack([ts.times, ts.values.T])[keep].tolist()
+        path.write_text("t,prey,predators\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows))
+        back = read_timeseries_csv(path, interpolate=True)
+        assert back.n_points == 601
+        assert back.dt == pytest.approx(0.05, rel=1e-12)
+        assert (back.times[0], back.times[-1]) == (0.0, ts.times[-1])
+        # the kept rows keep their values
+        assert np.allclose(back.values[:, keep], ts.values[:, keep], rtol=1e-12, atol=0.0)
 
     def test_unsorted_times_with_gap_resampled_with_flag(self, tmp_path):
         path = tmp_path / "shuffled.csv"
@@ -495,6 +511,17 @@ def small_model(kind, seed=0):
     ), u, cmap
 
 
+def linear_under_kernels():
+    """A linear brick under two kernel bricks, without a context: brick 2 is
+    the first brick that retains training inputs."""
+    t = np.linspace(0.0, 4.0, 25)
+    ts = TimeSeriesSet(names=("a", "b"), times=t,
+                       values=np.vstack([np.sin(t) + 2.0, np.cos(t) + 3.0]))
+    u, v, schema = build_training_pairs(ts, [])
+    configs = [BrickConfig(kind=kind, ridge=1e-4) for kind in ("linear", "kernel", "kernel")]
+    return train_stack(u, v, schema, configs, scaling=default_scaling(ts, []))
+
+
 def payload(d: dict) -> np.ndarray:
     """A model file's array payload decoded as the format defines it."""
     assert set(d) == {"f8", "shape"}
@@ -531,8 +558,8 @@ class TestModelFile:
         path.write_text(text.replace("ecocast-stacked-model", "something-else"))
         with pytest.raises(ValueError, match="not a model file"):
             load_model(path)
-        assert '"format_version":4' in text
-        path.write_text(text.replace('"format_version":4', '"format_version":99'))
+        assert f'"format_version":{MODEL_VERSION}' in text
+        path.write_text(text.replace(f'"format_version":{MODEL_VERSION}', '"format_version":99'))
         with pytest.raises(ValueError, match="version"):
             load_model(path)
 
@@ -609,15 +636,62 @@ class TestModelFile:
         text = (tmp_path / "m.json").read_text()
         assert text.count("\n") == 1  # compact JSON
         doc = json.loads(text)
-        assert doc["format_version"] == 4
+        assert doc["format_version"] == MODEL_VERSION
         assert np.array_equal(payload(doc["context"]), model.context)
         assert doc["context"]["shape"] == [cmap.pixel_count]
-        # retained inputs keep their series and previous-output rows only
-        assert [payload(b["training_inputs"]).shape[0] for b in doc["bricks"]] == [2, 4]
+        # brick 1 keeps its series rows only, and brick 2 its previous-output
+        # rows only: its series rows are brick 1's
+        assert [payload(b["training_inputs"]).shape[0] for b in doc["bricks"]] == [2, 2]
         back = load_model(tmp_path / "m.json")
         assert np.array_equal(back.context, model.context)
         for loaded, brick in zip(back.bricks, model.bricks):
             assert np.array_equal(loaded.training_inputs, brick.training_inputs)
+
+    def test_dual_bricks_with_other_series_rows_are_written_in_full(self, tmp_path):
+        model, u, cmap = small_model("kernel")
+        second = model.bricks[1]
+        inputs = np.array(second.training_inputs)
+        inputs[:2] += 0.5  # a hand-built brick 2 whose series rows are not brick 1's
+        model = replace(model, bricks=(model.bricks[0], replace(second, training_inputs=inputs)))
+        save_model(model, tmp_path / "m.json")
+        doc = json.loads((tmp_path / "m.json").read_text())
+        assert [payload(b["training_inputs"]).shape[0] for b in doc["bricks"]] == [2, 4]
+        back = load_model(tmp_path / "m.json")
+        for loaded, brick in zip(back.bricks, model.bricks):
+            assert np.array_equal(loaded.training_inputs, brick.training_inputs)
+        save_model(back, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == (tmp_path / "m.json").read_bytes()
+
+    def test_the_first_dual_brick_keeps_its_series_rows(self):
+        model = linear_under_kernels()
+        doc = json.loads(model_to_json(model))
+        assert "training_inputs" not in doc["bricks"][0]
+        assert [payload(b["training_inputs"]).shape[0] for b in doc["bricks"][1:]] == [4, 2]
+        back = model_from_json(model_to_json(model))
+        for loaded, brick in zip(back.bricks[1:], model.bricks[1:]):
+            assert np.array_equal(loaded.training_inputs, brick.training_inputs)
+
+    def test_a_brick_without_series_rows_and_no_earlier_dual_brick_is_refused(self):
+        doc = json.loads(model_to_json(linear_under_kernels()))
+        # brick 2 holds the previous output alone, with no earlier brick to
+        # take the series rows from
+        doc["bricks"][1]["training_inputs"] = array_doc(
+            payload(doc["bricks"][1]["training_inputs"])[2:])
+        with pytest.raises(ValueError) as info:
+            model_from_json(json.dumps(doc))
+        assert str(info.value) == (
+            "model file brick 2: the training inputs hold 2 rows, the previous output alone,"
+            " and no earlier brick retains the series rows")
+
+    def test_a_version_4_brick_2_without_its_series_rows_is_refused(self):
+        model, _, _ = small_model("kernel")
+        doc = json.loads(model_to_json(model))
+        assert payload(doc["bricks"][1]["training_inputs"]).shape[0] == 2
+        doc["format_version"] = 4  # version 4 puts back the context rows only
+        with pytest.raises(ValueError) as info:
+            model_from_json(json.dumps(doc))
+        assert str(info.value) == (
+            "model file brick 2: kernel spec does not match the training input dimension")
 
     @pytest.mark.parametrize("kind", ["kernel", "linear", "dsn", "tensor"])
     def test_file_grows_by_the_new_context_values_only(self, tmp_path, kind):
@@ -945,18 +1019,28 @@ class TestModelFileChecks:
 
 # Pinned model files: model_<name>.json are format version 1, written by the
 # per-kind model writer that the field-driven one replaced; model_v2_<name>.json
-# and model_v3_<name>.json are format versions 2 and 3, written by the writers
+# to model_v4_<name>.json are format versions 2 to 4, written by the writers
 # of those versions.  They pin the on-disk formats: never regenerate them.
 PINNED_DIR = Path(__file__).parent / "data"
-PINNED_FILES = {1: "model_{}.json", 2: "model_v2_{}.json", 3: "model_v3_{}.json"}
-# Kernel bricks of older files predict and re-save as fresh training, bit for
-# bit.  The other kinds do so within rounding: linear, DSN and tensor bricks
-# fold the context out since format version 4, and those of older files were
-# solved on the full width; kernel-tensor bricks evaluate one Gaussian over
-# their merged spec, and those of older files were solved against the product
-# of two.  This bound is relative to each column's largest magnitude.
+PINNED_FILES = {1: "model_{}.json", 2: "model_v2_{}.json", 3: "model_v3_{}.json",
+                4: "model_v4_{}.json"}
+# Kernel bricks of older files, and every brick of a version 4 file, predict
+# and re-save as fresh training, bit for bit.  The other kinds of versions 1
+# to 3 do so within rounding: linear, DSN and tensor bricks fold the context
+# out since format version 4, and those of older files were solved on the full
+# width; kernel-tensor bricks evaluate one Gaussian over their merged spec, and
+# those of older files were solved against the product of two.  This bound is
+# relative to each column's largest magnitude.
 EXACT = ("kernel",)
 FOLD_RTOL = 1e-12
+
+
+def exact(name: str, version: int) -> bool:
+    """Whether the pinned file ``name`` of ``version`` matches fresh training
+    bit for bit, not within FOLD_RTOL."""
+    return name in EXACT or version >= 4
+
+
 PINNED = {
     "linear": dict(kind="linear"),
     "dsn": dict(kind="dsn"),
@@ -1004,32 +1088,33 @@ def close_to(got: np.ndarray, want: np.ndarray) -> bool:
 
 
 class TestPinnedModelFiles:
-    """The pinned files are format versions 1 to 3: they load, predict like
-    fresh training, and re-save as version 4.  Kernel bricks do so bit for
-    bit; the other kinds within FOLD_RTOL."""
+    """The pinned files are format versions 1 to 4: they load, predict like
+    fresh training, and re-save as the current version.  Kernel bricks and
+    version 4 files do so bit for bit; the other kinds within FOLD_RTOL."""
 
     def check_resave_and_predict(self, tmp_path, name, version):
         pinned = PINNED_DIR / PINNED_FILES[version].format(name)
         assert json.loads(pinned.read_text())["format_version"] == version
         back = load_model(pinned)
-        save_model(back, tmp_path / "v4.json")
-        v4 = (tmp_path / "v4.json").read_bytes()
-        assert b'"format_version":4' in v4
-        again = load_model(tmp_path / "v4.json")
+        save_model(back, tmp_path / "resaved.json")
+        resaved = (tmp_path / "resaved.json").read_bytes()
+        assert f'"format_version":{MODEL_VERSION}'.encode() in resaved
+        again = load_model(tmp_path / "resaved.json")
         save_model(again, tmp_path / "again.json")
-        assert (tmp_path / "again.json").read_bytes() == v4
+        assert (tmp_path / "again.json").read_bytes() == resaved
         ts, cmap = pinned_inputs()
         fresh = pinned_model(name)
         context = cmap.values.ravel()
         expected = fresh.predict_columns(ts.values, context)
         for model in (back, again):
             got = model.predict_columns(ts.values, context)
-            assert np.array_equal(got, expected) if name in EXACT else close_to(got, expected)
+            same = np.array_equal(got, expected)
+            assert same if exact(name, version) else close_to(got, expected)
 
     def check_resaves_as_fresh_training(self, name, version):
         resaved = model_to_json(load_model(PINNED_DIR / PINNED_FILES[version].format(name)))
         fresh = model_to_json(pinned_model(name))
-        if name in EXACT:
+        if exact(name, version):
             assert resaved == fresh
             return
         # the fields of fresh training, with the weights and refinement losses
@@ -1061,6 +1146,10 @@ class TestPinnedModelFiles:
         self.check_resave_and_predict(tmp_path, name, 3)
 
     @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_v4_loads_resaves_and_predicts_like_fresh_training(self, tmp_path, name):
+        self.check_resave_and_predict(tmp_path, name, 4)
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
     def test_v2_file_resaves_as_fresh_training(self, name):
         self.check_resaves_as_fresh_training(name, 2)
 
@@ -1072,6 +1161,12 @@ class TestPinnedModelFiles:
                            for v in (2, 3))
         assert (decimal.pop("format_version"), binary.pop("format_version")) == (2, 3)
         assert same_content(decimal, binary)
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_v4_file_resaves_as_fresh_training(self, name):
+        # a version 4 feature brick is folded already: loading folds it once
+        # only, so the resaved file is fresh training's, bit for bit
+        self.check_resaves_as_fresh_training(name, 4)
 
     @pytest.mark.parametrize("name", ["kernel", "kernel-tensor"])
     def test_v1_dual_file_resaves_as_fresh_training(self, name):
